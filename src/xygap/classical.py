@@ -72,9 +72,11 @@ def classical_energy(angles: ClassicalAngles, point: FieldPoint) -> float:
     return -0.25 * s * s - 0.5 * point.h * s * math.cos(angles.phi0) - 0.5 * point.gamma * c
 
 
-def _energy_theta(theta: float, gamma: float, habs: float) -> float:
-    s, c = math.sin(theta), math.cos(theta)
-    return -0.25 * s * s - 0.5 * habs * s - 0.5 * gamma * c
+def _energy_above_pole(theta: float, gamma: float, habs: float) -> float:
+    """e(theta) - e(0) without cancellation: near theta = 0 with gamma > 1 the
+    tilt gains only h**2/(4*(gamma - 1)), far below an ulp of e itself."""
+    s = math.sin(theta)
+    return -0.25 * s * s - 0.5 * habs * s + gamma * math.sin(0.5 * theta) ** 2
 
 
 def _denergy(theta: float, gamma: float, habs: float) -> float:
@@ -116,7 +118,8 @@ def minimize_energy(point: FieldPoint) -> ClassicalAngles:
 
     All stationary points (at most three) are bracketed on a fine grid and
     refined by bisection plus Newton polish; the endpoints are always kept
-    as candidates and the winner is picked by direct energy comparison.
+    as candidates and the winner is picked by comparing energies relative to
+    theta = 0.
     """
     gamma, habs = point.gamma, abs(point.h)
     candidates = [0.0, math.pi]
@@ -130,7 +133,7 @@ def minimize_energy(point: FieldPoint) -> ClassicalAngles:
         elif (prev_f < 0) != (f < 0) and prev_f != 0.0:
             candidates.append(_refine_root(prev_t, t, gamma, habs))
         prev_t, prev_f = t, f
-    theta0 = min(candidates, key=lambda t: _energy_theta(t, gamma, habs))
+    theta0 = min(candidates, key=lambda t: _energy_above_pole(t, gamma, habs))
     phi0 = 0.0 if point.h >= 0 else math.pi
     return ClassicalAngles(theta0=theta0, phi0=phi0)
 

@@ -16,17 +16,18 @@ output files.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import classical, gaplaw, scaling, sector, verify
 from .classical import FieldPoint
 from .errors import BitBudgetError, XYGapError
-from .exactnum import TruncatedSeries, decimal_str, format_rational, gamma_value
+from .exactnum import (
+    TruncatedSeries, decimal_str, format_rational, gamma_value, parse_rational,
+)
 from .sequences import DEFAULT_BIT_BUDGET, HARD_BIT_CAP, SequenceKind
 
 BUDGET_ENV_VAR = "XYGAP_BIT_BUDGET"
@@ -50,6 +51,8 @@ def parse_grid(text: str) -> list[float]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}: {exc}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"grid endpoints must be finite, got {text!r}")
     if count < 1:
         raise UsageError(f"grid count must be >= 1, got {count}")
     if count == 1:
@@ -90,7 +93,7 @@ def parse_sizes(text: str) -> list[int]:
 def parse_gamma(text: str) -> Fraction:
     """Exact field value from "p/q" or a decimal literal like "0.25"."""
     try:
-        return Fraction(text)
+        return parse_rational(text) if "/" in text else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad field value {text!r}: {exc}") from None
 
@@ -102,7 +105,10 @@ def _resolve_budget(args) -> int:
     budget = args.bit_budget
     if budget is None:
         env = os.environ.get(BUDGET_ENV_VAR)
-        budget = int(env) if env else DEFAULT_BIT_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_BIT_BUDGET
+        except ValueError:
+            raise UsageError(f"${BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
     if not 64 <= budget <= HARD_BIT_CAP:
         raise UsageError(f"bit budget must lie in [64, {HARD_BIT_CAP}], got {budget}")
     return budget
@@ -125,13 +131,7 @@ def cmd_phase_diagram(args) -> int:
     hs = parse_grid(args.h)
     if any(g < 0 for g in gammas):
         raise UsageError("transverse field grid must be nonnegative")
-    points = [FieldPoint(gamma=g, h=h) for g in gammas for h in hs]
-    if args.jobs > 1:
-        # map preserves input order, so the output stays deterministic
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(classical.phase_record, points))
-    else:
-        records = [classical.phase_record(p) for p in points]
+    records = classical.phase_diagram_scan(gammas, hs)
     if args.format == "json":
         _write_text(args.output, classical.scan_json(records))
     else:
@@ -145,6 +145,8 @@ FINITE_GAP_NUMERIC_HEADER = "N,gamma,h,gap_numeric"
 
 def _finite_gap_field(args, budget: int) -> Fraction:
     if args.gamma_series is not None:
+        if args.terms < 1:
+            raise UsageError(f"--terms must be >= 1, got {args.terms}")
         spec = TruncatedSeries(_SEQ_KINDS[args.gamma_series], args.terms)
         return gamma_value(spec, budget)
     if args.gamma is None:
@@ -153,8 +155,11 @@ def _finite_gap_field(args, budget: int) -> Fraction:
 
 
 def cmd_finite_gap(args, budget: int) -> int:
+    if not math.isfinite(args.h):
+        raise UsageError(f"--h must be finite, got {args.h}")
     sizes = parse_sizes(args.N)
     gamma = _finite_gap_field(args, budget)
+    gamma_text = format_rational(gamma)
     if args.h == 0.0:
         if not 0 <= gamma < 1:
             raise UsageError(f"the exact h=0 route needs 0 <= gamma < 1, got {gamma}")
@@ -166,23 +171,17 @@ def cmd_finite_gap(args, budget: int) -> int:
                 numeric = format(
                     sector.finite_gap_numeric(size, FieldPoint(float(gamma), 0.0)), ".17g"
                 )
-            if rec.branch == gaplaw.BRANCH_DEGENERATE:
-                lines.append(
-                    f"{size},{format_rational(gamma)},{format_rational(rec.delta.value)},"
-                    f"{rec.branch},,,{numeric}"
-                )
-            else:
-                lines.append(
-                    f"{size},{format_rational(gamma)},{format_rational(rec.delta.value)},"
-                    f"{rec.branch},{format_rational(rec.gap)},{decimal_str(rec.gap, 17)},{numeric}"
-                )
+            gap = ("," if rec.gap is None
+                   else f"{format_rational(rec.gap)},{decimal_str(rec.gap, 17)}")
+            delta = format_rational(rec.delta.value)
+            lines.append(f"{size},{gamma_text},{delta},{rec.branch},{gap},{numeric}")
         _write_text(args.output, "\n".join(lines))
         return EXIT_OK
     lines = [FINITE_GAP_NUMERIC_HEADER]
     for size in sizes:
         gap = sector.finite_gap_numeric(size, FieldPoint(float(gamma), args.h))
         lines.append(
-            f"{size},{format_rational(gamma)},{format(args.h, '.17g')},{format(gap, '.17g')}"
+            f"{size},{gamma_text},{format(args.h, '.17g')},{format(gap, '.17g')}"
         )
     _write_text(args.output, "\n".join(lines))
     return EXIT_OK
@@ -192,6 +191,8 @@ def cmd_scaling(args, budget: int) -> int:
     kind = _SEQ_KINDS[args.seq]
     k_default = 5 if kind is SequenceKind.DOUBLE_EXP else 4
     k_trunc = args.terms if args.terms is not None else k_default
+    if k_trunc < 4:
+        raise UsageError(f"scaling needs --K >= 4 for two rows n = 1..K-2, got {k_trunc}")
     seq = scaling.SizeSequence(kind=kind, rule=args.rule)
     spec = TruncatedSeries(kind, k_trunc)
     report = scaling.build_scaling_report(seq, spec, budget)
@@ -228,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="grid lo:hi:count, e.g. -1:1:81")
     p.add_argument("-o", "--output", default=None, help="output path ('-' = stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for the scan")
 
     p = sub.add_parser("finite-gap", help="finite-size gaps at fixed field values")
     p.add_argument("--gamma", default=None, help='exact value, e.g. "1/3" or "0.25"')

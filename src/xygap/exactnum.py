@@ -24,18 +24,14 @@ untruncated value, which is what makes downstream comparisons (offset vs
 
 from __future__ import annotations
 
-import sys
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Tuple, Union
 
 from .errors import BitBudgetError, SpecNotApplicableError
 from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, doubling_holds, terms
-
-# Rationals here routinely carry denominators near 2**65536 (~19.7k decimal
-# digits); the interpreter's int<->str guard would reject serializing them.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
 
 Rational = Fraction
 
@@ -112,19 +108,25 @@ GammaSpec = Union[ExplicitRational, TruncatedSeries, DigitInjection, IntervalCon
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# Integers cross the text boundary through decimal.Decimal: denominators near
+# 2**65536 have ~19.7k digits, past the interpreter's int<->str digit limit.
+
+_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer "p") into a Fraction in lowest terms."""
-    s = text.strip()
-    if "/" in s:
-        num_s, den_s = s.split("/", 1)
-        return Fraction(int(num_s), int(den_s))
-    return Fraction(int(s))
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational p/q: {text!r}")
+    num, den = match.groups()
+    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
 def format_rational(r: Fraction) -> str:
     """Canonical "p/q" form, denominator always present ("0/1", "3/4", ...)."""
-    return f"{r.numerator}/{r.denominator}"
+    return f"{Decimal(r.numerator)}/{Decimal(r.denominator)}"
 
 
 def _cmp_pow10(x: Fraction, e: int) -> int:

@@ -99,8 +99,8 @@ def energy_level(size: int, m, gamma) -> Fraction:
     return -Fraction(size + 2, 4) + m * m / size - gamma * m
 
 
-def delta_frac(size: int, gamma) -> DeltaValue:
-    """Split gamma*N/2 off the admissible grid; flags the exact-1/2 crossing.
+def _split(size: int, gamma) -> tuple[Fraction, Fraction]:
+    """(anchor, offset) of gamma*N/2 on the admissible grid, offset in [0, 1).
 
     Even N anchors at the integer floor; odd N anchors at the largest
     half-odd-integer not exceeding the value.
@@ -112,30 +112,34 @@ def delta_frac(size: int, gamma) -> DeltaValue:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     target = gamma * size / 2
     if size % 2 == 0:
-        offset = target - math.floor(target)
-        parity = EVEN
+        anchor = Fraction(math.floor(target))
     else:
-        shifted = target - _HALF
-        offset = shifted - math.floor(shifted)
-        parity = ODD
-    return DeltaValue(value=offset, parity=parity, degenerate=offset == _HALF)
+        anchor = math.floor(target - _HALF) + _HALF
+    return anchor, target - anchor
 
 
-def _grid_anchor(size: int, gamma: Fraction) -> Fraction:
-    target = gamma * size / 2
-    if size % 2 == 0:
-        return Fraction(math.floor(target))
-    return Fraction(math.floor(target - _HALF)) + _HALF
+def delta_frac(size: int, gamma) -> DeltaValue:
+    """Split gamma*N/2 off the admissible grid; flags the exact-1/2 crossing."""
+    _, offset = _split(size, gamma)
+    return DeltaValue(
+        value=offset, parity=EVEN if size % 2 == 0 else ODD, degenerate=offset == _HALF
+    )
+
+
+def _level_pair(size: int, gamma) -> tuple[Fraction, Fraction]:
+    """(m0, m1): the grid neighbors of gamma*N/2, the nearer one first."""
+    anchor, offset = _split(size, gamma)
+    if offset == _HALF:
+        raise DegenerateDeltaError(size, gamma)
+    return (anchor, anchor + 1) if offset < _HALF else (anchor + 1, anchor)
 
 
 def ground_level(size: int, gamma) -> MagnetizationLevel:
-    """Level minimizing E(N, m): the grid point nearest gamma*N/2."""
-    gamma = _as_exact(gamma, "gamma")
-    d = delta_frac(size, gamma)
-    if d.degenerate:
-        raise DegenerateDeltaError(size, gamma)
-    anchor = _grid_anchor(size, gamma)
-    m0 = anchor if d.value < _HALF else anchor + 1
+    """Level minimizing E(N, m): the grid point nearest gamma*N/2.
+
+    With :func:`excited_level`, the level-energy oracle for :func:`gap_record`.
+    """
+    m0, _ = _level_pair(size, gamma)
     return MagnetizationLevel(size=size, m=m0, energy=energy_level(size, m0, gamma))
 
 
@@ -145,41 +149,30 @@ def excited_level(size: int, gamma) -> MagnetizationLevel:
     At gamma = 0 (more generally, offset exactly 0) the two neighbors tie;
     the +1 side is reported, see :func:`gap_record` for the tie flag.
     """
-    gamma = _as_exact(gamma, "gamma")
-    d = delta_frac(size, gamma)
-    if d.degenerate:
-        raise DegenerateDeltaError(size, gamma)
-    anchor = _grid_anchor(size, gamma)
-    m1 = anchor + 1 if d.value < _HALF else anchor
+    _, m1 = _level_pair(size, gamma)
     return MagnetizationLevel(size=size, m=m1, energy=energy_level(size, m1, gamma))
 
 
-def exact_gap(size: int, gamma) -> Fraction:
-    """E(m1) - E(m0), exactly; equals |1 - 2*delta|/N on either branch."""
-    gamma = _as_exact(gamma, "gamma")
-    lo = ground_level(size, gamma)
-    hi = excited_level(size, gamma)
-    gap = hi.energy - lo.energy
-    d = delta_frac(size, gamma).value
-    assert gap == abs(1 - 2 * d) / size, "gap law violated; level bookkeeping bug"
-    return gap
-
-
 def gap_record(size: int, gamma) -> GapRecord:
-    """Result row for one (N, gamma); degenerate crossings are kept, flagged."""
+    """Result row for one (N, gamma); degenerate crossings are kept, flagged.
+
+    The gap is |1 - 2*delta|/N from a single offset split.
+    """
     gamma = _as_exact(gamma, "gamma")
     d = delta_frac(size, gamma)
     if d.degenerate:
         return GapRecord(size, gamma, d, BRANCH_DEGENERATE, None)
     branch = BRANCH_LOW if d.value < _HALF else BRANCH_HIGH
-    return GapRecord(
-        size,
-        gamma,
-        d,
-        branch,
-        exact_gap(size, gamma),
-        excited_tied=d.value == 0,
-    )
+    gap = abs(1 - 2 * d.value) / size
+    return GapRecord(size, gamma, d, branch, gap, excited_tied=d.value == 0)
+
+
+def exact_gap(size: int, gamma) -> Fraction:
+    """E(m1) - E(m0), exactly: |1 - 2*delta|/N on either branch."""
+    rec = gap_record(size, gamma)
+    if rec.gap is None:
+        raise DegenerateDeltaError(size, rec.gamma)
+    return rec.gap
 
 
 def gap_times_size_values(gamma, sizes: Iterable[int]) -> set[Fraction]:
@@ -191,7 +184,7 @@ def gap_times_size_values(gamma, sizes: Iterable[int]) -> set[Fraction]:
     gamma = _as_exact(gamma, "gamma")
     out: set[Fraction] = set()
     for size in sizes:
-        if delta_frac(size, gamma).degenerate:
-            continue
-        out.add(size * exact_gap(size, gamma))
+        gap = gap_record(size, gamma).gap
+        if gap is not None:
+            out.add(size * gap)
     return out

@@ -127,24 +127,21 @@ def _series_for(seq: SizeSequence, gamma_spec) -> TruncatedSeries:
     return gamma_spec
 
 
-def delta_closed_form(
-    seq: SizeSequence, n: int, gamma_spec: TruncatedSeries,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-) -> Fraction:
-    """Offset at N_n, computed two independent ways and checked for equality.
+def _two_route_offset(
+    seq: SizeSequence, n: int, seq_terms: list[int], gamma: Fraction
+) -> Tuple[int, Fraction]:
+    """(N_n, offset) from the terms a_1..a_K and the field value they sum to.
 
     Route one is the definition: the fractional split of field*N/2.  Route
     two is the closed form above.  Exact disagreement would mean the
     integer-part argument failed, so it is a hard error.
     """
-    spec = _series_for(seq, gamma_spec)
     if n < 1:
         raise ValueError(f"row index must be >= 1, got {n}")
-    if spec.count < n + 2:
+    if len(seq_terms) < n + 2:
         raise ValueError(
-            f"field must be truncated at K >= n + 2 = {n + 2} terms, got K = {spec.count}"
+            f"field must be truncated at K >= n + 2 = {n + 2} terms, got K = {len(seq_terms)}"
         )
-    seq_terms = sequence_terms(seq, spec.count, bit_budget)
     a_n = seq_terms[n - 1]
     size = a_n if seq.rule == RULE_PLAIN else 2 * a_n
     tail = sum((Fraction(1, a) for a in seq_terms[n:]), Fraction(0))
@@ -154,28 +151,23 @@ def delta_closed_form(
         closed = _HALF + Fraction(a_n, 2) * tail
     else:
         closed = Fraction(a_n, 2) * tail
-    direct = gaplaw.delta_frac(size, gamma_value(spec, bit_budget)).value
+    direct = gaplaw.delta_frac(size, gamma).value
     if direct != closed:
         raise ArithmeticError(
-            f"offset routes disagree at n={n}, N={size}: direct {direct} vs closed {closed}"
+            f"offset routes disagree at n={n}, N={size}: direct - closed = "
+            f"{decimal_str(direct - closed, 6)}"
         )
-    return direct
+    return size, direct
 
 
-def delta_deviation_bound(
+def delta_closed_form(
     seq: SizeSequence, n: int, gamma_spec: TruncatedSeries,
     bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> Fraction:
-    """Bound on the offset shift if the field series were extended past K.
-
-    Extending the field by its tail raises field*N/2 by at most
-    (N/2) * tail, and the tail is certified below 2/a_{K+1} (or 1/a_K when
-    a_{K+1} is out of budget).
-    """
+    """Offset at N_n, computed two independent ways and checked for equality."""
     spec = _series_for(seq, gamma_spec)
-    a_n = sequence_terms(seq, n, bit_budget)[-1]
-    size = a_n if seq.rule == RULE_PLAIN else 2 * a_n
-    return Fraction(size, 2) * series_tail_bound_after(seq.kind, spec.count, bit_budget)
+    seq_terms = sequence_terms(seq, spec.count, bit_budget)
+    return _two_route_offset(seq, n, seq_terms, gamma_value(spec, bit_budget))[1]
 
 
 def certify_branch(delta: Fraction, deviation_bound: Fraction, size: int, gamma) -> str:
@@ -203,16 +195,21 @@ def scaling_row(
     seq: SizeSequence, n: int, gamma_spec: TruncatedSeries,
     bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> ScalingRow:
-    """Build one certified row of a scaling run."""
-    delta = delta_closed_form(seq, n, gamma_spec, bit_budget)
-    dev = delta_deviation_bound(seq, n, gamma_spec, bit_budget)
-    seq_terms = sequence_terms(seq, n, bit_budget)
-    size = seq_terms[-1] if seq.rule == RULE_PLAIN else 2 * seq_terms[-1]
-    branch = certify_branch(delta, dev, size, gamma_value(gamma_spec, bit_budget))
-    gap = gaplaw.exact_gap(size, gamma_value(gamma_spec, bit_budget))
-    assert gap == abs(1 - 2 * delta) / size
+    """Build one certified row of a scaling run.
+
+    Extending the field by its tail raises field*N/2 by at most
+    (N/2) * tail, and the tail is certified below 2/a_{K+1} (or 1/a_K when
+    a_{K+1} is out of budget); that is the row's deviation bound.
+    """
+    spec = _series_for(seq, gamma_spec)
+    seq_terms = sequence_terms(seq, spec.count, bit_budget)
+    gamma = gamma_value(spec, bit_budget)
+    size, delta = _two_route_offset(seq, n, seq_terms, gamma)
+    dev = Fraction(size, 2) * series_tail_bound_after(seq.kind, spec.count, bit_budget)
+    branch = certify_branch(delta, dev, size, gamma)
     return ScalingRow(
-        index=n, size=size, delta=delta, branch=branch, gap=gap, deviation_bound=dev
+        index=n, size=size, delta=delta, branch=branch,
+        gap=abs(1 - 2 * delta) / size, deviation_bound=dev,
     )
 
 
@@ -385,7 +382,8 @@ def dense_gamma_in_interval(
     scale = 2**k
     anchor_num = math.floor(lo * scale) + 1
     anchor = Fraction(anchor_num, scale)
-    assert lo < anchor < hi, "dyadic anchor must exist when width > 2^-k"
+    if not lo < anchor < hi:
+        raise ArithmeticError(f"no dyadic anchor at scale 2^-{k} inside ({lo}, {hi})")
     positive = hi - anchor >= anchor - lo
     threshold = 2 ** (k + 2)
     seq = terms(SequenceKind.DOUBLE_EXP, 1, bit_budget)

@@ -114,6 +114,16 @@ class TestMagnetization:
     def test_polarized_phase_has_no_transverse_moment(self):
         assert magnetization_x(FieldPoint(2.0, 0.0)) == 0.0
 
+    @pytest.mark.parametrize(
+        "gamma,h", [(1.5, 1e-8), (1.5, -1e-8), (2.0, 1e-8), (1.2, 1e-10)]
+    )
+    def test_linear_response_past_critical_point(self, gamma, h):
+        # the tilt lowers the energy by h^2/(4(gamma - 1)), far below an ulp
+        # of the energy itself; the minimizer must still find it
+        assert magnetization_x(FieldPoint(gamma, h)) == pytest.approx(
+            h / (gamma - 1.0), rel=1e-12
+        )
+
     def test_jump_magnitude_follows_tilt_angle(self):
         # the discontinuity is 2*sqrt(1 - gamma^2): order one for small gamma,
         # shrinking to zero at the critical point

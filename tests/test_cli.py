@@ -36,8 +36,13 @@ class TestParsing:
     def test_gamma(self):
         from fractions import Fraction
 
+        from xygap.exactnum import format_rational
+
         assert parse_gamma("1/3") == Fraction(1, 3)
         assert parse_gamma("0.25") == Fraction(1, 4)
+        # past the interpreter's int<->str digit limit
+        tiny = Fraction(1, 2**65536)
+        assert parse_gamma(format_rational(tiny)) == tiny
         with pytest.raises(UsageError):
             parse_gamma("x")
 
@@ -60,7 +65,7 @@ class TestPhaseDiagram:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
             res = cli("phase-diagram", "--gamma", "0:1.5:7", "--h=-0.5:0.5:7",
-                      "-o", str(path), "--jobs", "4")
+                      "-o", str(path))
             assert res.returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -85,6 +90,11 @@ class TestPhaseDiagram:
     def test_invalid_grid_is_usage_error(self, cli):
         res = cli("phase-diagram", "--gamma", "0:1", "--h", "0:1:3")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("gamma", ["nan:1:3", "0:inf:3", "0:nan:1"])
+    def test_non_finite_grid_endpoint_is_usage_error(self, cli, gamma):
+        res = cli("phase-diagram", "--gamma", gamma, "--h", "0:1:3")
+        assert res.returncode == 2, res.stderr
 
 
 class TestFiniteGap:
@@ -131,14 +141,27 @@ class TestFiniteGap:
                   "--N", "16", "-o", str(out))
         assert res.returncode == 0
         cols = out.read_text().strip().split("\n")[1].split(",")
+        from fractions import Fraction
+
         from xygap.exactnum import parse_rational
 
-        assert parse_rational(cols[4]) == parse_rational("1/65536") + \
-            parse_rational(f"1/{2**65536}")
+        assert parse_rational(cols[4]) == Fraction(1, 65536) + Fraction(1, 2**65536)
 
     def test_gamma_required(self, cli):
         res = cli("finite-gap", "--N", "4")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--gamma", "0", "--h", "nan", "--N", "4"),
+            ("--gamma", "0", "--h", "inf", "--N", "4"),
+            ("--gamma-series", "double-exp", "--terms", "0", "--N", "4"),
+        ],
+    )
+    def test_usage_errors(self, cli, args):
+        res = cli("finite-gap", *args)
+        assert res.returncode == 2, res.stderr
 
 
 class TestScaling:
@@ -171,6 +194,12 @@ class TestScaling:
                   "-o", str(tmp_path / "r.json"))
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("terms", ["0", "3"])
+    def test_short_truncation_is_usage_error(self, cli, tmp_path, terms):
+        # two classification rows n = 1..K-2 need K >= 4
+        res = cli("scaling", "--seq", "factorial", "--K", terms, "-o", str(tmp_path / "r.json"))
+        assert res.returncode == 2, res.stderr
+
     def test_env_var_budget_override(self, tmp_path):
         import os
         import subprocess
@@ -187,6 +216,11 @@ class TestScaling:
             capture_output=True, text=True, env=env,
         )
         assert res.returncode == 3
+
+    def test_malformed_env_budget_is_usage_error(self, cli, tmp_path, monkeypatch):
+        monkeypatch.setenv("XYGAP_BIT_BUDGET", "abc")
+        res = cli("scaling", "--seq", "factorial", "-o", str(tmp_path / "r.json"))
+        assert res.returncode == 2, res.stderr
 
 
 class TestVerify:

@@ -144,6 +144,8 @@ class TestExactGap:
                 exact_gap(size, gamma)
         else:
             assert exact_gap(size, gamma) == expected
+            levels = excited_level(size, gamma).energy - ground_level(size, gamma).energy
+            assert levels == exact_gap(size, gamma)
 
 
 class TestGapRecord:

@@ -1,0 +1,37 @@
+"""Package-wide invariants: checks that survive ``python -O``, and an import
+that leaves the interpreter's global settings alone."""
+
+import ast
+import os
+import subprocess
+import sys
+
+from conftest import SRC_DIR
+
+
+def test_no_assert_statements_in_package():
+    # invariants must be raised errors: python -O strips assert statements
+    found = [
+        f"{path.relative_to(SRC_DIR)}:{node.lineno}"
+        for path in sorted((SRC_DIR / "xygap").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_import_keeps_int_str_digit_limit():
+    script = (
+        "import sys\n"
+        "before = sys.get_int_max_str_digits()\n"
+        "import xygap\n"
+        "from fractions import Fraction\n"
+        "assert sys.get_int_max_str_digits() == before, sys.get_int_max_str_digits()\n"
+        "for r in (Fraction(2**65536), Fraction(-1, 2**65536), Fraction(3**40000, 2**65536 + 1)):\n"
+        "    assert xygap.parse_rational(xygap.format_rational(r)) == r\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
