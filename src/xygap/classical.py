@@ -7,8 +7,11 @@ parameterized by polar angles, with energy density
 
 The azimuthal angle is pinned by the sign of the longitudinal field
 (phi0 = 0 for h >= 0, pi for h < 0), leaving a one-dimensional minimization
-over theta in [0, pi].  Spin-wave corrections around the minimizer give the
-thermodynamic-limit excitation gap
+over theta in [0, pi].  For gamma >= 0 the minimum lies in [0, pi/2], where
+the slope changes sign once, from <= 0 to > 0, so one fixed-count bisection
+finds it; a grid of field points is bisected at once in numpy, and a single
+point is a one-element grid.  Spin-wave corrections around the minimizer
+give the thermodynamic-limit excitation gap
 
     gap(gamma, h) = sqrt(A**2 - sin(theta0)**4/4),
     A = (3/2)*sin(theta0)**2 - 1 + |h|*sin(theta0) + gamma*cos(theta0).
@@ -30,13 +33,18 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import GapBranchError
 
 RADICAND_CLAMP = 1e-12   # |radicand| below this is roundoff: gap is exactly 0
 RADICAND_ERROR = -1e-9   # radicand below this means a wrong minimizer branch
-STATIONARY_TOL = 1e-12
 
-_GRID_POINTS = 512
+# Positive doubles order like their int64 bit patterns, so bisecting the
+# patterns of [0.0, pi/2] halves the number of doubles in the bracket per
+# step; after bit_length(pi/2's pattern) = 62 steps the ends are adjacent.
+_HALF_PI_BITS = int(np.array(math.pi / 2).view(np.int64))
+_BISECTION_STEPS = _HALF_PI_BITS.bit_length()
 
 
 @dataclass(frozen=True)
@@ -72,83 +80,75 @@ def classical_energy(angles: ClassicalAngles, point: FieldPoint) -> float:
     return -0.25 * s * s - 0.5 * point.h * s * math.cos(angles.phi0) - 0.5 * point.gamma * c
 
 
-def _energy_above_pole(theta: float, gamma: float, habs: float) -> float:
-    """e(theta) - e(0) without cancellation: near theta = 0 with gamma > 1 the
-    tilt gains only h**2/(4*(gamma - 1)), far below an ulp of e itself."""
-    s = math.sin(theta)
-    return -0.25 * s * s - 0.5 * habs * s + gamma * math.sin(0.5 * theta) ** 2
+def _slope(theta: np.ndarray, gamma: np.ndarray, habs: np.ndarray) -> np.ndarray:
+    """de/dtheta at phi0, written without the cancellation of
+    -sin*cos/2 + gamma*sin/2 near theta = 0, gamma = 1."""
+    half = np.sin(0.5 * theta)
+    return 0.5 * np.sin(theta) * (gamma - 1.0 + 2.0 * half * half) - 0.5 * habs * np.cos(theta)
 
 
-def _denergy(theta: float, gamma: float, habs: float) -> float:
-    s, c = math.sin(theta), math.cos(theta)
-    return -0.5 * s * c - 0.5 * habs * c + 0.5 * gamma * s
+def _theta0(gamma: np.ndarray, habs: np.ndarray) -> np.ndarray:
+    """Global minimizer over theta in [0, pi] for each (gamma, |h|), gamma >= 0.
+
+    Since e(pi - theta) - e(theta) = gamma*cos(theta) >= 0 on [0, pi/2], the
+    minimum lies in [0, pi/2].  There, with s = sin(theta), the slope
+    de/ds = -s/2 - |h|/2 + gamma*s/(2*sqrt(1 - s**2)) is convex in s and
+    <= 0 at s = 0, so it is <= 0 exactly on [0, theta0] and positive after:
+    the energy falls, then rises.  Bisection keeps the end where the slope
+    is negative and returns it, so theta0 is exactly 0.0 wherever the slope
+    is positive on all of (0, pi/2] (h = 0, gamma >= 1), also where it
+    underflows to zero at subnormal theta.
+    """
+    lo = np.zeros(gamma.shape, dtype=np.int64)
+    hi = np.full(gamma.shape, _HALF_PI_BITS, dtype=np.int64)
+    for _ in range(_BISECTION_STEPS):
+        mid = lo + (hi - lo) // 2
+        falling = _slope(mid.view(np.float64), gamma, habs) < 0.0
+        lo = np.where(falling, mid, lo)
+        hi = np.where(falling, hi, mid)
+    return lo.view(np.float64)
 
 
-def _d2energy(theta: float, gamma: float, habs: float) -> float:
-    return -0.5 * math.cos(2 * theta) + 0.5 * habs * math.sin(theta) + 0.5 * gamma * math.cos(theta)
+def _gap(theta0: np.ndarray, gamma: np.ndarray, habs: np.ndarray) -> np.ndarray:
+    """Spin-wave gap at the minimizer; radicands within RADICAND_CLAMP of
+    zero give an exact 0.0, one below RADICAND_ERROR raises GapBranchError."""
+    s, c = np.sin(theta0), np.cos(theta0)
+    a = 1.5 * s * s - 1.0 + habs * s + gamma * c
+    radicand = a * a - 0.25 * s**4
+    wrong = np.flatnonzero(radicand < RADICAND_ERROR)
+    if wrong.size:
+        i = wrong[0]
+        raise GapBranchError(
+            f"radicand {radicand[i]:.3e} at gamma={float(gamma[i])}, |h|={float(habs[i])}: "
+            "not the global minimum"
+        )
+    return np.sqrt(np.where(radicand < RADICAND_CLAMP, 0.0, radicand))
 
 
-def _refine_root(lo: float, hi: float, gamma: float, habs: float) -> float:
-    flo = _denergy(lo, gamma, habs)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        fmid = _denergy(mid, gamma, habs)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    for _ in range(4):  # Newton polish
-        d2 = _d2energy(theta, gamma, habs)
-        if abs(d2) < 1e-9:
-            break
-        step = _denergy(theta, gamma, habs) / d2
-        candidate = theta - step
-        if not 0.0 <= candidate <= math.pi:
-            break
-        theta = candidate
-    return theta
+def _phase_records(points: Sequence[FieldPoint]) -> list[PhaseRecord]:
+    """Minimizer, magnetization and gap for all points in one array pass."""
+    gamma = np.array([p.gamma for p in points], dtype=np.float64)
+    h = np.array([p.h for p in points], dtype=np.float64)
+    habs = np.abs(h)
+    theta0 = _theta0(gamma, habs)
+    s = np.sin(theta0)
+    m_x = np.where(h >= 0, s, -s)
+    gap = _gap(theta0, gamma, habs)
+    return [
+        PhaseRecord(gamma=p.gamma + 0.0, h=p.h + 0.0, theta0=t, m_x=m + 0.0, gap=g)
+        for p, t, m, g in zip(points, theta0.tolist(), m_x.tolist(), gap.tolist())
+    ]
 
 
 def minimize_energy(point: FieldPoint) -> ClassicalAngles:
     """Global minimizer of the energy density over theta in [0, pi].
 
-    All stationary points (at most three) are bracketed on a fine grid and
-    refined by bisection plus Newton polish; the endpoints are always kept
-    as candidates and the winner is picked by comparing energies relative to
-    theta = 0.
+    phi0 is 0 for h >= 0 and pi otherwise; theta0 is the last double in
+    [0, pi/2] where the slope is negative, or 0.0 (see :func:`_theta0`).
     """
-    gamma, habs = point.gamma, abs(point.h)
-    candidates = [0.0, math.pi]
-    prev_t = 0.0
-    prev_f = _denergy(prev_t, gamma, habs)
-    for k in range(1, _GRID_POINTS + 1):
-        t = math.pi * k / _GRID_POINTS
-        f = _denergy(t, gamma, habs)
-        if f == 0.0:
-            candidates.append(t)
-        elif (prev_f < 0) != (f < 0) and prev_f != 0.0:
-            candidates.append(_refine_root(prev_t, t, gamma, habs))
-        prev_t, prev_f = t, f
-    theta0 = min(candidates, key=lambda t: _energy_above_pole(t, gamma, habs))
-    phi0 = 0.0 if point.h >= 0 else math.pi
-    return ClassicalAngles(theta0=theta0, phi0=phi0)
-
-
-def _gap_from_theta(theta0: float, gamma: float, habs: float) -> float:
-    s, c = math.sin(theta0), math.cos(theta0)
-    a = 1.5 * s * s - 1.0 + habs * s + gamma * c
-    radicand = a * a - 0.25 * s**4
-    if radicand < RADICAND_ERROR:
-        raise GapBranchError(
-            f"radicand {radicand:.3e} at gamma={gamma}, |h|={habs}: not the global minimum"
-        )
-    if radicand < RADICAND_CLAMP:
-        return 0.0
-    return math.sqrt(radicand)
+    theta0 = _theta0(np.array([point.gamma], dtype=np.float64),
+                     np.array([abs(point.h)], dtype=np.float64))
+    return ClassicalAngles(theta0=float(theta0[0]), phi0=0.0 if point.h >= 0 else math.pi)
 
 
 def thermo_gap(point: FieldPoint) -> float:
@@ -158,8 +158,7 @@ def thermo_gap(point: FieldPoint) -> float:
     within RADICAND_CLAMP of zero are clamped to an exact 0.0; a radicand
     below RADICAND_ERROR is reported as a wrong-branch failure instead.
     """
-    theta0 = minimize_energy(point).theta0
-    return _gap_from_theta(theta0, point.gamma, abs(point.h))
+    return phase_record(point).gap
 
 
 def magnetization_x(point: FieldPoint) -> float:
@@ -168,27 +167,19 @@ def magnetization_x(point: FieldPoint) -> float:
     Jumps between +-sin(theta0) across h = 0 for gamma < 1.  Exactly at
     h = 0 the positive branch is reported by convention.
     """
-    angles = minimize_energy(point)
-    return math.sin(angles.theta0) * math.cos(angles.phi0) + 0.0
+    return phase_record(point).m_x
 
 
 def phase_record(point: FieldPoint) -> PhaseRecord:
     """Minimizer, magnetization, and gap for a single field point."""
-    angles = minimize_energy(point)
-    return PhaseRecord(
-        gamma=point.gamma + 0.0,
-        h=point.h + 0.0,
-        theta0=angles.theta0 + 0.0,
-        m_x=math.sin(angles.theta0) * math.cos(angles.phi0) + 0.0,
-        gap=_gap_from_theta(angles.theta0, point.gamma, abs(point.h)),
-    )
+    return _phase_records([point])[0]
 
 
 def phase_diagram_scan(
     gammas: Sequence[float], hs: Sequence[float]
 ) -> list[PhaseRecord]:
     """One record per (gamma, h) grid point, gamma-major order."""
-    return [phase_record(FieldPoint(gamma=g, h=h)) for g in gammas for h in hs]
+    return _phase_records([FieldPoint(gamma=g, h=h) for g in gammas for h in hs])
 
 
 SCAN_CSV_HEADER = "gamma,h,theta0,m_x,gap"

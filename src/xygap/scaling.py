@@ -225,7 +225,7 @@ def scaling_gap(
 # classification
 
 def _pow2_in_budget(size: int, bit_budget: int) -> Optional[int]:
-    return 2**size if size + 1 <= bit_budget else None
+    return 1 << size if size + 1 <= bit_budget else None
 
 
 def _factorial_in_budget(size: int, bit_budget: int) -> Optional[int]:

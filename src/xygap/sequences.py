@@ -60,7 +60,7 @@ def next_term(kind: SequenceKind, term: int, bit_budget: int = DEFAULT_BIT_BUDGE
             f"would need {need} bits (budget {bit_budget})"
         )
     if kind is SequenceKind.DOUBLE_EXP:
-        return 2**term
+        return 1 << term
     return math.factorial(term)
 
 

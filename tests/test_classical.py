@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,12 +36,16 @@ class TestEnergy:
 
 
 class TestMinimizer:
-    def test_tilted_phase(self):
-        angles = minimize_energy(FieldPoint(0.5, 0.0))
-        assert math.cos(angles.theta0) == pytest.approx(0.5, abs=1e-12)
+    @pytest.mark.parametrize("gamma", [0.5, 0.999982, 0.999999])
+    def test_tilted_phase(self, gamma):
+        # 0.999982 and 0.999999 put the root within one cell of a 512-point
+        # theta grid from the pole
+        angles = minimize_energy(FieldPoint(gamma, 0.0))
+        assert angles.theta0 == pytest.approx(math.acos(gamma), rel=1e-12)
 
     def test_polarized_phase(self):
-        assert minimize_energy(FieldPoint(2.0, 0.0)).theta0 == 0.0
+        for gamma in (1.0, 2.0):
+            assert minimize_energy(FieldPoint(gamma, 0.0)).theta0 == 0.0
 
     def test_zero_transverse_field(self):
         angles = minimize_energy(FieldPoint(0.0, 0.3))
@@ -71,9 +76,30 @@ class TestMinimizer:
             assert energy(inward) >= energy(t) - 1e-12
 
 
+_DENSE_THETA = np.linspace(0.0, math.pi, 100_001)
+_FIELDS = st.one_of(
+    st.tuples(st.floats(min_value=0.0, max_value=3.0), st.floats(min_value=-2.0, max_value=2.0)),
+    # near the critical point gamma = 1, h = 0
+    st.tuples(
+        st.floats(min_value=1.0 - 1e-4, max_value=1.0 + 1e-4),
+        st.floats(min_value=-1e-6, max_value=1e-6),
+    ),
+)
+
+
+class TestGlobalMinimum:
+    @given(field=_FIELDS)
+    @settings(max_examples=300, deadline=None)
+    def test_no_dense_grid_point_is_lower(self, field):
+        point = FieldPoint(*field)
+        s, c = np.sin(_DENSE_THETA), np.cos(_DENSE_THETA)
+        dense = (-0.25 * s * s - 0.5 * abs(point.h) * s - 0.5 * point.gamma * c).min()
+        assert classical_energy(minimize_energy(point), point) <= dense + 4e-16
+
+
 class TestThermoGap:
     def test_first_order_segment_gap_vanishes(self):
-        for gamma in (0.0, 0.25, 0.5, 0.75, 0.99):
+        for gamma in (0.0, 0.25, 0.5, 0.75, 0.99, 0.99999, 0.999999):
             assert thermo_gap(FieldPoint(gamma, 0.0)) == 0.0
 
     def test_critical_point(self):

@@ -35,3 +35,12 @@ def test_import_keeps_int_str_digit_limit():
     env.pop("PYTHONINTMAXSTRDIGITS", None)
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.linalg roughly doubles a CLI process's peak RSS
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR)
+    script = "import sys\nimport xygap.cli\nassert 'scipy' not in sys.modules\n"
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
