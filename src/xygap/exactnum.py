@@ -209,6 +209,10 @@ def _injection_positions(length: int, bit_budget: int) -> list[int]:
     return positions
 
 
+def _injection_sum(digits, positions: list[int]) -> Fraction:
+    return sum((Fraction(2 * b + 1, a) for b, a in zip(digits, positions)), Fraction(0))
+
+
 def gamma_value(spec: GammaSpec, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
     """Exact rational value of the (truncated) field recipe."""
     if isinstance(spec, ExplicitRational):
@@ -217,10 +221,7 @@ def gamma_value(spec: GammaSpec, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fracti
         seq = terms(spec.kind, spec.count, bit_budget)
         return sum((Fraction(1, a) for a in seq), Fraction(0))
     if isinstance(spec, DigitInjection):
-        positions = _injection_positions(len(spec.digits), bit_budget)
-        return sum(
-            (Fraction(2 * b + 1, a) for b, a in zip(spec.digits, positions)), Fraction(0)
-        )
+        return _injection_sum(spec.digits, _injection_positions(len(spec.digits), bit_budget))
     if isinstance(spec, IntervalConstruction):
         first = Fraction(1, terms(SequenceKind.DOUBLE_EXP, spec.series_index, bit_budget)[-1])
         return spec.anchor + first if spec.positive_branch else spec.anchor - first

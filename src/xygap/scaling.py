@@ -45,6 +45,7 @@ from .exactnum import (
     DigitInjection,
     IntervalConstruction,
     TruncatedSeries,
+    _injection_positions,
     decimal_str,
     format_rational,
     gamma_enclosure,
@@ -356,7 +357,7 @@ def injection_gamma(digits: Iterable[int], bit_budget: int = DEFAULT_BIT_BUDGET)
     can detect with :func:`xygap.exactnum.gamma_in_unit_interval`.
     """
     spec = DigitInjection(digits=tuple(digits))
-    gamma_value(spec, bit_budget)  # materialize positions; certifies separation
+    _injection_positions(len(spec.digits), bit_budget)  # certifies separation in budget
     return spec
 
 

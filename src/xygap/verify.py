@@ -12,12 +12,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from . import gaplaw, scaling, sector
 from .classical import FieldPoint
-from .exactnum import TruncatedSeries, gamma_bounds_check, gamma_value, tail_bound
+from .exactnum import (
+    TruncatedSeries,
+    _injection_positions,
+    _injection_sum,
+    gamma_bounds_check,
+    tail_bound,
+)
 from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, terms
 
 DEFAULT_SEED = 20240817
@@ -108,10 +115,8 @@ def check_dense_intervals(
 
 def check_injection_injective(bit_budget: int = DEFAULT_BIT_BUDGET) -> CheckResult:
     """All 1000 length-3 digit strings map to distinct field values."""
-    values = {
-        gamma_value(scaling.injection_gamma((b0, b1, b2), bit_budget), bit_budget)
-        for b0 in range(10) for b1 in range(10) for b2 in range(10)
-    }
+    positions = _injection_positions(3, bit_budget)  # separation certified once
+    values = {_injection_sum(digits, positions) for digits in product(range(10), repeat=3)}
     ok = len(values) == 1000
     return CheckResult(
         "injection-injective", ok,

@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xygap import sector
 from xygap.classical import FieldPoint
 from xygap.errors import DegenerateGroundStateError
 from xygap.gaplaw import delta_frac, exact_gap
 from xygap.sector import (
     SectorHamiltonian,
+    _bisect,
     build_sector_hamiltonian,
     finite_gap_numeric,
     ground_state_vector,
@@ -81,6 +85,108 @@ class TestEigenvalues:
         ref = lowest_eigenvalues(ham, 4).eigenvalues
         alt = lowest_eigenvalues(flipped, 4).eigenvalues
         assert np.max(np.abs(ref - alt)) < 1e-12 * norm_bound(ham)
+
+
+def whole_matrix_bisection(ham, indices):
+    """Bisection with Sturm counts over all N+1 rows: the unwindowed algorithm,
+    from the start bracket, tolerance and pivmin the solver documents."""
+    diag = ham.diag.tolist()
+    off_sq = [0.0, *(ham.offdiag * ham.offdiag).tolist()]
+    offmax = max(np.abs(ham.offdiag).tolist(), default=0.0)
+    span = max(norm_bound(ham), 1.0)
+    pivmin = sector._SAFMIN * max(1.0, max(off_sq))
+    lo0 = min(diag) - (offmax * 2 + 1e-3 * span)
+    hi0 = max(diag) + (offmax * 2 + 1e-3 * span)
+    tol = 1e-15 * span
+    values = []
+    for index in indices:
+        lo, hi = _bisect(diag, off_sq, index, lo0, hi0, tol, pivmin)
+        values.append(0.5 * (lo + hi))
+    return np.array(values)
+
+
+def half_width(size):
+    return 8 * math.isqrt(size) + 16
+
+
+@pytest.fixture
+def count_lengths(monkeypatch):
+    """Record the row count of every Sturm count the solver makes."""
+    lengths = []
+    inner = sector._sturm_count
+
+    def recording(diag, off_sq, shift, pivmin):
+        lengths.append(len(diag))
+        return inner(diag, off_sq, shift, pivmin)
+
+    monkeypatch.setattr(sector, "_sturm_count", recording)
+    return lengths
+
+
+# The benchmark's eight sector-ladder fields, the README ladder field and the
+# near-degenerate field.
+WINDOW_FIELDS = (
+    (0.25, 0.3), (0.75, 0.2), (1.5, 0.4), (0.9, 0.05),
+    (1.25, 0.8), (0.4, 1.0), (2.0, 0.25), (0.6, 0.6),
+    (0.0, 0.5), (0.5, 0.001),
+)
+
+
+class TestWindowedBisection:
+    @pytest.mark.parametrize("size", [1024, 4096])
+    @pytest.mark.parametrize("gamma,h", WINDOW_FIELDS)
+    def test_bit_identical_to_whole_matrix(self, size, gamma, h):
+        ham = build_sector_hamiltonian(size, FieldPoint(gamma, h))
+        got = lowest_eigenvalues(ham, 2).eigenvalues
+        assert got.tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gamma=st.floats(0.0, 3.0),
+        h=st.floats(-2.0, 2.0),
+        size=st.integers(200, 3000),
+        k=st.integers(1, 3),
+    )
+    def test_bit_identical_on_random_fields(self, gamma, h, size, k):
+        ham = build_sector_hamiltonian(size, FieldPoint(gamma, h))
+        got = lowest_eigenvalues(ham, k).eigenvalues
+        assert got.tobytes() == whole_matrix_bisection(ham, range(k)).tobytes()
+
+    def test_extended_ground_state_widens_the_window(self, count_lengths):
+        # a weakly disordered uniform chain: the low eigenvectors spread over
+        # all rows, so the first window's eigenvalues fail the certificate
+        rng = np.random.default_rng(7)
+        n = 1500
+        diag = rng.uniform(-1e-3, 1e-3, size=n + 1)
+        off = -1.0 + rng.uniform(-1e-3, 1e-3, size=n)
+        ham = SectorHamiltonian(size=n, gamma=0.0, h=0.0, diag=diag, offdiag=off)
+        got = lowest_eigenvalues(ham, 2).eigenvalues
+        # without widening exactly two whole-matrix counts certify each value
+        assert count_lengths.count(n + 1) > 4
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        expected = np.linalg.eigvalsh(dense)[:2]
+        assert np.max(np.abs(got - expected)) <= 1e-12 * norm_bound(ham)
+
+    def test_k_beyond_the_window_rows(self):
+        size = 400
+        rows = 2 * half_width(size) + 1
+        assert rows < size + 1
+        ham = build_sector_hamiltonian(size, FieldPoint(0.1, 0.5))
+        k = rows + 2
+        got = lowest_eigenvalues(ham, k).eigenvalues
+        dense = np.diag(ham.diag) + np.diag(ham.offdiag, 1) + np.diag(ham.offdiag, -1)
+        expected = np.linalg.eigvalsh(dense)[:k]
+        assert np.max(np.abs(got - expected)) <= 1e-12 * norm_bound(ham)
+        tail = whole_matrix_bisection(ham, range(k - 3, k))
+        assert got[-3:].tobytes() == tail.tobytes()
+
+    def test_large_solve_counts_whole_matrix_only_to_certify(self, count_lengths):
+        size = 16384
+        finite_gap_numeric(size, FieldPoint(0.6, 0.6))
+        full = [n for n in count_lengths if n == size + 1]
+        windowed = [n for n in count_lengths if n != size + 1]
+        assert len(full) == 4  # count(lo) and count(hi) for each of the pair
+        assert windowed and max(windowed) <= 2 * half_width(size) + 1
 
 
 class TestGroundVector:
