@@ -21,7 +21,6 @@ from .classical import (
 from .errors import (
     BitBudgetError,
     DegenerateDeltaError,
-    DegenerateGroundStateError,
     GapBranchError,
     SpecNotApplicableError,
     TruncationInsufficientError,
@@ -69,10 +68,8 @@ from .scaling import (
 )
 from .sector import (
     SectorHamiltonian,
-    SpectrumSlice,
     build_sector_hamiltonian,
     finite_gap_numeric,
-    ground_state_vector,
     lowest_eigenvalues,
 )
 from .sequences import DEFAULT_BIT_BUDGET, SequenceKind

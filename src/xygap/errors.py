@@ -29,10 +29,6 @@ class DegenerateDeltaError(XYGapError):
         self.gamma = gamma
 
 
-class DegenerateGroundStateError(XYGapError):
-    """The two lowest eigenvalues are numerically indistinguishable."""
-
-
 class GapBranchError(XYGapError):
     """The spin-wave gap radicand is negative beyond roundoff tolerance.
 

@@ -79,12 +79,6 @@ class GapRecord:
     excited_tied: bool = False
 
 
-def admissible_m(size: int) -> list[Fraction]:
-    """All projection values in the maximal-spin sector, ascending."""
-    half_n = Fraction(size, 2)
-    return [-half_n + k for k in range(size + 1)]
-
-
 def energy_level(size: int, m, gamma) -> Fraction:
     """Level energy E(N, m); validates the parity and range of m."""
     if size < 1:

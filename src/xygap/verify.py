@@ -129,11 +129,9 @@ def check_gauge_invariance(size: int = 32, gamma: float = 0.3, h: float = 0.7) -
     ham = sector.build_sector_hamiltonian(size, FieldPoint(gamma, h))
     flipped_off = ham.offdiag.copy()
     flipped_off[size // 2] *= -1.0
-    flipped = sector.SectorHamiltonian(
-        size=ham.size, gamma=ham.gamma, h=ham.h, diag=ham.diag, offdiag=flipped_off
-    )
-    ref = sector.lowest_eigenvalues(ham, 3).eigenvalues
-    alt = sector.lowest_eigenvalues(flipped, 3).eigenvalues
+    flipped = sector.SectorHamiltonian(size=ham.size, diag=ham.diag, offdiag=flipped_off)
+    ref = sector.lowest_eigenvalues(ham, 3)
+    alt = sector.lowest_eigenvalues(flipped, 3)
     worst = float(np.max(np.abs(ref - alt)))
     ok = worst < 1e-11 * max(sector.norm_bound(ham), 1.0)
     return CheckResult("gauge-invariance", ok, f"spectra differ by at most {worst:.3e}")

@@ -1,12 +1,15 @@
-"""Package-wide invariants: checks that survive ``python -O``, and an import
-that leaves the interpreter's global settings alone."""
+"""Package-wide invariants: checks that survive ``python -O``, CLI output that
+``-O`` leaves unchanged, and an import that leaves the interpreter's global
+settings alone."""
 
 import ast
 import os
 import subprocess
 import sys
 
-from conftest import SRC_DIR
+import pytest
+
+from conftest import SRC_DIR, run_cli
 
 
 def test_no_assert_statements_in_package():
@@ -44,3 +47,15 @@ def test_cli_import_loads_no_scipy():
     script = "import sys\nimport xygap.cli\nassert 'scipy' not in sys.modules\n"
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("finite-gap", "--gamma", "1/3", "--N", "2:40:even"),  # exact rows, numeric cross column
+    ("finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "64,1024"),  # sector route
+])
+def test_output_unchanged_under_optimize(args):
+    plain = run_cli(*args)
+    optimized = run_cli(*args, python_flags=("-O",))
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout
+    assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)

@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 
 from xygap import sector
 from xygap.classical import FieldPoint
-from xygap.errors import DegenerateGroundStateError
 from xygap.gaplaw import delta_frac, exact_gap
 from xygap.sector import (
     SectorHamiltonian,
     _bisect,
     build_sector_hamiltonian,
     finite_gap_numeric,
-    ground_state_vector,
     lowest_eigenvalues,
     norm_bound,
-    spectrum_csv_lines,
 )
 
 
@@ -50,12 +47,12 @@ class TestBuild:
 class TestEigenvalues:
     def test_diagonal_case(self):
         ham = build_sector_hamiltonian(2, FieldPoint(0.0, 0.0))
-        evals = lowest_eigenvalues(ham, 3).eigenvalues
+        evals = lowest_eigenvalues(ham, 3)
         assert evals == pytest.approx([-1.0, -0.5, -0.5], abs=1e-13)
 
     def test_single_spin_gap(self):
         ham = build_sector_hamiltonian(1, FieldPoint(0.7, 0.0))
-        evals = lowest_eigenvalues(ham, 2).eigenvalues
+        evals = lowest_eigenvalues(ham, 2)
         assert evals[1] - evals[0] == pytest.approx(0.7, abs=1e-13)
 
     def test_matches_dense_solver_on_random_matrices(self):
@@ -64,10 +61,10 @@ class TestEigenvalues:
             n = int(rng.integers(1, 13))
             diag = rng.uniform(-2, 2, size=n + 1)
             off = rng.uniform(-2, 2, size=n)
-            ham = SectorHamiltonian(size=n, gamma=0.0, h=0.0, diag=diag, offdiag=off)
+            ham = SectorHamiltonian(size=n, diag=diag, offdiag=off)
             dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             expected = np.sort(np.linalg.eigvalsh(dense))
-            got = lowest_eigenvalues(ham, n + 1).eigenvalues
+            got = lowest_eigenvalues(ham, n + 1)
             assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_k_validation(self):
@@ -81,9 +78,9 @@ class TestEigenvalues:
         ham = build_sector_hamiltonian(16, FieldPoint(0.4, 0.9))
         flipped_off = ham.offdiag.copy()
         flipped_off[7] *= -1.0
-        flipped = SectorHamiltonian(16, 0.4, 0.9, ham.diag, flipped_off)
-        ref = lowest_eigenvalues(ham, 4).eigenvalues
-        alt = lowest_eigenvalues(flipped, 4).eigenvalues
+        flipped = SectorHamiltonian(16, ham.diag, flipped_off)
+        ref = lowest_eigenvalues(ham, 4)
+        alt = lowest_eigenvalues(flipped, 4)
         assert np.max(np.abs(ref - alt)) < 1e-12 * norm_bound(ham)
 
 
@@ -137,7 +134,7 @@ class TestWindowedBisection:
     @pytest.mark.parametrize("gamma,h", WINDOW_FIELDS)
     def test_bit_identical_to_whole_matrix(self, size, gamma, h):
         ham = build_sector_hamiltonian(size, FieldPoint(gamma, h))
-        got = lowest_eigenvalues(ham, 2).eigenvalues
+        got = lowest_eigenvalues(ham, 2)
         assert got.tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -149,7 +146,7 @@ class TestWindowedBisection:
     )
     def test_bit_identical_on_random_fields(self, gamma, h, size, k):
         ham = build_sector_hamiltonian(size, FieldPoint(gamma, h))
-        got = lowest_eigenvalues(ham, k).eigenvalues
+        got = lowest_eigenvalues(ham, k)
         assert got.tobytes() == whole_matrix_bisection(ham, range(k)).tobytes()
 
     def test_extended_ground_state_widens_the_window(self, count_lengths):
@@ -159,8 +156,8 @@ class TestWindowedBisection:
         n = 1500
         diag = rng.uniform(-1e-3, 1e-3, size=n + 1)
         off = -1.0 + rng.uniform(-1e-3, 1e-3, size=n)
-        ham = SectorHamiltonian(size=n, gamma=0.0, h=0.0, diag=diag, offdiag=off)
-        got = lowest_eigenvalues(ham, 2).eigenvalues
+        ham = SectorHamiltonian(size=n, diag=diag, offdiag=off)
+        got = lowest_eigenvalues(ham, 2)
         # without widening exactly two whole-matrix counts certify each value
         assert count_lengths.count(n + 1) > 4
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -173,7 +170,7 @@ class TestWindowedBisection:
         assert rows < size + 1
         ham = build_sector_hamiltonian(size, FieldPoint(0.1, 0.5))
         k = rows + 2
-        got = lowest_eigenvalues(ham, k).eigenvalues
+        got = lowest_eigenvalues(ham, k)
         dense = np.diag(ham.diag) + np.diag(ham.offdiag, 1) + np.diag(ham.offdiag, -1)
         expected = np.linalg.eigvalsh(dense)[:k]
         assert np.max(np.abs(got - expected)) <= 1e-12 * norm_bound(ham)
@@ -189,32 +186,6 @@ class TestWindowedBisection:
         assert windowed and max(windowed) <= 2 * half_width(size) + 1
 
 
-class TestGroundVector:
-    def test_pure_basis_state_at_zero_longitudinal_field(self):
-        slice_ = ground_state_vector(build_sector_hamiltonian(2, FieldPoint(0.7, 0.0)))
-        assert slice_.vector[2] == pytest.approx(1.0, abs=1e-10)  # m = +1 component
-
-    def test_single_spin_x_eigenstate(self):
-        slice_ = ground_state_vector(build_sector_hamiltonian(1, FieldPoint(0.0, 1.0)))
-        assert slice_.vector == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-10)
-
-    def test_accidental_crossing_detected(self):
-        # at gamma = 1/2, N = 2 the offset is exactly 1/2: m = 0 and m = 1 tie
-        with pytest.raises(DegenerateGroundStateError):
-            ground_state_vector(build_sector_hamiltonian(2, FieldPoint(0.5, 0.0)))
-
-    def test_residual_and_norm(self):
-        ham = build_sector_hamiltonian(40, FieldPoint(0.3, 0.6))
-        slice_ = ground_state_vector(ham)
-        vec = slice_.vector
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        lam = slice_.eigenvalues[0]
-        resid = ham.diag * vec - lam * vec
-        resid[:-1] += ham.offdiag * vec[1:]
-        resid[1:] += ham.offdiag * vec[:-1]
-        assert np.linalg.norm(resid) < 1e-10 * norm_bound(ham)
-
-
 class TestFiniteGap:
     @pytest.mark.parametrize(
         "size,gamma,h,expected,tol",
@@ -222,6 +193,7 @@ class TestFiniteGap:
             (1, 0.3, 0.4, 0.5, 1e-12),
             (16, 1 / 3, 0.0, 1 / 48, 1e-12),
             (64, 0.0, 0.5, math.sqrt(0.75), 0.02),
+            (2, 0.5, 0.0, 0.0, 0.0),  # offset exactly 1/2: m = 0 and m = 1 tie
         ],
     )
     def test_values(self, size, gamma, h, expected, tol):
@@ -253,10 +225,3 @@ class TestFiniteGap:
         ]
         assert all(b < a for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-2
-
-
-def test_spectrum_debug_dump():
-    ham = build_sector_hamiltonian(2, FieldPoint(0.0, 0.0))
-    lines = spectrum_csv_lines(lowest_eigenvalues(ham, 2))
-    assert lines[0] == "index,eigenvalue"
-    assert lines[1].startswith("0,-1")
