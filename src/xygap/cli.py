@@ -26,7 +26,7 @@ from . import classical, gaplaw, scaling, sector, verify
 from .classical import FieldPoint
 from .errors import BitBudgetError, XYGapError
 from .exactnum import (
-    TruncatedSeries, decimal_str, format_rational, gamma_value, parse_rational,
+    TruncatedSeries, decimal_str, format_rational, gamma_value, parse_field_literal,
 )
 from .sequences import DEFAULT_BIT_BUDGET, HARD_BIT_CAP, SequenceKind
 
@@ -90,10 +90,11 @@ def parse_sizes(text: str) -> list[int]:
     return out
 
 
-def parse_gamma(text: str) -> Fraction:
-    """Exact field value from "p/q" or a decimal literal like "0.25"."""
+def parse_gamma(text: str, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
+    """Exact field value from "p/q" or a decimal literal like "0.25", within the
+    bit budget (BitBudgetError otherwise)."""
     try:
-        return parse_rational(text) if "/" in text else Fraction(text)
+        return parse_field_literal(text, bit_budget)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad field value {text!r}: {exc}") from None
 
@@ -151,7 +152,7 @@ def _finite_gap_field(args, budget: int) -> Fraction:
         return gamma_value(spec, budget)
     if args.gamma is None:
         raise UsageError("one of --gamma or --gamma-series is required")
-    return parse_gamma(args.gamma)
+    return parse_gamma(args.gamma, budget)
 
 
 def cmd_finite_gap(args, budget: int) -> int:

@@ -24,6 +24,8 @@ untruncated value, which is what makes downstream comparisons (offset vs
 
 from __future__ import annotations
 
+import decimal
+import functools
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -111,8 +113,71 @@ GammaSpec = Union[ExplicitRational, TruncatedSeries, DigitInjection, IntervalCon
 #
 # Integers cross the text boundary through decimal.Decimal: denominators near
 # 2**65536 have ~19.7k digits, past the interpreter's int<->str digit limit.
+# Decimal(int) is quadratic in the digit count, so an integer of more than
+# _SPLIT_BITS bits is split in halves at a power 2**w and reassembled with
+# libmpdec's subquadratic multiplication (Brent & Zimmermann, Modern Computer
+# Arithmetic, section 1.7).  The last 64 such integers stay cached, so the p/q
+# text, the rounded decimal and every later print of the same value share one
+# conversion.  The exact arithmetic goes through _EXACT; an operator like
+# -d or d + e would round to the caller's context (28 digits by default)
+# without a word.
 
 _RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Inexact],
+)
+_SPLIT_BITS = 4096  # up to this size Decimal(int) is as fast as splitting
+
+
+@functools.lru_cache(maxsize=None)
+def _pow2_decimal(width: int) -> Decimal:
+    """Decimal(2**width); the widths in use are _SPLIT_BITS times powers of two."""
+    if width <= _SPLIT_BITS:
+        return Decimal(1 << width)
+    half = width >> 1
+    return _EXACT.multiply(_pow2_decimal(half), _pow2_decimal(width - half))
+
+
+def _split_decimal(n: int, width: int) -> Decimal:
+    """Decimal(n) for 0 <= n < 2**(2*width), by splitting n at 2**width."""
+    if n.bit_length() <= _SPLIT_BITS:
+        return Decimal(n)
+    while n.bit_length() <= width:
+        width >>= 1
+    hi = n >> width
+    lo = n - (hi << width)
+    return _EXACT.add(
+        _EXACT.multiply(_split_decimal(hi, width), _pow2_decimal(width)),
+        _split_decimal(lo, width >> 1),
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _big_decimal(n: int) -> Decimal:
+    width = _SPLIT_BITS
+    while 2 * width < n.bit_length():
+        width *= 2
+    return _split_decimal(n, width)
+
+
+def _exact_decimal(n: int) -> Decimal:
+    """The integer n as a Decimal with exponent 0."""
+    if n.bit_length() <= _SPLIT_BITS:
+        return Decimal(n)
+    if n < 0:
+        return _big_decimal(-n).copy_negate()
+    return _big_decimal(n)
+
+
+@functools.lru_cache(maxsize=16)
+def _rounding_context(digits: int) -> decimal.Context:
+    return decimal.Context(
+        prec=digits, rounding=decimal.ROUND_HALF_UP,
+        Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+    )
 
 
 def parse_rational(text: str) -> Fraction:
@@ -124,48 +189,72 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
+# Fraction's decimal-literal grammar; the groups are the integer digits, the
+# fraction digits and the exponent.
+_DIGITS = r"\d+(?:_\d+)*"
+_DECIMAL_LITERAL = re.compile(
+    rf"\s*[+-]?(?=\d|\.\d)(\d*|{_DIGITS})(?:\.(\d*|{_DIGITS}))?(?:[eE]([+-]?{_DIGITS}))?\s*"
+)
+_LOG10_2_ABOVE = 0.30103  # slightly above log10(2)
+
+
+def _spelled_digit_counts(text: str) -> list[int]:
+    """Digit counts of the integers a literal makes Fraction build: p and q, or
+    a decimal's digits and the power of ten its point and exponent name."""
+    if "/" in text:
+        match = _RATIONAL.fullmatch(text)
+        return [] if match is None else [len(g.lstrip("+-0")) for g in match.groups() if g]
+    match = _DECIMAL_LITERAL.fullmatch(text)
+    if match is None:
+        return []
+    whole, frac, exp = (g.replace("_", "") if g else "" for g in match.groups())
+    return [len((whole + frac).lstrip("0")), abs(int(exp or 0) - len(frac)) + 1]
+
+
+def parse_field_literal(text: str, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
+    """Parse "p/q" or a decimal literal ("0.25", "1e-30") within the bit budget.
+
+    Every integer the literal spells out must fit the budget.  That is judged
+    from digit counts before anything is built (a D-digit integer exceeds
+    2**budget once D - 1 > budget*log10(2)), so "1e-999999999" is refused
+    without computing 10**999999999.  The value in lowest terms must then fit
+    as well.  Raises BitBudgetError otherwise, ValueError or ZeroDivisionError
+    on malformed text.
+    """
+    if any(count - 1 > bit_budget * _LOG10_2_ABOVE for count in _spelled_digit_counts(text)):
+        raise BitBudgetError(f"field value spells out an integer of more than {bit_budget} bits")
+    value = parse_rational(text) if "/" in text else Fraction(text)
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > bit_budget:
+        raise BitBudgetError(f"field value needs {bits} bits (budget {bit_budget})")
+    return value
+
+
 def format_rational(r: Fraction) -> str:
     """Canonical "p/q" form, denominator always present ("0/1", "3/4", ...)."""
-    return f"{Decimal(r.numerator)}/{Decimal(r.denominator)}"
-
-
-def _cmp_pow10(x: Fraction, e: int) -> int:
-    """Sign of x - 10**e using only integer arithmetic."""
-    if e >= 0:
-        lhs, rhs = x.numerator, x.denominator * 10**e
-    else:
-        lhs, rhs = x.numerator * 10**-e, x.denominator
-    return (lhs > rhs) - (lhs < rhs)
+    return f"{_exact_decimal(r.numerator)}/{_exact_decimal(r.denominator)}"
 
 
 def decimal_str(r: Fraction, digits: int = 17) -> str:
     """Scientific-notation decimal approximation with the stated digit count.
 
-    Pure integer arithmetic, so it works for rationals far outside float
-    range (e.g. 2**-65536).  Rounds half away from zero.  For human
-    inspection and file output only; never used in computations.
+    One correctly rounded division of the exact numerator and denominator,
+    so it works for rationals far outside float range (e.g. 2**-65536).
+    Rounds half away from zero.  For human inspection and file output only;
+    never used in computations.
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     if r == 0:
         return "0"
-    sign = "-" if r < 0 else ""
-    x = -r if r < 0 else r
-    # exponent e with 10**e <= x < 10**(e+1); bit lengths give a close seed
-    e = int((x.numerator.bit_length() - x.denominator.bit_length()) * 0.3010299956639812)
-    while _cmp_pow10(x, e) < 0:
-        e -= 1
-    while _cmp_pow10(x, e + 1) >= 0:
-        e += 1
-    scale = digits - 1 - e
-    scaled = x * 10**scale if scale >= 0 else x / 10**-scale
-    mantissa = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    if mantissa >= 10**digits:
-        mantissa //= 10
-        e += 1
-    ms = str(mantissa)
+    quotient = _rounding_context(digits).divide(
+        _exact_decimal(r.numerator), _exact_decimal(r.denominator)
+    )
+    sign, coefficient, _ = quotient.as_tuple()
+    # an exact quotient keeps only its own digits (6/5 -> 1.2): pad to `digits`
+    ms = "".join(map(str, coefficient)).ljust(digits, "0")
     body = ms[0] if digits == 1 else f"{ms[0]}.{ms[1:]}"
-    return f"{sign}{body}e{e:+03d}"
+    return f"{'-' if sign else ''}{body}e{quotient.adjusted():+03d}"
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ import pytest
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args: str, cwd=None, python_flags=()) -> subprocess.CompletedProcess:
+def run_cli(*args: str, cwd=None, python_flags=(), timeout=None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "xygap", *args],
-        capture_output=True, text=True, env=env, cwd=cwd,
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout,
     )
 
 

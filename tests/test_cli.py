@@ -1,9 +1,13 @@
+import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from xygap.cli import UsageError, parse_gamma, parse_grid, parse_sizes
+from xygap.cli import UsageError, main, parse_gamma, parse_grid, parse_sizes
+from xygap.errors import BitBudgetError
+from xygap.exactnum import format_rational
 
 
 class TestParsing:
@@ -34,10 +38,6 @@ class TestParsing:
             parse_sizes(bad)
 
     def test_gamma(self):
-        from fractions import Fraction
-
-        from xygap.exactnum import format_rational
-
         assert parse_gamma("1/3") == Fraction(1, 3)
         assert parse_gamma("0.25") == Fraction(1, 4)
         # past the interpreter's int<->str digit limit
@@ -45,6 +45,40 @@ class TestParsing:
         assert parse_gamma(format_rational(tiny)) == tiny
         with pytest.raises(UsageError):
             parse_gamma("x")
+
+    @pytest.mark.parametrize("text,budget,expected", [
+        ("1e-15", 64, Fraction(1, 10**15)),                      # 50 bits
+        ("0.0000000000000000001", 64, Fraction(1, 10**19)),      # 64 bits exactly
+        ("1_000.5e-3_0", 128, Fraction(2001, 2 * 10**30)),
+        ("1" + "0" * 300 + "/" + "1" + "0" * 299, 1024, Fraction(10)),
+        (format_rational(Fraction(3, 2**65536)), 65537, Fraction(3, 2**65536)),
+    ])
+    def test_gamma_within_budget(self, text, budget, expected):
+        assert parse_gamma(text, budget) == expected
+
+    @pytest.mark.parametrize("text,budget", [
+        ("1e-30", 64),                    # 10**30 has 100 bits
+        ("99999999999999999999", 64),     # 67 bits, caught after parsing
+        ("1/" + "7" * 21, 64),
+        ("1e-2000000", 10**6),
+        ("1e-999999999", 10**6),          # refused before 10**999999999 is built
+        ("0e999999999", 10**6),
+        ("12345e+999_999_999", 10**8),
+        (format_rational(Fraction(3, 2**65536)), 65536),
+    ])
+    def test_gamma_over_budget(self, text, budget):
+        with pytest.raises(BitBudgetError):
+            parse_gamma(text, budget)
+
+    @pytest.mark.parametrize("args", [
+        ("finite-gap", "--gamma", "1e-2000000", "--N", "2"),
+        ("finite-gap", "--gamma", "1e-999999999", "--N", "2"),
+        ("--bit-budget", "64", "finite-gap", "--gamma", "1e-30", "--N", "2"),
+    ])
+    def test_over_budget_field_exits_3_promptly(self, cli, args):
+        res = cli(*args, timeout=30)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("bit budget exhausted: ")
 
 
 class TestPhaseDiagram:
@@ -221,6 +255,41 @@ class TestScaling:
         monkeypatch.setenv("XYGAP_BIT_BUDGET", "abc")
         res = cli("scaling", "--seq", "factorial", "-o", str(tmp_path / "r.json"))
         assert res.returncode == 2, res.stderr
+
+
+class TestGoldenOutput:
+    """sha256 of the README's scaling reports and of the series-field rows,
+    recorded before their exact integers were printed through the split
+    Decimal conversion; any change to the output bytes shows here."""
+
+    @pytest.mark.parametrize("args,digests", [
+        (("scaling", "--seq", "double-exp", "--rule", "a_n", "--K", "5"), {
+            "out.json": "d7249e7c1c268be8eb3860ab19a088c91ff880d9de64c84b0722c9f0bd30cb96",
+            "out.csv": "cff31a111b509d51a426e9433e59064c7bf34402fcf1bfd5f61526529fa29354",
+        }),
+        (("scaling", "--seq", "double-exp", "--rule", "2a_n", "--K", "5"), {
+            "out.json": "210eef6468efdc6b7ec2ed96bcc7833c59262e8387957d134abff805621b644a",
+            "out.csv": "2647df9759ab13bd7fae30236b6926f4a2fc562320dada21900fc9ba4ed614e5",
+        }),
+        (("scaling", "--seq", "factorial", "--rule", "a_n", "--K", "4"), {
+            "out.json": "172e1e58f0c3f09a2f7dd84221c47e3d3762768e83de760bf0c19144262a457c",
+            "out.csv": "abb9768be26715b34727fa8127d72af8e5cbabacc1aa00b5fac31bfb32f9684b",
+        }),
+        (("finite-gap", "--gamma-series", "double-exp", "--terms", "5", "--N", "1:16:all"), {
+            "out.csv": "f36d318b09fdbc8d4f10c559a3d01c6a6c25052516cdf3cbb1a836a3346991d2",
+        }),
+        (("finite-gap", "--gamma-series", "factorial", "--terms", "4", "--N", "1:64:all"), {
+            "out.csv": "671cfe0155e5b5667fbec09224c8a6882e9436162dec50cb6ea07c428aaebb98",
+        }),
+    ])
+    def test_output_digests(self, tmp_path, args, digests):
+        paths = {name: tmp_path / name for name in digests}
+        argv = [*args, "-o", str(paths.get("out.json", paths["out.csv"]))]
+        if args[0] == "scaling":
+            argv += ["--csv", str(paths["out.csv"])]
+        assert main(argv) == 0
+        got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+        assert got == digests
 
 
 class TestVerify:

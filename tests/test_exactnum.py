@@ -1,10 +1,12 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xygap import exactnum
 from xygap.errors import SpecNotApplicableError
 from xygap.exactnum import (
     DigitInjection,
@@ -76,6 +78,131 @@ class TestDecimalRendering:
     def test_digit_count_must_be_positive(self):
         with pytest.raises(ValueError):
             decimal_str(Fraction(1), 0)
+
+
+def _cmp_pow10(x: Fraction, e: int) -> int:
+    if e >= 0:
+        lhs, rhs = x.numerator, x.denominator * 10**e
+    else:
+        lhs, rhs = x.numerator * 10**-e, x.denominator
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def decimal_str_oracle(r: Fraction, digits: int) -> str:
+    """Independent rendering in pure integer arithmetic: locate the decade by
+    comparing against powers of ten, scale, round half away from zero."""
+    if r == 0:
+        return "0"
+    sign = "-" if r < 0 else ""
+    x = abs(r)
+    e = int((x.numerator.bit_length() - x.denominator.bit_length()) * 0.3010299956639812)
+    while _cmp_pow10(x, e) < 0:
+        e -= 1
+    while _cmp_pow10(x, e + 1) >= 0:
+        e += 1
+    scale = digits - 1 - e
+    scaled = x * 10**scale if scale >= 0 else x / 10**-scale
+    mantissa = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    if mantissa >= 10**digits:
+        mantissa //= 10
+        e += 1
+    ms = str(mantissa)
+    body = ms[0] if digits == 1 else f"{ms[0]}.{ms[1:]}"
+    return f"{sign}{body}e{e:+03d}"
+
+
+@st.composite
+def big_ints(draw, max_bits):
+    """Signed integers below 2**max_bits, their bit lengths spread over both
+    sides of the split threshold and up to max_bits."""
+    bits = draw(
+        st.integers(0, 5000) | st.integers(5000, max_bits) | st.integers(max_bits - 10_000, max_bits)
+    )
+    n = 0 if bits == 0 else draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    return -n if draw(st.booleans()) else n
+
+
+def _boundary_ints():
+    # around the split threshold and the split widths above it
+    out = [0, 1, -1]
+    for k in (4095, 4096, 4097, 8191, 8192, 8193, 16384, 32768, 65535, 65536, 65537, 131072):
+        j = int(k * 0.30103)
+        out += [2**k, 2**k - 1, 2**k + 1, 10**j - 1, 10**j + 1, -(2**k), -(10**j - 1)]
+    return out
+
+
+class TestExactDecimalConversion:
+    def test_boundaries_match_decimal(self):
+        for n in _boundary_ints():
+            assert str(exactnum._exact_decimal(n)) == str(Decimal(n)), n.bit_length()
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_ints(199_999))
+    @example(2**199_999 + 12345)
+    @example(-(3**126_000))
+    def test_matches_decimal(self, n):
+        assert str(exactnum._exact_decimal(n)) == str(Decimal(n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(big_ints(70_000), big_ints(70_000))
+    def test_format_matches_decimal(self, num, den):
+        r = Fraction(num, abs(den) + 1)
+        assert format_rational(r) == f"{Decimal(r.numerator)}/{Decimal(r.denominator)}"
+
+    def test_each_big_integer_converted_once_per_report(self):
+        from xygap.scaling import (
+            SizeSequence, build_scaling_report, report_csv_lines, report_to_json,
+        )
+
+        report = build_scaling_report(SizeSequence(DEXP, "a_n"), TruncatedSeries(DEXP, 5))
+        distinct = {
+            abs(k)
+            for row in report.rows
+            for r in (row.delta, row.delta_minus_half, row.gap, row.deviation_bound)
+            for k in (r.numerator, r.denominator)
+            if k.bit_length() > exactnum._SPLIT_BITS
+        }
+        exactnum._big_decimal.cache_clear()
+        report_to_json(report)
+        report_csv_lines(report)
+        info = exactnum._big_decimal.cache_info()
+        assert info.misses == len(distinct) > 0
+        assert info.hits > 0
+
+
+class TestDecimalStrAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(), st.integers(1, 25))
+    def test_small_rationals(self, r, digits):
+        assert decimal_str(r, digits) == decimal_str_oracle(r, digits)
+
+    @settings(max_examples=30, deadline=None)
+    @given(big_ints(70_000), big_ints(70_000), st.sampled_from([1, 2, 4, 6, 12, 17]))
+    @example(1, 2**65536, 6)
+    @example(2**65536 + 1, 3 * 2**65535, 17)
+    def test_huge_rationals(self, num, den, digits):
+        r = Fraction(num, abs(den) + 1)
+        assert decimal_str(r, digits) == decimal_str_oracle(r, digits)
+
+    @pytest.mark.parametrize("digits", [1, 2, 3])
+    def test_half_way_ties(self, digits):
+        # k + 1/2 with a k of `digits` digits sits exactly between two outputs
+        for k in range(10 ** (digits - 1), 10**digits, 7):
+            for r in (Fraction(2 * k + 1, 2), Fraction(-(2 * k + 1), 2), Fraction(2 * k + 1, 2000)):
+                assert decimal_str(r, digits) == decimal_str_oracle(r, digits)
+
+    @pytest.mark.parametrize("r,digits,expected", [
+        (Fraction(6, 5), 6, "1.20000e+00"),        # exact quotient shorter than `digits`
+        (Fraction(1, 4), 17, "2.5000000000000000e-01"),
+        (Fraction(100), 2, "1.0e+02"),
+        (Fraction(999, 100), 2, "1.0e+01"),        # 9.99 carries into the next decade
+        (Fraction(99999, 10**4), 3, "1.00e+01"),
+        (Fraction(-9999, 1000), 1, "-1e+01"),
+        (Fraction(5, 2), 1, "3e+00"),              # half away from zero
+        (Fraction(-5, 2), 1, "-3e+00"),
+    ])
+    def test_short_quotients_and_carries(self, r, digits, expected):
+        assert decimal_str(r, digits) == expected == decimal_str_oracle(r, digits)
 
 
 class TestSeriesValues:

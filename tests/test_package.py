@@ -40,6 +40,27 @@ def test_import_keeps_int_str_digit_limit():
     assert res.returncode == 0, res.stderr
 
 
+def test_import_and_formatting_keep_decimal_context():
+    # the exact conversions run in private contexts, never the caller's
+    script = (
+        "import decimal\n"
+        "def state():\n"
+        "    ctx = decimal.getcontext()\n"
+        "    return (ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin,\n"
+        "            {sig: on for sig, on in ctx.traps.items()})\n"
+        "before = state()\n"
+        "import xygap\n"
+        "from fractions import Fraction\n"
+        "r = Fraction(3**41000 - 2**65536, 2**65536 + 1)\n"
+        "xygap.format_rational(r), xygap.decimal_str(r, 17), xygap.decimal_str(-r, 3)\n"
+        "assert state() == before, (state(), before)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+
+
 def test_cli_import_loads_no_scipy():
     # importing scipy.linalg roughly doubles a CLI process's peak RSS
     env = dict(os.environ)
@@ -52,6 +73,7 @@ def test_cli_import_loads_no_scipy():
 @pytest.mark.parametrize("args", [
     ("finite-gap", "--gamma", "1/3", "--N", "2:40:even"),  # exact rows, numeric cross column
     ("finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "64,1024"),  # sector route
+    ("scaling", "--seq", "double-exp", "--rule", "a_n", "--K", "5"),  # 65k-bit rationals
 ])
 def test_output_unchanged_under_optimize(args):
     plain = run_cli(*args)
