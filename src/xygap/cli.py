@@ -11,6 +11,10 @@ Subcommands:
 Exit codes: 0 success, 1 verification/runtime failure, 2 usage error,
 3 bit-budget exhaustion.  Identical invocations produce byte-identical
 output files.
+
+The float layers (``classical``, ``sector``, ``verify``) load numpy, so each
+is imported inside the command that runs it: ``--help`` and ``scaling``
+start without numpy.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import classical, gaplaw, scaling, sector, verify
-from .classical import FieldPoint
+from . import gaplaw, scaling
 from .errors import BitBudgetError, XYGapError
 from .exactnum import (
     TruncatedSeries, decimal_str, format_rational, gamma_value, parse_field_literal,
@@ -128,6 +131,8 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def cmd_phase_diagram(args) -> int:
+    from . import classical
+
     gammas = parse_grid(args.gamma)
     hs = parse_grid(args.h)
     if any(g < 0 for g in gammas):
@@ -156,6 +161,9 @@ def _finite_gap_field(args, budget: int) -> Fraction:
 
 
 def cmd_finite_gap(args, budget: int) -> int:
+    from . import sector
+    from .classical import FieldPoint
+
     if not math.isfinite(args.h):
         raise UsageError(f"--h must be finite, got {args.h}")
     sizes = parse_sizes(args.N)
@@ -163,7 +171,7 @@ def cmd_finite_gap(args, budget: int) -> int:
     gamma_text = format_rational(gamma)
     if args.h == 0.0:
         if not 0 <= gamma < 1:
-            raise UsageError(f"the exact h=0 route needs 0 <= gamma < 1, got {gamma}")
+            raise UsageError(f"the exact h=0 route needs 0 <= gamma < 1, got {gamma_text}")
         lines = [FINITE_GAP_EXACT_HEADER]
         for size in sizes:
             rec = gaplaw.gap_record(size, gamma)
@@ -204,7 +212,12 @@ def cmd_scaling(args, budget: int) -> int:
 
 
 def cmd_verify(args, budget: int) -> int:
-    results = verify.run_all(max_size=args.max_N, seed=args.seed, bit_budget=budget)
+    if args.max_N < 2:
+        raise UsageError(f"verify needs --max-N >= 2, its smallest size, got {args.max_N}")
+    from . import verify
+
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    results = verify.run_all(max_size=args.max_N, seed=seed, bit_budget=budget)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
     failed = [r for r in results if not r.passed]
@@ -257,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-oracle suites")
     p.add_argument("--max-N", type=int, default=64, help="largest size for the numeric oracle")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None)
 
     return parser
 

@@ -6,9 +6,9 @@ of 2**-65533 in the fractional offset decides the closing rate.  Everything
 here is a ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms, positive denominator).
 
-A field value can be specified four ways (:data:`GammaSpec`):
+Besides a plain p/q (a ``Fraction``, see :func:`parse_field_literal`), a
+field value can be built by three recipes (:data:`GammaSpec`):
 
-* :class:`ExplicitRational` - a plain p/q.
 * :class:`TruncatedSeries` - the first K terms of sum(1/a_n) over one of the
   engineered sequences.
 * :class:`DigitInjection` - sum((2 b_i + 1)/a_pos) for decimal digits b_i,
@@ -35,8 +35,6 @@ from typing import Tuple, Union
 from .errors import BitBudgetError, SpecNotApplicableError
 from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, doubling_holds, terms
 
-Rational = Fraction
-
 # First sequence index used by the digit-injection map.  Consecutive
 # denominators must grow by more than a factor of 21 so that the ten
 # possible digits at one position can never be mimicked by any combination
@@ -44,15 +42,6 @@ Rational = Fraction
 # a_3 = 16 onward (a_4/a_3 = 4096) but fails for a_1, a_2.
 INJECTION_FIRST_INDEX = 3
 _INJECTION_MIN_RATIO = 21
-
-
-@dataclass(frozen=True)
-class ExplicitRational:
-    value: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
 
 
 @dataclass(frozen=True)
@@ -105,7 +94,7 @@ class IntervalConstruction:
         return Fraction(self.anchor_num, 2**self.scale_exp)
 
 
-GammaSpec = Union[ExplicitRational, TruncatedSeries, DigitInjection, IntervalConstruction]
+GammaSpec = Union[TruncatedSeries, DigitInjection, IntervalConstruction]
 
 
 # ---------------------------------------------------------------------------
@@ -189,41 +178,47 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
-# Fraction's decimal-literal grammar; the groups are the integer digits, the
-# fraction digits and the exponent.
+# Fraction's decimal-literal grammar; the groups are the sign, the integer
+# digits, the fraction digits and the exponent.
 _DIGITS = r"\d+(?:_\d+)*"
 _DECIMAL_LITERAL = re.compile(
-    rf"\s*[+-]?(?=\d|\.\d)(\d*|{_DIGITS})(?:\.(\d*|{_DIGITS}))?(?:[eE]([+-]?{_DIGITS}))?\s*"
+    rf"\s*([+-]?)(?=\d|\.\d)(\d*|{_DIGITS})(?:\.(\d*|{_DIGITS}))?(?:[eE]([+-]?{_DIGITS}))?\s*"
 )
 _LOG10_2_ABOVE = 0.30103  # slightly above log10(2)
 
 
-def _spelled_digit_counts(text: str) -> list[int]:
-    """Digit counts of the integers a literal makes Fraction build: p and q, or
-    a decimal's digits and the power of ten its point and exponent name."""
-    if "/" in text:
-        match = _RATIONAL.fullmatch(text)
-        return [] if match is None else [len(g.lstrip("+-0")) for g in match.groups() if g]
-    match = _DECIMAL_LITERAL.fullmatch(text)
-    if match is None:
-        return []
-    whole, frac, exp = (g.replace("_", "") if g else "" for g in match.groups())
-    return [len((whole + frac).lstrip("0")), abs(int(exp or 0) - len(frac)) + 1]
+def _check_spelled(digit_counts, bit_budget: int) -> None:
+    if any(count - 1 > bit_budget * _LOG10_2_ABOVE for count in digit_counts):
+        raise BitBudgetError(f"field value spells out an integer of more than {bit_budget} bits")
 
 
 def parse_field_literal(text: str, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
     """Parse "p/q" or a decimal literal ("0.25", "1e-30") within the bit budget.
 
-    Every integer the literal spells out must fit the budget.  That is judged
-    from digit counts before anything is built (a D-digit integer exceeds
-    2**budget once D - 1 > budget*log10(2)), so "1e-999999999" is refused
-    without computing 10**999999999.  The value in lowest terms must then fit
-    as well.  Raises BitBudgetError otherwise, ValueError or ZeroDivisionError
-    on malformed text.
+    Decimal literals follow ``Fraction``'s grammar, but their digits become
+    integers through Decimal, past the interpreter's int<->str digit limit.
+    Every integer the literal spells out (p and q, or a decimal's digits and
+    the power of ten its point and exponent name) must fit the budget.  That
+    is judged from digit counts before anything is built (a D-digit integer
+    exceeds 2**budget once D - 1 > budget*log10(2)), so "1e-999999999" is
+    refused without computing 10**999999999.  The value in lowest terms must
+    then fit as well.  Raises BitBudgetError otherwise, ValueError or
+    ZeroDivisionError on malformed text.
     """
-    if any(count - 1 > bit_budget * _LOG10_2_ABOVE for count in _spelled_digit_counts(text)):
-        raise BitBudgetError(f"field value spells out an integer of more than {bit_budget} bits")
-    value = parse_rational(text) if "/" in text else Fraction(text)
+    if "/" in text:
+        match = _RATIONAL.fullmatch(text)
+        if match is not None:
+            _check_spelled([len(g.lstrip("+-0")) for g in match.groups() if g], bit_budget)
+        value = parse_rational(text)
+    else:
+        match = _DECIMAL_LITERAL.fullmatch(text)
+        if match is None:
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        sign, whole, frac, exp = (g.replace("_", "") for g in match.groups(""))
+        digits = whole + frac
+        power = int(Decimal(exp or "0")) - len(frac)
+        _check_spelled([len(digits.lstrip("0")), abs(power) + 1], bit_budget)
+        value = int(Decimal(sign + digits)) * Fraction(10) ** power
     bits = max(value.numerator.bit_length(), value.denominator.bit_length())
     if bits > bit_budget:
         raise BitBudgetError(f"field value needs {bits} bits (budget {bit_budget})")
@@ -304,8 +299,6 @@ def _injection_sum(digits, positions: list[int]) -> Fraction:
 
 def gamma_value(spec: GammaSpec, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
     """Exact rational value of the (truncated) field recipe."""
-    if isinstance(spec, ExplicitRational):
-        return spec.value
     if isinstance(spec, TruncatedSeries):
         seq = terms(spec.kind, spec.count, bit_budget)
         return sum((Fraction(1, a) for a in seq), Fraction(0))
@@ -328,8 +321,6 @@ def gamma_enclosure(
     infinite digit continuation.
     """
     v = gamma_value(spec, bit_budget)
-    if isinstance(spec, ExplicitRational):
-        return v, v
     if isinstance(spec, TruncatedSeries):
         return v, v + series_tail_bound_after(spec.kind, spec.count, bit_budget)
     if isinstance(spec, DigitInjection):

@@ -191,11 +191,23 @@ class TestFiniteGap:
             ("--gamma", "0", "--h", "nan", "--N", "4"),
             ("--gamma", "0", "--h", "inf", "--N", "4"),
             ("--gamma-series", "double-exp", "--terms", "0", "--N", "4"),
+            ("--gamma", "1__0", "--N", "4"),
+            ("--gamma", "1.d", "--N", "4"),
         ],
     )
     def test_usage_errors(self, cli, args):
         res = cli("finite-gap", *args)
         assert res.returncode == 2, res.stderr
+
+    def test_decimal_literal_past_int_digit_limit(self, cli, monkeypatch):
+        # 5000 digits, past the interpreter's int<->str limit even at its floor
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+        ones = "1" * 5000
+        runs = [cli("finite-gap", "--gamma", text, "--N", "2,3")
+                for text in (f"0.{ones}", f"{ones}/1{'0' * 5000}")]
+        assert [res.returncode for res in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert len(runs[0].stdout.split("\n")) == 4
 
 
 class TestScaling:
@@ -298,3 +310,10 @@ class TestVerify:
         assert res.returncode == 0, res.stdout + res.stderr
         assert "FAIL" not in res.stdout
         assert res.stdout.count("PASS") == 6
+
+    @pytest.mark.parametrize("max_n", ["1", "0", "-4"])
+    def test_max_n_below_two_is_usage_error(self, cli, max_n):
+        # the numeric oracle's smallest size is 2; below it the suite checked nothing
+        res = cli("verify", "--max-N", max_n)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stdout == ""

@@ -10,13 +10,13 @@ from xygap import exactnum
 from xygap.errors import SpecNotApplicableError
 from xygap.exactnum import (
     DigitInjection,
-    ExplicitRational,
     TruncatedSeries,
     decimal_str,
     format_rational,
     gamma_bounds_check,
     gamma_enclosure,
     gamma_value,
+    parse_field_literal,
     parse_rational,
     series_tail_bound_after,
     tail_bound,
@@ -205,6 +205,36 @@ class TestDecimalStrAgainstOracle:
         assert decimal_str(r, digits) == expected == decimal_str_oracle(r, digits)
 
 
+class TestFieldLiteralAgainstFraction:
+    """parse_field_literal builds decimal literals from its own match, through
+    Decimal; Fraction(text) is the oracle for both the grammar and the value.
+    Seven characters keep every exponent, and so the oracle's work, small."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(alphabet="0159._eE+-d \t\u0663\uff17", max_size=7))
+    @example("1.")
+    @example(".5")
+    @example("5.e3")
+    @example("+.5e+1_0")
+    @example("1_000.5")
+    @example("-0.25")
+    @example("\u0663\u0661.\u0664e\u0661")  # Arabic-Indic digits
+    @example(" \t\n-12.5E-3 ")
+    @example("0." + "7" * 4000)
+    @example("1__0")
+    @example("1.d")
+    @example("1_")
+    @example(".")
+    def test_matches_fraction(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises((ValueError, ZeroDivisionError)):
+                parse_field_literal(text)
+        else:
+            assert parse_field_literal(text) == expected
+
+
 class TestSeriesValues:
     def test_two_term_sum(self):
         assert gamma_value(TruncatedSeries(DEXP, 2)) == Fraction(3, 4)
@@ -277,9 +307,9 @@ class TestBoundsCertificate:
     def test_certifies_interval(self, k):
         assert gamma_bounds_check(TruncatedSeries(DEXP, k)) is True
 
-    def test_not_applicable_to_explicit_rational(self):
+    def test_not_applicable_to_digit_injection(self):
         with pytest.raises(SpecNotApplicableError):
-            gamma_bounds_check(ExplicitRational(Fraction(1, 3)))
+            gamma_bounds_check(DigitInjection((1,)))
 
     def test_not_applicable_to_factorial_series(self):
         with pytest.raises(SpecNotApplicableError):

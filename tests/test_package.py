@@ -27,11 +27,11 @@ def test_import_keeps_int_str_digit_limit():
     script = (
         "import sys\n"
         "before = sys.get_int_max_str_digits()\n"
-        "import xygap\n"
+        "import xygap.cli, xygap.classical, xygap.sector, xygap.verify\n"
         "from fractions import Fraction\n"
         "assert sys.get_int_max_str_digits() == before, sys.get_int_max_str_digits()\n"
         "for r in (Fraction(2**65536), Fraction(-1, 2**65536), Fraction(3**40000, 2**65536 + 1)):\n"
-        "    assert xygap.parse_rational(xygap.format_rational(r)) == r\n"
+        "    assert xygap.exactnum.parse_rational(xygap.exactnum.format_rational(r)) == r\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR)
@@ -49,10 +49,11 @@ def test_import_and_formatting_keep_decimal_context():
         "    return (ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin,\n"
         "            {sig: on for sig, on in ctx.traps.items()})\n"
         "before = state()\n"
-        "import xygap\n"
+        "import xygap.cli, xygap.classical, xygap.sector, xygap.verify\n"
         "from fractions import Fraction\n"
         "r = Fraction(3**41000 - 2**65536, 2**65536 + 1)\n"
-        "xygap.format_rational(r), xygap.decimal_str(r, 17), xygap.decimal_str(-r, 3)\n"
+        "num = xygap.exactnum\n"
+        "num.format_rational(r), num.decimal_str(r, 17), num.decimal_str(-r, 3)\n"
         "assert state() == before, (state(), before)\n"
     )
     env = dict(os.environ)
@@ -61,13 +62,30 @@ def test_import_and_formatting_keep_decimal_context():
     assert res.returncode == 0, res.stderr
 
 
-def test_cli_import_loads_no_scipy():
-    # importing scipy.linalg roughly doubles a CLI process's peak RSS
+def test_cli_import_loads_no_scipy(tmp_path):
+    # importing scipy.linalg roughly doubles a CLI process's peak RSS, and the
+    # exact commands need no float layer, so they start without numpy too
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR)
     script = "import sys\nimport xygap.cli\nassert 'scipy' not in sys.modules\n"
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
+    run_as_main = (
+        "import runpy, sys\n"
+        "sys.argv[0] = 'xygap'\n"
+        "try:\n"
+        "    runpy.run_module('xygap', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "loaded = {'numpy', 'scipy'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    for argv in (["--help"],
+                 ["scaling", "--seq", "double-exp", "--K", "5", "-o", str(tmp_path / "r.json")]):
+        res = subprocess.run([sys.executable, "-c", run_as_main, *argv],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, (argv, res.stderr)
+    assert (tmp_path / "r.json").stat().st_size > 0
 
 
 @pytest.mark.parametrize("args", [
