@@ -13,8 +13,9 @@ Exit codes: 0 success, 1 verification/runtime failure, 2 usage error,
 output files.
 
 The float layers (``classical``, ``sector``, ``verify``) load numpy, so each
-is imported inside the command that runs it: ``--help`` and ``scaling``
-start without numpy.
+is imported inside the command that runs it: ``--help``, ``scaling`` and an
+h = 0 ``finite-gap`` whose sizes all exceed ``--cross-max`` start without
+numpy.
 """
 
 from __future__ import annotations
@@ -160,10 +161,16 @@ def _finite_gap_field(args, budget: int) -> Fraction:
     return parse_gamma(args.gamma, budget)
 
 
-def cmd_finite_gap(args, budget: int) -> int:
+def _numeric_gaps(gamma: Fraction, h: float):
+    """N -> eigensolver gap at (gamma, h); this loads the sector layer and numpy."""
     from . import sector
     from .classical import FieldPoint
 
+    point = FieldPoint(float(gamma), h)
+    return lambda size: sector.finite_gap_numeric(size, point)
+
+
+def cmd_finite_gap(args, budget: int) -> int:
     if not math.isfinite(args.h):
         raise UsageError(f"--h must be finite, got {args.h}")
     sizes = parse_sizes(args.N)
@@ -172,23 +179,21 @@ def cmd_finite_gap(args, budget: int) -> int:
     if args.h == 0.0:
         if not 0 <= gamma < 1:
             raise UsageError(f"the exact h=0 route needs 0 <= gamma < 1, got {gamma_text}")
+        numeric_gap = _numeric_gaps(gamma, 0.0) if min(sizes) <= args.cross_max else None
         lines = [FINITE_GAP_EXACT_HEADER]
         for size in sizes:
             rec = gaplaw.gap_record(size, gamma)
-            numeric = ""
-            if size <= args.cross_max:
-                numeric = format(
-                    sector.finite_gap_numeric(size, FieldPoint(float(gamma), 0.0)), ".17g"
-                )
+            numeric = format(numeric_gap(size), ".17g") if size <= args.cross_max else ""
             gap = ("," if rec.gap is None
                    else f"{format_rational(rec.gap)},{decimal_str(rec.gap, 17)}")
             delta = format_rational(rec.delta.value)
             lines.append(f"{size},{gamma_text},{delta},{rec.branch},{gap},{numeric}")
         _write_text(args.output, "\n".join(lines))
         return EXIT_OK
+    numeric_gap = _numeric_gaps(gamma, args.h)
     lines = [FINITE_GAP_NUMERIC_HEADER]
     for size in sizes:
-        gap = sector.finite_gap_numeric(size, FieldPoint(float(gamma), args.h))
+        gap = numeric_gap(size)
         lines.append(
             f"{size},{gamma_text},{format(args.h, '.17g')},{format(gap, '.17g')}"
         )

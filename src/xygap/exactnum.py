@@ -100,16 +100,20 @@ GammaSpec = Union[TruncatedSeries, DigitInjection, IntervalConstruction]
 # ---------------------------------------------------------------------------
 # serialization
 #
-# Integers cross the text boundary through decimal.Decimal: denominators near
-# 2**65536 have ~19.7k digits, past the interpreter's int<->str digit limit.
-# Decimal(int) is quadratic in the digit count, so an integer of more than
-# _SPLIT_BITS bits is split in halves at a power 2**w and reassembled with
-# libmpdec's subquadratic multiplication (Brent & Zimmermann, Modern Computer
+# Integers of up to _STR_BITS bits print with str(): 2048 bits is at most 617
+# digits, below 640, the smallest int<->str digit limit the interpreter can
+# be set to, so no setting of that limit can refuse them.  Larger integers
+# cross the text boundary through decimal.Decimal: denominators near 2**65536
+# have ~19.7k digits, past the default limit of 4300.  Decimal(int) is
+# quadratic in the digit count, so an integer of more than _SPLIT_BITS bits is
+# split in halves at a power 2**w and reassembled with libmpdec's
+# subquadratic multiplication (Brent & Zimmermann, Modern Computer
 # Arithmetic, section 1.7).  The last 64 such integers stay cached, so the p/q
 # text, the rounded decimal and every later print of the same value share one
 # conversion.  The exact arithmetic goes through _EXACT; an operator like
 # -d or d + e would round to the caller's context (28 digits by default)
-# without a word.
+# without a word.  Parsing runs the split the other way: a digit string is
+# cut at powers 10**w and its halves are joined with int multiplication.
 
 _RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
@@ -118,6 +122,8 @@ _EXACT = decimal.Context(
     traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Inexact],
 )
 _SPLIT_BITS = 4096  # up to this size Decimal(int) is as fast as splitting
+_STR_BITS = 2048  # str(int) up to this size is within every digit limit
+_STR_DIGITS = 600  # and so is int(text) of up to this many digits
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,13 +175,40 @@ def _rounding_context(digits: int) -> decimal.Context:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _pow10(width: int) -> int:
+    """10**width; the widths in use are _STR_DIGITS times powers of two."""
+    return 10**width
+
+
+def _join_digits(digits: str, width: int) -> int:
+    """int(digits) for a string of at most 2*width decimal digits, by cutting
+    off its last `width` digits."""
+    if len(digits) <= _STR_DIGITS:
+        return int(digits)
+    while len(digits) <= width:
+        width >>= 1
+    return (_join_digits(digits[:-width], width) * _pow10(width)
+            + _join_digits(digits[-width:], width >> 1))
+
+
+def _parse_int(text: str) -> int:
+    """The integer spelled by an optionally signed run of decimal digits."""
+    digits = text.lstrip("+-")
+    width = _STR_DIGITS
+    while 2 * width < len(digits):
+        width *= 2
+    value = _join_digits(digits, width)
+    return -value if text.startswith("-") else value
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer "p") into a Fraction in lowest terms."""
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ValueError(f"not a rational p/q: {text!r}")
     num, den = match.groups()
-    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+    return Fraction(_parse_int(num), _parse_int(den or "1"))
 
 
 # Fraction's decimal-literal grammar; the groups are the sign, the integer
@@ -216,9 +249,9 @@ def parse_field_literal(text: str, bit_budget: int = DEFAULT_BIT_BUDGET) -> Frac
             raise ValueError(f"Invalid literal for Fraction: {text!r}")
         sign, whole, frac, exp = (g.replace("_", "") for g in match.groups(""))
         digits = whole + frac
-        power = int(Decimal(exp or "0")) - len(frac)
+        power = _parse_int(exp or "0") - len(frac)
         _check_spelled([len(digits.lstrip("0")), abs(power) + 1], bit_budget)
-        value = int(Decimal(sign + digits)) * Fraction(10) ** power
+        value = _parse_int(sign + digits) * Fraction(10) ** power
     bits = max(value.numerator.bit_length(), value.denominator.bit_length())
     if bits > bit_budget:
         raise BitBudgetError(f"field value needs {bits} bits (budget {bit_budget})")
@@ -227,7 +260,10 @@ def parse_field_literal(text: str, bit_budget: int = DEFAULT_BIT_BUDGET) -> Frac
 
 def format_rational(r: Fraction) -> str:
     """Canonical "p/q" form, denominator always present ("0/1", "3/4", ...)."""
-    return f"{_exact_decimal(r.numerator)}/{_exact_decimal(r.denominator)}"
+    num, den = r.numerator, r.denominator
+    if num.bit_length() <= _STR_BITS and den.bit_length() <= _STR_BITS:
+        return f"{num}/{den}"
+    return f"{_exact_decimal(num)}/{_exact_decimal(den)}"
 
 
 def decimal_str(r: Fraction, digits: int = 17) -> str:
@@ -245,11 +281,10 @@ def decimal_str(r: Fraction, digits: int = 17) -> str:
     quotient = _rounding_context(digits).divide(
         _exact_decimal(r.numerator), _exact_decimal(r.denominator)
     )
-    sign, coefficient, _ = quotient.as_tuple()
-    # an exact quotient keeps only its own digits (6/5 -> 1.2): pad to `digits`
-    ms = "".join(map(str, coefficient)).ljust(digits, "0")
-    body = ms[0] if digits == 1 else f"{ms[0]}.{ms[1:]}"
-    return f"{'-' if sign else ''}{body}e{quotient.adjusted():+03d}"
+    # an exact quotient keeps only its own digits (6/5 -> 1.2); the format
+    # pads it to `digits` and rounds nothing, so no context setting matters
+    mantissa = format(quotient, f".{digits - 1}e").partition("e")[0]
+    return f"{mantissa}e{quotient.adjusted():+03d}"
 
 
 # ---------------------------------------------------------------------------

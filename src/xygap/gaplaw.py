@@ -18,12 +18,19 @@ The same two-branch form holds for both parities; it is cross-checked
 against direct level enumeration in the test suite.  delta = 1/2 is a true
 level crossing and is reported as a typed degeneracy, not as gap zero.
 
-Everything in this module is exact rational arithmetic; floats are rejected.
+Each row is one integer residue.  With gamma = p/q in lowest terms and
+lengths in units of 1/(2q), m* sits at p*N and the grid at the multiples of
+2q (even N) or at q plus them (odd N; -q and q agree mod 2q), so m* lies
+
+    r = 2q*delta = (p*N + (N mod 2)*q) mod 2q
+
+above the grid point at or below it.  Then delta = r/(2q); the crossing is
+r = q, the low branch r < q, the neighbors tie at r = 0, and the gap is
+|q - r|/(q*N).  Floats are rejected; Fractions are built only for results.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -36,8 +43,6 @@ ODD = "odd"
 BRANCH_LOW = "delta<1/2"      # gap = (1 - 2 delta)/N
 BRANCH_HIGH = "delta>1/2"     # gap = (2 delta - 1)/N
 BRANCH_DEGENERATE = "degenerate"
-
-_HALF = Fraction(1, 2)
 
 
 def _as_exact(value, what: str) -> Fraction:
@@ -93,39 +98,34 @@ def energy_level(size: int, m, gamma) -> Fraction:
     return -Fraction(size + 2, 4) + m * m / size - gamma * m
 
 
-def _split(size: int, gamma) -> tuple[Fraction, Fraction]:
-    """(anchor, offset) of gamma*N/2 on the admissible grid, offset in [0, 1).
-
-    Even N anchors at the integer floor; odd N anchors at the largest
-    half-odd-integer not exceeding the value.
-    """
+def _residue(size: int, gamma: Fraction) -> tuple[int, int, int]:
+    """(p, q, r) with gamma = p/q and r = 2q*delta, see the module docstring."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    gamma = _as_exact(gamma, "gamma")
-    if not 0 <= gamma < 1:
+    p, q = gamma.numerator, gamma.denominator
+    if not 0 <= p < q:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    target = gamma * size / 2
-    if size % 2 == 0:
-        anchor = Fraction(math.floor(target))
-    else:
-        anchor = math.floor(target - _HALF) + _HALF
-    return anchor, target - anchor
+    return p, q, (p * size + (size & 1) * q) % (2 * q)
+
+
+def _delta(size: int, q: int, r: int) -> DeltaValue:
+    return DeltaValue(Fraction(r, 2 * q), ODD if size & 1 else EVEN, r == q)
 
 
 def delta_frac(size: int, gamma) -> DeltaValue:
     """Split gamma*N/2 off the admissible grid; flags the exact-1/2 crossing."""
-    _, offset = _split(size, gamma)
-    return DeltaValue(
-        value=offset, parity=EVEN if size % 2 == 0 else ODD, degenerate=offset == _HALF
-    )
+    _, q, r = _residue(size, _as_exact(gamma, "gamma"))
+    return _delta(size, q, r)
 
 
 def _level_pair(size: int, gamma) -> tuple[Fraction, Fraction]:
     """(m0, m1): the grid neighbors of gamma*N/2, the nearer one first."""
-    anchor, offset = _split(size, gamma)
-    if offset == _HALF:
+    gamma = _as_exact(gamma, "gamma")
+    p, q, r = _residue(size, gamma)
+    if r == q:
         raise DegenerateDeltaError(size, gamma)
-    return (anchor, anchor + 1) if offset < _HALF else (anchor + 1, anchor)
+    below = Fraction(p * size - r, 2 * q)
+    return (below, below + 1) if r < q else (below + 1, below)
 
 
 def ground_level(size: int, gamma) -> MagnetizationLevel:
@@ -150,15 +150,15 @@ def excited_level(size: int, gamma) -> MagnetizationLevel:
 def gap_record(size: int, gamma) -> GapRecord:
     """Result row for one (N, gamma); degenerate crossings are kept, flagged.
 
-    The gap is |1 - 2*delta|/N from a single offset split.
+    The gap is |1 - 2*delta|/N = |q - r|/(q*N) from the one residue r.
     """
     gamma = _as_exact(gamma, "gamma")
-    d = delta_frac(size, gamma)
-    if d.degenerate:
-        return GapRecord(size, gamma, d, BRANCH_DEGENERATE, None)
-    branch = BRANCH_LOW if d.value < _HALF else BRANCH_HIGH
-    gap = abs(1 - 2 * d.value) / size
-    return GapRecord(size, gamma, d, branch, gap, excited_tied=d.value == 0)
+    _, q, r = _residue(size, gamma)
+    delta = _delta(size, q, r)
+    if r == q:
+        return GapRecord(size, gamma, delta, BRANCH_DEGENERATE, None)
+    branch = BRANCH_LOW if r < q else BRANCH_HIGH
+    return GapRecord(size, gamma, delta, branch, Fraction(abs(q - r), q * size), r == 0)
 
 
 def exact_gap(size: int, gamma) -> Fraction:

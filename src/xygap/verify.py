@@ -9,6 +9,7 @@ against exact membership checks.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,9 +115,26 @@ def check_dense_intervals(
 
 
 def check_injection_injective(bit_budget: int = DEFAULT_BIT_BUDGET) -> CheckResult:
-    """All 1000 length-3 digit strings map to distinct field values."""
+    """All 1000 length-3 digit strings map to distinct field values.
+
+    The values share the denominator L = lcm(positions), so they are distinct
+    iff the integers sum((2b + 1)*(L/a)) are; a few strings tie those
+    integers to the library's sum.
+    """
     positions = _injection_positions(3, bit_budget)  # separation certified once
-    values = {_injection_sum(digits, positions) for digits in product(range(10), repeat=3)}
+    lcm = math.lcm(*positions)
+    weights = [lcm // a for a in positions]
+
+    def numerator(digits) -> int:
+        return sum((2 * b + 1) * w for b, w in zip(digits, weights))
+
+    for digits in ((0, 0, 0), (9, 9, 9), (0, 9, 5), (5, 0, 9), (3, 1, 4)):
+        if _injection_sum(digits, positions) * lcm != numerator(digits):
+            return CheckResult(
+                "injection-injective", False,
+                f"digits {digits}: integer numerator differs from the field value",
+            )
+    values = {numerator(digits) for digits in product(range(10), repeat=3)}
     ok = len(values) == 1000
     return CheckResult(
         "injection-injective", ok,

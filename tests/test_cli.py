@@ -272,7 +272,10 @@ class TestScaling:
 class TestGoldenOutput:
     """sha256 of the README's scaling reports and of the series-field rows,
     recorded before their exact integers were printed through the split
-    Decimal conversion; any change to the output bytes shows here."""
+    Decimal conversion, and of long small-rational h = 0 runs (with
+    degenerate and tied rows at gamma = 0), recorded before the rows were
+    computed from one integer residue; any change to the output bytes shows
+    here."""
 
     @pytest.mark.parametrize("args,digests", [
         (("scaling", "--seq", "double-exp", "--rule", "a_n", "--K", "5"), {
@@ -292,6 +295,15 @@ class TestGoldenOutput:
         }),
         (("finite-gap", "--gamma-series", "factorial", "--terms", "4", "--N", "1:64:all"), {
             "out.csv": "671cfe0155e5b5667fbec09224c8a6882e9436162dec50cb6ea07c428aaebb98",
+        }),
+        (("finite-gap", "--gamma", "3/5", "--N", "1:8192:all"), {
+            "out.csv": "aa969d9031a15e26746fda00cecf8e4e8b152bb1c456460e5b560c97416e3790",
+        }),
+        (("finite-gap", "--gamma", "9/11", "--N", "2:16384:even"), {
+            "out.csv": "616e482286635aaa1be7c2b383f9671a397e3b5a2b3e1db7e72f918dcfaeef8e",
+        }),
+        (("finite-gap", "--gamma", "0", "--N", "1:64:all"), {
+            "out.csv": "08e1f85e204a6743be3284d11d966fc740afbf5d1c7874dc3033dff3589dcda3",
         }),
     ])
     def test_output_digests(self, tmp_path, args, digests):

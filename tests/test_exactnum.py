@@ -1,4 +1,5 @@
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -168,6 +169,44 @@ class TestExactDecimalConversion:
         info = exactnum._big_decimal.cache_info()
         assert info.misses == len(distinct) > 0
         assert info.hits > 0
+
+
+class TestStrTierAndDigitParsing:
+    """Integers of up to 2048 bits print with str(), larger ones through the
+    split Decimal conversion; digit strings parse by splitting at powers of
+    ten.  The old conversions (Decimal(n) and int(Decimal(text))) are the
+    oracles, and both tiers must work at the smallest int<->str digit limit."""
+
+    def test_tier_boundary_at_the_smallest_digit_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for bits in (2047, 2048, 2049, 4097):
+                for n in (2**bits - 1, -(2 ** (bits - 1)), 10 ** int(bits * 0.30103) - 1):
+                    r = Fraction(n, 2**bits + 1)
+                    text = format_rational(r)
+                    assert text == f"{Decimal(r.numerator)}/{Decimal(r.denominator)}"
+                    assert parse_rational(text) == r
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    @settings(max_examples=20, deadline=None)
+    @given(big_ints(199_999), st.integers(0, 3))
+    @example(2**199_999 - 1, 0)
+    @example(-(10**60_000), 2)
+    def test_parse_matches_decimal_oracle(self, n, zeros):
+        text = "0" * zeros + str(exactnum._exact_decimal(abs(n)))
+        text = ("-" if n < 0 else "+" if zeros % 2 else "") + text
+        assert exactnum._parse_int(text) == int(Decimal(text)) == n
+
+    @pytest.mark.parametrize("text", [
+        "\u0663\u0661/\u0664",              # Arabic-Indic digits
+        "\uff17" * 1500 + "/" + "7" * 1200,  # fullwidth digits past the chunk size
+        "-0/1", "+0012/0006", " 1/3 ",
+    ])
+    def test_parse_rational_matches_decimal_oracle(self, text):
+        num, _, den = text.strip().partition("/")
+        assert parse_rational(text) == Fraction(int(Decimal(num)), int(Decimal(den)))
 
 
 class TestDecimalStrAgainstOracle:

@@ -1,15 +1,19 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import min_excitation_brute
 from xygap.errors import DegenerateDeltaError
+from xygap.exactnum import TruncatedSeries, gamma_value
 from xygap.gaplaw import (
     BRANCH_DEGENERATE,
     BRANCH_HIGH,
     BRANCH_LOW,
+    DeltaValue,
+    GapRecord,
     delta_frac,
     energy_level,
     exact_gap,
@@ -18,8 +22,95 @@ from xygap.gaplaw import (
     gap_times_size_values,
     ground_level,
 )
+from xygap.scaling import RULE_DOUBLED, RULE_PLAIN, SizeSequence, sequence_sizes
+from xygap.sequences import SequenceKind
 
 HALF = Fraction(1, 2)
+
+
+def split_oracle(size: int, gamma: Fraction) -> tuple[Fraction, Fraction]:
+    """(anchor, offset) of gamma*N/2 in Fraction arithmetic: the grid point at
+    or below it (an integer for even N, a half-odd-integer for odd N) and the
+    distance above it."""
+    target = gamma * size / 2
+    if size % 2 == 0:
+        anchor = Fraction(math.floor(target))
+    else:
+        anchor = math.floor(target - HALF) + HALF
+    return anchor, target - anchor
+
+
+def assert_matches_split_oracle(size: int, gamma: Fraction) -> None:
+    anchor, offset = split_oracle(size, gamma)
+    delta = DeltaValue(offset, "even" if size % 2 == 0 else "odd", offset == HALF)
+    assert delta_frac(size, gamma) == delta
+    if offset == HALF:
+        expected = GapRecord(size, gamma, delta, BRANCH_DEGENERATE, None)
+        with pytest.raises(DegenerateDeltaError):
+            ground_level(size, gamma)
+    else:
+        branch = BRANCH_LOW if offset < HALF else BRANCH_HIGH
+        expected = GapRecord(size, gamma, delta, branch, abs(1 - 2 * offset) / size, offset == 0)
+        m0, m1 = (anchor, anchor + 1) if offset < HALF else (anchor + 1, anchor)
+        assert (ground_level(size, gamma).m, excited_level(size, gamma).m) == (m0, m1)
+    assert gap_record(size, gamma) == expected
+
+
+@st.composite
+def fields(draw, max_bits):
+    """(p, q) with 0 <= p < q and q of up to max_bits bits; a pair, since
+    the repr of a huge Fraction in a failure report would exceed the
+    interpreter's int-to-str digit limit."""
+    bits = draw(st.integers(1, 64) | st.integers(64, max_bits)
+                | st.integers(max(1, max_bits - 10_000), max_bits))
+    q = draw(st.integers(2 ** (bits - 1), 2**bits))
+    return draw(st.integers(0, q - 1)), q
+
+
+class TestResidueRouteAgainstSplitOracle:
+    """gap_record, delta_frac and the level pair against the Fraction split."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 2000), fields(64))
+    @example(1, (0, 1))
+    @example(2, (0, 1))
+    @example(10, (1, 2))
+    def test_small_fields(self, size, field):
+        assert_matches_split_oracle(size, Fraction(*field))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 200) | st.integers(2**40, 2**80), fields(70_000))
+    @example(3, (2**70_000 - 1, 2**70_000))
+    @example(2**69 + 1, (1, 3**44_000))
+    def test_huge_fields(self, size, field):
+        assert_matches_split_oracle(size, Fraction(*field))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**6), st.data())
+    def test_crossings(self, size, data):
+        # gamma*N/2 on the grid's midpoints: a half-integer for even N, an
+        # integer for odd N
+        k = data.draw(st.integers(0, (size - 1) // 2))
+        gamma = Fraction(2 * k + 1 if size % 2 == 0 else 2 * k, size)
+        if gamma >= 1:
+            return
+        assert delta_frac(size, gamma).degenerate
+        assert_matches_split_oracle(size, gamma)
+
+    @pytest.mark.parametrize("kind,count", [
+        (SequenceKind.DOUBLE_EXP, 5), (SequenceKind.FACTORIAL, 4),
+    ])
+    def test_series_fields(self, kind, count):
+        # the 65k-bit double-exp field and the factorial one, at N = 1..64 and
+        # at every size a scaling row of either rule can take
+        gamma = gamma_value(TruncatedSeries(kind, count))
+        rows = {
+            size
+            for rule in (RULE_PLAIN, RULE_DOUBLED)
+            for size in sequence_sizes(SizeSequence(kind, rule), count - 1)
+        }
+        for size in sorted(set(range(1, 65)) | rows):
+            assert_matches_split_oracle(size, gamma)
 
 
 class TestEnergyLevel:

@@ -64,7 +64,8 @@ def test_import_and_formatting_keep_decimal_context():
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # importing scipy.linalg roughly doubles a CLI process's peak RSS, and the
-    # exact commands need no float layer, so they start without numpy too
+    # exact commands need no float layer, so they start without numpy too; so
+    # does an h = 0 finite-gap run with no row at most --cross-max
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR)
     script = "import sys\nimport xygap.cli\nassert 'scipy' not in sys.modules\n"
@@ -81,11 +82,14 @@ def test_cli_import_loads_no_scipy(tmp_path):
         "assert not loaded, loaded\n"
     )
     for argv in (["--help"],
-                 ["scaling", "--seq", "double-exp", "--K", "5", "-o", str(tmp_path / "r.json")]):
+                 ["scaling", "--seq", "double-exp", "--K", "5", "-o", str(tmp_path / "r.json")],
+                 ["finite-gap", "--gamma", "1/3", "--N", "2:64:even", "--cross-max", "0",
+                  "-o", str(tmp_path / "fg.csv")]):
         res = subprocess.run([sys.executable, "-c", run_as_main, *argv],
                              capture_output=True, text=True, env=env)
         assert res.returncode == 0, (argv, res.stderr)
     assert (tmp_path / "r.json").stat().st_size > 0
+    assert len((tmp_path / "fg.csv").read_text().split("\n")) == 1 + 32 + 1
 
 
 @pytest.mark.parametrize("args", [
