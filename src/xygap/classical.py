@@ -36,6 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GapBranchError
+from .field import FieldPoint
 
 RADICAND_CLAMP = 1e-12   # |radicand| below this is roundoff: gap is exactly 0
 RADICAND_ERROR = -1e-9   # radicand below this means a wrong minimizer branch
@@ -45,18 +46,6 @@ RADICAND_ERROR = -1e-9   # radicand below this means a wrong minimizer branch
 # step; after bit_length(pi/2's pattern) = 62 steps the ends are adjacent.
 _HALF_PI_BITS = int(np.array(math.pi / 2).view(np.int64))
 _BISECTION_STEPS = _HALF_PI_BITS.bit_length()
-
-
-@dataclass(frozen=True)
-class FieldPoint:
-    """One (gamma, h) point; gamma is the transverse field and must be >= 0."""
-
-    gamma: float
-    h: float
-
-    def __post_init__(self):
-        if not (self.gamma >= 0 and math.isfinite(self.gamma) and math.isfinite(self.h)):
-            raise ValueError(f"need finite gamma >= 0 and finite h, got {self}")
 
 
 @dataclass(frozen=True)

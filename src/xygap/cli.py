@@ -12,10 +12,10 @@ Exit codes: 0 success, 1 verification/runtime failure, 2 usage error,
 3 bit-budget exhaustion.  Identical invocations produce byte-identical
 output files.
 
-The float layers (``classical``, ``sector``, ``verify``) load numpy, so each
-is imported inside the command that runs it: ``--help``, ``scaling`` and an
-h = 0 ``finite-gap`` whose sizes all exceed ``--cross-max`` start without
-numpy.
+Only ``classical`` loads numpy, and only ``phase-diagram`` runs it.  The
+float layers and ``verify`` are imported inside the commands that run them,
+so ``--help`` and ``scaling`` neither load numpy nor import (and, without a
+bytecode cache, compile) modules they do not use.
 """
 
 from __future__ import annotations
@@ -162,12 +162,23 @@ def _finite_gap_field(args, budget: int) -> Fraction:
 
 
 def _numeric_gaps(gamma: Fraction, h: float):
-    """N -> eigensolver gap at (gamma, h); this loads the sector layer and numpy."""
+    """N -> eigensolver gap at (gamma, h); a field too large for the
+    eigensolver's doubles is a usage error."""
     from . import sector
-    from .classical import FieldPoint
+    from .field import FieldPoint
 
-    point = FieldPoint(float(gamma), h)
-    return lambda size: sector.finite_gap_numeric(size, point)
+    try:
+        point = FieldPoint(float(gamma), h)
+    except OverflowError:
+        raise UsageError("--gamma is too large for the eigensolver's doubles") from None
+
+    def gap(size: int) -> float:
+        try:
+            return sector.finite_gap_numeric(size, point)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+
+    return gap
 
 
 def cmd_finite_gap(args, budget: int) -> int:

@@ -24,21 +24,30 @@ rows: count(lo) <= k and count(hi) >= k+1 put that eigenvalue in
 monotone in the shift (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995),
 so a passing certificate also means every window decision equals the
 whole-matrix decision at the same shift: the bracket, and the eigenvalue,
-are bit for bit those of whole-matrix bisection.  A failed certificate doubles the half-width and bisects that
-eigenvalue again; a window covering every row is whole-matrix bisection
-and needs no certificate.  A lowest pair then costs about 100 window
-sweeps plus four full sweeps, instead of about 100 full sweeps.
+are bit for bit those of whole-matrix bisection.  A failed certificate
+doubles the half-width and bisects that eigenvalue again; a window
+covering every row is whole-matrix bisection and needs no certificate.  A
+lowest pair then costs about 100 window sweeps plus four full sweeps,
+instead of about 100 full sweeps.
+
+The Sturm recurrence is a Python loop over Python floats, so the rows are
+tuples of floats, built by comprehensions and scanned by plain loops; no
+array library is loaded.  Each entry, the norm bound and each Gershgorin
+edge is the IEEE double result of the formulas above with their operands
+in the order written, and one pass over the rows yields the norm bound,
+the well's centre and the largest coupling.  The Sturm counts square the
+couplings, so a field whose squared norm bound overflows a double is
+rejected when the matrix is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
-import numpy as np
-
-from .classical import FieldPoint
 from .errors import XYGapError
+from .field import FieldPoint
 
 _SAFMIN = 2.2250738585072014e-308
 
@@ -46,35 +55,78 @@ _SAFMIN = 2.2250738585072014e-308
 @dataclass(frozen=True)
 class SectorHamiltonian:
     size: int
-    diag: np.ndarray      # length N+1, entry per m = -N/2 .. N/2
-    offdiag: np.ndarray   # length N, couples m and m+1
+    diag: tuple[float, ...]      # length N+1, entry per m = -N/2 .. N/2
+    offdiag: tuple[float, ...]   # length N, couples m and m+1
 
 
 def build_sector_hamiltonian(size: int, point: FieldPoint) -> SectorHamiltonian:
+    """The sector matrix at ``point``; ValueError when its squared norm bound
+    is not a finite double, where the Sturm counts would overflow."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     n = size
-    i = np.arange(n + 1, dtype=float)
-    m = i - n / 2.0
+    half = n / 2.0
     s_sq = n * (n + 2) / 4.0  # S(S+1)
-    diag = -(s_sq - m * m) / n - point.gamma * m
-    j = np.arange(n, dtype=float)
-    ladder = (n - j) * (j + 1.0)  # (S - m)(S + m + 1) at m = j - S
-    offdiag = -(point.h / 2.0) * np.sqrt(ladder)
-    diag.setflags(write=False)
-    offdiag.setflags(write=False)
-    return SectorHamiltonian(size=n, diag=diag, offdiag=offdiag)
+    gamma = point.gamma
+    diag = tuple([-(s_sq - m * m) / n - gamma * m for i in range(n + 1) for m in (i - half,)])
+    scale = -(point.h / 2.0)
+    sqrt = math.sqrt
+    # (S - m)(S + m + 1) at m = j - S is the integer (n - j)(j + 1), converted
+    # with one rounding.  It is unchanged by j -> n - 1 - j and largest at
+    # j = (n - 1)//2, so the first half, up to that largest coupling, is
+    # computed and mirrored.
+    first = [scale * sqrt((n - j) * (j + 1)) for j in range((n + 1) // 2)]
+    offdiag = (*first, *reversed(first[:n // 2]))
+    ham = SectorHamiltonian(size=n, diag=diag, offdiag=offdiag)
+    # Every row sum is at most (max|d| + max|e|) + max|e| (rounding is
+    # monotone), so the row pass runs only when that bound's square overflows.
+    d_max = max(max(diag), -min(diag))
+    e_max = abs(first[-1])
+    cap = (d_max + e_max) + e_max
+    if not math.isfinite(cap * cap):
+        bound = norm_bound(ham)
+        if not math.isfinite(bound * bound):
+            raise ValueError(
+                f"field gamma={point.gamma!r}, h={point.h!r} is too large at N={n}: "
+                "the squared norm bound of the sector matrix overflows a double"
+            )
+    return ham
 
 
 def norm_bound(ham: SectorHamiltonian) -> float:
-    """Max row sum of absolute values; cheap and sufficient for tolerances."""
-    row = np.abs(ham.diag)
-    row[:-1] += np.abs(ham.offdiag)
-    row[1:] += np.abs(ham.offdiag)
-    return float(row.max())
+    """Max row sum of absolute values, (|d_i| + |e_i|) + |e_(i-1)|; cheap and
+    sufficient for tolerances."""
+    return _gershgorin(ham)[0]
 
 
-def _sturm_count(diag: list, off_sq: list, shift: float, pivmin: float) -> int:
+def _gershgorin(ham: SectorHamiltonian) -> tuple[float, int, float]:
+    """One pass over the rows: the norm bound, the first row of the lowest
+    Gershgorin lower edge (d_i - |e_i|) - |e_(i-1)|, and max |e|."""
+    diag = ham.diag
+    norm = off_max = 0.0
+    lowest = math.inf
+    centre = 0
+    prev = 0.0  # |e_(i-1)|, nothing above the first row
+    for i, e in enumerate(ham.offdiag):
+        a = abs(e)
+        d = diag[i]
+        row = (abs(d) + a) + prev
+        if row > norm:
+            norm = row
+        edge = (d - a) - prev
+        if edge < lowest:
+            lowest, centre = edge, i
+        if a > off_max:
+            off_max = a
+        prev = a
+    d = diag[-1]  # the last row has no coupling below it
+    norm = max(norm, abs(d) + prev)
+    if d - prev < lowest:
+        centre = len(diag) - 1
+    return norm, centre, off_max
+
+
+def _sturm_count(diag, off_sq, shift: float, pivmin: float) -> int:
     """Number of eigenvalues strictly below ``shift`` (LAPACK-style recurrence).
 
     ``off_sq[i]`` is the squared coupling of rows i-1 and i; ``off_sq[0]``
@@ -92,7 +144,7 @@ def _sturm_count(diag: list, off_sq: list, shift: float, pivmin: float) -> int:
     return count
 
 
-def _bisect(diag: list, off_sq: list, index: int, lo: float, hi: float,
+def _bisect(diag, off_sq, index: int, lo: float, hi: float,
             tol: float, pivmin: float) -> tuple[float, float]:
     """Shrink [lo, hi] around eigenvalue ``index`` (0-based) to width <= tol."""
     while hi - lo > tol:
@@ -104,7 +156,7 @@ def _bisect(diag: list, off_sq: list, index: int, lo: float, hi: float,
     return lo, hi
 
 
-def lowest_eigenvalues(ham: SectorHamiltonian, k: int) -> np.ndarray:
+def lowest_eigenvalues(ham: SectorHamiltonian, k: int) -> list[float]:
     """The k smallest eigenvalues by windowed Sturm-count bisection, ascending.
 
     Each eigenvalue is the midpoint of a bracket of width <= 1e-15 times the
@@ -115,19 +167,15 @@ def lowest_eigenvalues(ham: SectorHamiltonian, k: int) -> np.ndarray:
     n = ham.size
     if not 1 <= k <= n + 1:
         raise ValueError(f"k must lie in 1..{n + 1}, got {k}")
-    span = max(norm_bound(ham), 1.0)  # scales the start bracket and the tolerance
-    diag = ham.diag.tolist()
-    off = np.abs(ham.offdiag)
-    off_sq = [0.0, *(ham.offdiag * ham.offdiag).tolist()]
-    offmax = float(off.max()) if n else 0.0
-    pivmin = _SAFMIN * max(1.0, max(off_sq))
+    norm, centre, offmax = _gershgorin(ham)
+    span = max(norm, 1.0)  # scales the start bracket and the tolerance
+    diag = ham.diag
+    off_sq = [0.0, *map(mul, ham.offdiag, ham.offdiag)]
+    # rounding is monotone, so max(e_i**2) rounds to the square of max |e_i|
+    pivmin = _SAFMIN * max(1.0, offmax * offmax)
     lo0 = min(diag) - (offmax * 2 + 1e-3 * span)
     hi0 = max(diag) + (offmax * 2 + 1e-3 * span)
     tol = 1e-15 * span
-    edge = ham.diag.copy()  # Gershgorin lower edges; the lowest marks the well
-    edge[:-1] -= off
-    edge[1:] -= off
-    centre = int(np.argmin(edge))
     half = 8 * math.isqrt(n) + 16
     values = []
     for index in range(k):
@@ -141,14 +189,13 @@ def lowest_eigenvalues(ham: SectorHamiltonian, k: int) -> np.ndarray:
                 break
             half *= 2
         values.append(0.5 * (lo + hi))
-    return np.array(values)
+    for below, above in zip(values, values[1:]):
+        if above - below < -1e-13 * span:
+            raise XYGapError(f"eigenvalue ordering violated: step {above - below:.3e}")
+    return values
 
 
 def finite_gap_numeric(size: int, point: FieldPoint) -> float:
     """E1 - E0 for the finite system; the numerical route used when h != 0."""
-    ham = build_sector_hamiltonian(size, point)
-    pair = lowest_eigenvalues(ham, 2)
-    diff = float(pair[1] - pair[0])
-    if diff < -1e-13 * max(norm_bound(ham), 1.0):
-        raise XYGapError(f"eigenvalue ordering violated: gap {diff:.3e}")
-    return max(diff, 0.0)
+    e0, e1 = lowest_eigenvalues(build_sector_hamiltonian(size, point), 2)
+    return max(e1 - e0, 0.0)

@@ -199,6 +199,24 @@ class TestFiniteGap:
         res = cli("finite-gap", *args)
         assert res.returncode == 2, res.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("--gamma", "0.5", "--h", "1e200", "--N", "4"),  # the squared couplings overflow
+        ("--gamma", "0.5", "--h", "1e308", "--N", "4"),
+        ("--gamma", "1e308", "--h", "0.5", "--N", "4"),  # gamma*m overflows
+        ("--gamma", "1e400", "--h", "0.5", "--N", "4"),  # gamma itself is no double
+    ])
+    def test_overflowing_field_is_usage_error(self, capsys, args):
+        assert main(["finite-gap", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_large_field_below_overflow(self, capsys):
+        assert main(["finite-gap", "--gamma", "0.5", "--h", "1e150", "--N", "4"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.split("\n")[1] == "4,1/2,9.9999999999999998e+149,9.9999999999999907e+149"
+
     def test_decimal_literal_past_int_digit_limit(self, cli, monkeypatch):
         # 5000 digits, past the interpreter's int<->str limit even at its floor
         monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
@@ -272,10 +290,11 @@ class TestScaling:
 class TestGoldenOutput:
     """sha256 of the README's scaling reports and of the series-field rows,
     recorded before their exact integers were printed through the split
-    Decimal conversion, and of long small-rational h = 0 runs (with
-    degenerate and tied rows at gamma = 0), recorded before the rows were
-    computed from one integer residue; any change to the output bytes shows
-    here."""
+    Decimal conversion, of long small-rational h = 0 runs (with degenerate
+    and tied rows at gamma = 0), recorded before the rows were computed from
+    one integer residue, and of eigensolver runs (h != 0, and an h = 0 run
+    with the numeric cross column), recorded while the sector layer still
+    built its rows in numpy; any change to the output bytes shows here."""
 
     @pytest.mark.parametrize("args,digests", [
         (("scaling", "--seq", "double-exp", "--rule", "a_n", "--K", "5"), {
@@ -304,6 +323,18 @@ class TestGoldenOutput:
         }),
         (("finite-gap", "--gamma", "0", "--N", "1:64:all"), {
             "out.csv": "08e1f85e204a6743be3284d11d966fc740afbf5d1c7874dc3033dff3589dcda3",
+        }),
+        (("finite-gap", "--gamma", "0", "--h", "0.5", "--N", "16,64,256,1024,4096"), {
+            "out.csv": "55eec501a1bf6eecea2db0cd0a21f42612f278fbac06e83ca03462cd9ee73735",
+        }),
+        (("finite-gap", "--gamma", "0.5", "--h", "0.001", "--N", "64,1024,4096,16384"), {
+            "out.csv": "99970d33112adeaedc01247ae7e394547b0e61a6b824027a77401bd9bde1d40f",
+        }),
+        (("finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "1024,4096,16384"), {
+            "out.csv": "513653399129ee2fbcff0ce3eb3a3bcc5c97e912dc718b553cd1ae23375164c0",
+        }),
+        (("finite-gap", "--gamma", "1/3", "--N", "1:80:all", "--cross-max", "80"), {
+            "out.csv": "7d08edd7bc4633c6296665d70b6c73dfdc529dbfb1fa2ad04124d932810784e0",
         }),
     ])
     def test_output_digests(self, tmp_path, args, digests):

@@ -63,12 +63,17 @@ def test_import_and_formatting_keep_decimal_context():
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # importing scipy.linalg roughly doubles a CLI process's peak RSS, and the
-    # exact commands need no float layer, so they start without numpy too; so
-    # does an h = 0 finite-gap run with no row at most --cross-max
+    # importing scipy.linalg roughly doubles a CLI process's peak RSS, and
+    # only phase-diagram needs numpy (classical), so every other command,
+    # the eigensolver's and verify's included, starts without either
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR)
-    script = "import sys\nimport xygap.cli\nassert 'scipy' not in sys.modules\n"
+    script = (
+        "import sys\n"
+        "import xygap.cli, xygap.sector, xygap.verify\n"
+        "loaded = {'numpy', 'scipy'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     run_as_main = (
@@ -84,12 +89,32 @@ def test_cli_import_loads_no_scipy(tmp_path):
     for argv in (["--help"],
                  ["scaling", "--seq", "double-exp", "--K", "5", "-o", str(tmp_path / "r.json")],
                  ["finite-gap", "--gamma", "1/3", "--N", "2:64:even", "--cross-max", "0",
-                  "-o", str(tmp_path / "fg.csv")]):
+                  "-o", str(tmp_path / "fg.csv")],
+                 ["finite-gap", "--gamma", "1/3", "--N", "2:64:even",
+                  "-o", str(tmp_path / "cross.csv")],
+                 ["finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "64,1024",
+                  "-o", str(tmp_path / "sector.csv")],
+                 ["verify", "--max-N", "8"]):
         res = subprocess.run([sys.executable, "-c", run_as_main, *argv],
                              capture_output=True, text=True, env=env)
         assert res.returncode == 0, (argv, res.stderr)
     assert (tmp_path / "r.json").stat().st_size > 0
     assert len((tmp_path / "fg.csv").read_text().split("\n")) == 1 + 32 + 1
+    assert all(row.split(",")[6] for row in (tmp_path / "cross.csv").read_text().split("\n")[1:-1])
+    assert len((tmp_path / "sector.csv").read_text().split("\n")) == 1 + 2 + 1
+
+
+def test_only_classical_imports_numpy():
+    # numpy costs a process about 0.1 s to import, so only the layer whose
+    # whole-grid arithmetic needs it may load it
+    importers = set()
+    for path in sorted((SRC_DIR / "xygap").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+                importers.add(path.relative_to(SRC_DIR).as_posix())
+    assert importers == {"xygap/classical.py"}
 
 
 @pytest.mark.parametrize("args", [

@@ -32,7 +32,7 @@ class TestBuild:
 
     def test_zero_longitudinal_field_decouples(self):
         ham = build_sector_hamiltonian(4, FieldPoint(0.8, 0.0))
-        assert np.all(ham.offdiag == 0.0)
+        assert np.all(np.asarray(ham.offdiag) == 0.0)
 
     def test_rejects_empty_system(self):
         with pytest.raises(ValueError):
@@ -40,7 +40,7 @@ class TestBuild:
 
     def test_arrays_are_frozen(self):
         ham = build_sector_hamiltonian(3, FieldPoint(0.5, 0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ham.diag[0] = 0.0
 
 
@@ -61,11 +61,11 @@ class TestEigenvalues:
             n = int(rng.integers(1, 13))
             diag = rng.uniform(-2, 2, size=n + 1)
             off = rng.uniform(-2, 2, size=n)
-            ham = SectorHamiltonian(size=n, diag=diag, offdiag=off)
+            ham = SectorHamiltonian(size=n, diag=tuple(diag.tolist()), offdiag=tuple(off.tolist()))
             dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             expected = np.sort(np.linalg.eigvalsh(dense))
             got = lowest_eigenvalues(ham, n + 1)
-            assert np.max(np.abs(got - expected)) < 1e-10
+            assert np.max(np.abs(np.asarray(got) - expected)) < 1e-10
 
     def test_k_validation(self):
         ham = build_sector_hamiltonian(2, FieldPoint(0.0, 0.0))
@@ -76,20 +76,21 @@ class TestEigenvalues:
 
     def test_offdiagonal_sign_is_gauge(self):
         ham = build_sector_hamiltonian(16, FieldPoint(0.4, 0.9))
-        flipped_off = ham.offdiag.copy()
+        flipped_off = list(ham.offdiag)
         flipped_off[7] *= -1.0
-        flipped = SectorHamiltonian(16, ham.diag, flipped_off)
+        flipped = SectorHamiltonian(16, ham.diag, tuple(flipped_off))
         ref = lowest_eigenvalues(ham, 4)
         alt = lowest_eigenvalues(flipped, 4)
-        assert np.max(np.abs(ref - alt)) < 1e-12 * norm_bound(ham)
+        assert np.max(np.abs(np.asarray(ref) - np.asarray(alt))) < 1e-12 * norm_bound(ham)
 
 
 def whole_matrix_bisection(ham, indices):
     """Bisection with Sturm counts over all N+1 rows: the unwindowed algorithm,
     from the start bracket, tolerance and pivmin the solver documents."""
-    diag = ham.diag.tolist()
-    off_sq = [0.0, *(ham.offdiag * ham.offdiag).tolist()]
-    offmax = max(np.abs(ham.offdiag).tolist(), default=0.0)
+    offdiag = np.asarray(ham.offdiag, dtype=float)
+    diag = list(ham.diag)
+    off_sq = [0.0, *(offdiag * offdiag).tolist()]
+    offmax = max(np.abs(offdiag).tolist(), default=0.0)
     span = max(norm_bound(ham), 1.0)
     pivmin = sector._SAFMIN * max(1.0, max(off_sq))
     lo0 = min(diag) - (offmax * 2 + 1e-3 * span)
@@ -129,13 +130,74 @@ WINDOW_FIELDS = (
 )
 
 
+def numpy_rows(size, point):
+    """The sector matrix and its Gershgorin data in whole-array numpy, the
+    oracle for the solver's element-by-element floats: diag, offdiag, the norm
+    bound, the first row of the lowest lower edge and the largest coupling."""
+    n = size
+    i = np.arange(n + 1, dtype=float)
+    m = i - n / 2.0
+    s_sq = n * (n + 2) / 4.0
+    diag = -(s_sq - m * m) / n - point.gamma * m
+    j = np.arange(n, dtype=float)
+    ladder = (n - j) * (j + 1.0)
+    offdiag = -(point.h / 2.0) * np.sqrt(ladder)
+    off = np.abs(offdiag)
+    row = np.abs(diag)
+    row[:-1] += off
+    row[1:] += off
+    edge = diag.copy()
+    edge[:-1] -= off
+    edge[1:] -= off
+    return diag, offdiag, float(row.max()), int(np.argmin(edge)), float(off.max())
+
+
+ORACLE_SIZES = (*range(1, 71), 1024, 4096, 65536)
+
+
+class TestNumpyOracle:
+    @pytest.mark.parametrize("gamma,h", [*WINDOW_FIELDS, (0.3, 0.0), (0.7, -0.45)])
+    def test_rows_norm_and_centre_bit_equal(self, gamma, h):
+        point = FieldPoint(gamma, h)
+        for size in ORACLE_SIZES:
+            ham = build_sector_hamiltonian(size, point)
+            diag, offdiag, norm, centre, offmax = numpy_rows(size, point)
+            assert np.array(ham.diag).tobytes() == diag.tobytes(), size
+            assert np.array(ham.offdiag).tobytes() == offdiag.tobytes(), size
+            assert sector._gershgorin(ham) == (norm, centre, offmax), size
+            assert norm_bound(ham) == norm, size
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("size,gamma,h", [
+        (4, 0.5, 1e200), (4, 0.5, -1e200), (4, 0.5, 1e308), (4, 1e308, 0.5),
+        (65536, 0.5, 1e152),
+        (1, 0.0, 3e154),  # the norm bound itself squares past the largest double
+    ])
+    def test_rejected_when_squared_norm_bound_overflows(self, size, gamma, h):
+        with pytest.raises(ValueError, match="overflows"):
+            build_sector_hamiltonian(size, FieldPoint(gamma, h))
+
+    @pytest.mark.parametrize("size,gamma,h", [
+        (4, 0.5, 1e150), (4, 1e150, 0.5), (1024, 0.5, -1e148),
+        (1, 0.0, 2e154),  # max|d| + 2*max|e| squares to inf, the norm bound does not
+    ])
+    def test_accepted_while_squared_norm_bound_is_finite(self, size, gamma, h):
+        point = FieldPoint(gamma, h)
+        ham = build_sector_hamiltonian(size, point)
+        with np.errstate(over="ignore"):
+            assert math.isfinite(numpy_rows(size, point)[2] ** 2)
+        assert math.isfinite(norm_bound(ham) ** 2)
+        assert math.isfinite(finite_gap_numeric(size, point))
+
+
 class TestWindowedBisection:
     @pytest.mark.parametrize("size", [1024, 4096])
     @pytest.mark.parametrize("gamma,h", WINDOW_FIELDS)
     def test_bit_identical_to_whole_matrix(self, size, gamma, h):
         ham = build_sector_hamiltonian(size, FieldPoint(gamma, h))
         got = lowest_eigenvalues(ham, 2)
-        assert got.tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
+        assert np.asarray(got).tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -147,7 +209,7 @@ class TestWindowedBisection:
     def test_bit_identical_on_random_fields(self, gamma, h, size, k):
         ham = build_sector_hamiltonian(size, FieldPoint(gamma, h))
         got = lowest_eigenvalues(ham, k)
-        assert got.tobytes() == whole_matrix_bisection(ham, range(k)).tobytes()
+        assert np.asarray(got).tobytes() == whole_matrix_bisection(ham, range(k)).tobytes()
 
     def test_extended_ground_state_widens_the_window(self, count_lengths):
         # a weakly disordered uniform chain: the low eigenvectors spread over
@@ -156,13 +218,13 @@ class TestWindowedBisection:
         n = 1500
         diag = rng.uniform(-1e-3, 1e-3, size=n + 1)
         off = -1.0 + rng.uniform(-1e-3, 1e-3, size=n)
-        ham = SectorHamiltonian(size=n, diag=diag, offdiag=off)
+        ham = SectorHamiltonian(size=n, diag=tuple(diag.tolist()), offdiag=tuple(off.tolist()))
         got = lowest_eigenvalues(ham, 2)
         # without widening exactly two whole-matrix counts certify each value
         assert count_lengths.count(n + 1) > 4
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         expected = np.linalg.eigvalsh(dense)[:2]
-        assert np.max(np.abs(got - expected)) <= 1e-12 * norm_bound(ham)
+        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * norm_bound(ham)
 
     def test_k_beyond_the_window_rows(self):
         size = 400
@@ -173,9 +235,9 @@ class TestWindowedBisection:
         got = lowest_eigenvalues(ham, k)
         dense = np.diag(ham.diag) + np.diag(ham.offdiag, 1) + np.diag(ham.offdiag, -1)
         expected = np.linalg.eigvalsh(dense)[:k]
-        assert np.max(np.abs(got - expected)) <= 1e-12 * norm_bound(ham)
+        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * norm_bound(ham)
         tail = whole_matrix_bisection(ham, range(k - 3, k))
-        assert got[-3:].tobytes() == tail.tobytes()
+        assert np.asarray(got[-3:]).tobytes() == tail.tobytes()
 
     def test_large_solve_counts_whole_matrix_only_to_certify(self, count_lengths):
         size = 16384
