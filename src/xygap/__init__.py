@@ -6,7 +6,7 @@ The layer modules are the API: import ``xygap.exactnum``, ``xygap.gaplaw``,
 engineered size sequences, ``xygap.sector`` for the finite-size eigensolver
 at h != 0, ``xygap.classical`` for the thermodynamic limit, and
 ``xygap.verify`` for the cross-oracle suites.  This package module itself
-loads none of them.  Only ``xygap.classical`` loads numpy.
+loads none of them.  Every layer needs only the standard library.
 """
 
 __version__ = "0.1.0"

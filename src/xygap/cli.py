@@ -12,10 +12,10 @@ Exit codes: 0 success, 1 verification/runtime failure, 2 usage error,
 3 bit-budget exhaustion.  Identical invocations produce byte-identical
 output files.
 
-Only ``classical`` loads numpy, and only ``phase-diagram`` runs it.  The
-float layers and ``verify`` are imported inside the commands that run them,
-so ``--help`` and ``scaling`` neither load numpy nor import (and, without a
-bytecode cache, compile) modules they do not use.
+The package needs only the standard library.  The float layers and
+``verify`` are imported inside the commands that run them, so ``--help`` and
+``scaling`` do not import (and, without a bytecode cache, compile) modules
+they do not use.
 """
 
 from __future__ import annotations
@@ -138,7 +138,10 @@ def cmd_phase_diagram(args) -> int:
     hs = parse_grid(args.h)
     if any(g < 0 for g in gammas):
         raise UsageError("transverse field grid must be nonnegative")
-    records = classical.phase_diagram_scan(gammas, hs)
+    try:
+        records = classical.phase_diagram_scan(gammas, hs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.format == "json":
         _write_text(args.output, classical.scan_json(records))
     else:

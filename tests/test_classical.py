@@ -15,6 +15,51 @@ from xygap.classical import (
     scan_csv_lines,
     thermo_gap,
 )
+from xygap.cli import parse_grid
+
+
+def _oracle_slope(theta, gamma, habs):
+    half = np.sin(0.5 * theta)
+    return 0.5 * np.sin(theta) * (gamma - 1.0 + 2.0 * half * half) - 0.5 * habs * np.cos(theta)
+
+
+def _oracle_theta0(gammas, habs):
+    """The minimizer by 62 plain bisection steps on the int64 bit patterns of
+    the doubles in [0, pi/2], for whole arrays at once: the last double in
+    [0, pi/2) whose slope is negative, else 0.0.  Positive doubles order like
+    their patterns, so every step halves the doubles left in the bracket."""
+    gamma = np.asarray(gammas, dtype=np.float64)
+    habs = np.asarray(habs, dtype=np.float64)
+    top = int(np.array(math.pi / 2).view(np.int64))
+    lo = np.zeros(gamma.shape, dtype=np.int64)
+    hi = np.full(gamma.shape, top, dtype=np.int64)
+    for _ in range(top.bit_length()):
+        mid = lo + (hi - lo) // 2
+        falling = _oracle_slope(mid.view(np.float64), gamma, habs) < 0.0
+        lo = np.where(falling, mid, lo)
+        hi = np.where(falling, hi, mid)
+    return lo.view(np.float64).tolist()
+
+
+def _assert_theta0_matches_oracle(points):
+    got = [minimize_energy(FieldPoint(g, h)).theta0 for g, h in points]
+    want = _oracle_theta0([g for g, _ in points], [abs(h) for _, h in points])
+    wrong = [(p, a, b) for p, a, b in zip(points, got, want) if a.hex() != b.hex()]
+    assert wrong == []
+
+
+# gamma = 1 +- 10^-k for k = 1..16, times h = 0 and h = 10^-2j for j = 1..13
+_NEAR_CRITICAL = [
+    (1.0 + sign * 10.0 ** -k, h)
+    for k in range(1, 17) for sign in (-1, 1)
+    for h in [0.0] + [10.0 ** (-2 * j) for j in range(1, 14)]
+]
+_MAGNITUDES = (0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e8, 1e300, 1e308)
+# 0 or log-uniform in [5e-324, 1e308]
+_MAGNITUDE = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=math.log10(5e-324), max_value=308.0).map(lambda e: 10.0 ** e),
+)
 
 
 class TestEnergy:
@@ -85,6 +130,32 @@ _FIELDS = st.one_of(
         st.floats(min_value=-1e-6, max_value=1e-6),
     ),
 )
+
+
+class TestMinimizerMatchesBisectionOracle:
+    """theta0 is the same double as a plain whole-range bisection finds."""
+
+    def test_readme_grid(self):
+        _assert_theta0_matches_oracle(
+            [(g, h) for g in parse_grid("0:2:81") for h in parse_grid("-1:1:81")])
+
+    def test_near_critical_points(self):
+        assert len(_NEAR_CRITICAL) == 448
+        _assert_theta0_matches_oracle(_NEAR_CRITICAL)
+
+    def test_extreme_magnitudes(self):
+        # Newton's guess divides by zero, leaves its domain or lands on 0.0
+        # at many of these; the bracket must not depend on it
+        _assert_theta0_matches_oracle([(g, h) for g in _MAGNITUDES for h in _MAGNITUDES])
+
+    @given(field=st.one_of(
+        st.tuples(_MAGNITUDE, _MAGNITUDE),
+        st.tuples(st.floats(min_value=0.0, max_value=3.0),
+                  st.floats(min_value=-2.0, max_value=2.0)),
+    ))
+    @settings(max_examples=500, deadline=None)
+    def test_random_fields(self, field):
+        _assert_theta0_matches_oracle([field])
 
 
 class TestGlobalMinimum:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from xygap import classical
 from xygap.cli import UsageError, main, parse_gamma, parse_grid, parse_sizes
 from xygap.errors import BitBudgetError
 from xygap.exactnum import format_rational
@@ -129,6 +130,38 @@ class TestPhaseDiagram:
     def test_non_finite_grid_endpoint_is_usage_error(self, cli, gamma):
         res = cli("phase-diagram", "--gamma", gamma, "--h", "0:1:3")
         assert res.returncode == 2, res.stderr
+
+    @pytest.mark.parametrize("gamma,h", [
+        ("0:1e308:3", "0:1e308:2"),  # five of the six radicands overflow
+        ("1e200:1e200:1", "0:0:1"),  # gamma*cos(theta0) squared overflows
+        ("0:0:1", "1e160:1e160:1"),  # |h|*sin(theta0) squared overflows
+    ])
+    def test_overflowing_field_is_usage_error(self, cli, gamma, h):
+        res = cli("phase-diagram", "--gamma", gamma, "--h", h)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: field gamma=") and res.stderr.count("\n") == 1, \
+            res.stderr
+
+    def test_overflowing_grid_step_is_usage_error(self, cli):
+        # the step 2e308 is infinite, so the first grid point is -1e308 + 0*inf = nan
+        res = cli("phase-diagram", "--gamma", "0:1:2", "--h=-1e308:1e308:3")
+        assert res.returncode == 2, res.stderr
+
+    def test_large_field_below_overflow(self, capsys):
+        assert main(["phase-diagram", "--gamma", "0:1e150:2", "--h", "0:1e150:2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        gaps = [float(row.split(",")[4]) for row in out.strip().split("\n")[1:]]
+        assert len(gaps) == 4 and all(math.isfinite(g) for g in gaps)
+
+    def test_wrong_minimizer_branch_is_failure(self, capsys, monkeypatch):
+        # at gamma = h = 0, sin(theta)^2 = 2/3 makes A = 0 and the radicand -1/9
+        monkeypatch.setattr(classical, "_theta0", lambda gamma, habs: math.asin(math.sqrt(2 / 3)))
+        assert main(["phase-diagram", "--gamma", "0:0:1", "--h", "0:0:1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: radicand -1.111e-01 at gamma=0.0, |h|=0.0"), err
 
 
 class TestFiniteGap:

@@ -3,6 +3,7 @@
 settings alone."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -64,8 +65,8 @@ def test_import_and_formatting_keep_decimal_context():
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # importing scipy.linalg roughly doubles a CLI process's peak RSS, and
-    # only phase-diagram needs numpy (classical), so every other command,
-    # the eigensolver's and verify's included, starts without either
+    # numpy alone costs a process about 0.2 s; every command, phase-diagram,
+    # the eigensolver's and verify's included, runs without either
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR)
     script = (
@@ -94,6 +95,10 @@ def test_cli_import_loads_no_scipy(tmp_path):
                   "-o", str(tmp_path / "cross.csv")],
                  ["finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "64,1024",
                   "-o", str(tmp_path / "sector.csv")],
+                 ["phase-diagram", "--gamma", "0:2:81", "--h", "-1:1:81",
+                  "-o", str(tmp_path / "pd.csv")],
+                 ["phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41", "--format", "json",
+                  "-o", str(tmp_path / "pd.json")],
                  ["verify", "--max-N", "8"]):
         res = subprocess.run([sys.executable, "-c", run_as_main, *argv],
                              capture_output=True, text=True, env=env)
@@ -102,11 +107,12 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert len((tmp_path / "fg.csv").read_text().split("\n")) == 1 + 32 + 1
     assert all(row.split(",")[6] for row in (tmp_path / "cross.csv").read_text().split("\n")[1:-1])
     assert len((tmp_path / "sector.csv").read_text().split("\n")) == 1 + 2 + 1
+    assert len((tmp_path / "pd.csv").read_text().split("\n")) == 1 + 81 * 81 + 1
+    assert len(json.loads((tmp_path / "pd.json").read_text())["records"]) == 21 * 41
 
 
-def test_only_classical_imports_numpy():
-    # numpy costs a process about 0.1 s to import, so only the layer whose
-    # whole-grid arithmetic needs it may load it
+def test_no_module_imports_numpy():
+    # the package runs on the standard library; numpy serves only the tests
     importers = set()
     for path in sorted((SRC_DIR / "xygap").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -114,7 +120,7 @@ def test_only_classical_imports_numpy():
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             if any(name == "numpy" or name.startswith("numpy.") for name in names):
                 importers.add(path.relative_to(SRC_DIR).as_posix())
-    assert importers == {"xygap/classical.py"}
+    assert importers == set()
 
 
 @pytest.mark.parametrize("args", [
