@@ -32,7 +32,7 @@ from .errors import BitBudgetError, XYGapError
 from .exactnum import (
     TruncatedSeries, decimal_str, format_rational, gamma_value, parse_field_literal,
 )
-from .sequences import DEFAULT_BIT_BUDGET, HARD_BIT_CAP, SequenceKind
+from .sequences import DEFAULT_BIT_BUDGET, HARD_BIT_CAP, SequenceKind, max_term_count
 
 BUDGET_ENV_VAR = "XYGAP_BIT_BUDGET"
 
@@ -62,6 +62,8 @@ def parse_grid(text: str) -> list[float]:
     if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)
+    if not math.isfinite(step):
+        raise UsageError(f"grid step of {text!r} overflows a double")
     return [lo + i * step for i in range(count - 1)] + [hi]
 
 
@@ -154,22 +156,21 @@ FINITE_GAP_NUMERIC_HEADER = "N,gamma,h,gap_numeric"
 
 
 def _finite_gap_field(args, budget: int) -> Fraction:
-    if args.gamma_series is not None:
-        if args.terms < 1:
-            raise UsageError(f"--terms must be >= 1, got {args.terms}")
-        spec = TruncatedSeries(_SEQ_KINDS[args.gamma_series], args.terms)
-        return gamma_value(spec, budget)
-    if args.gamma is None:
-        raise UsageError("one of --gamma or --gamma-series is required")
-    return parse_gamma(args.gamma, budget)
+    if args.gamma_series is None:
+        return parse_gamma(args.gamma, budget)
+    if args.terms < 1:
+        raise UsageError(f"--terms must be >= 1, got {args.terms}")
+    return gamma_value(TruncatedSeries(_SEQ_KINDS[args.gamma_series], args.terms), budget)
 
 
 def _numeric_gaps(gamma: Fraction, h: float):
-    """N -> eigensolver gap at (gamma, h); a field too large for the
-    eigensolver's doubles is a usage error."""
+    """N -> eigensolver gap at (gamma, h); a negative field, or one too large
+    for the eigensolver's doubles, is a usage error."""
     from . import sector
     from .field import FieldPoint
 
+    if gamma < 0:
+        raise UsageError(f"--gamma must be >= 0, got {format_rational(gamma)}")
     try:
         point = FieldPoint(float(gamma), h)
     except OverflowError:
@@ -217,13 +218,14 @@ def cmd_finite_gap(args, budget: int) -> int:
 
 def cmd_scaling(args, budget: int) -> int:
     kind = _SEQ_KINDS[args.seq]
-    k_default = 5 if kind is SequenceKind.DOUBLE_EXP else 4
-    k_trunc = args.terms if args.terms is not None else k_default
+    k_trunc = args.terms
+    if k_trunc is None:
+        # a budget that holds fewer than 4 terms fails on the 4th: exit 3
+        k_trunc = max(4, max_term_count(kind, budget))
     if k_trunc < 4:
         raise UsageError(f"scaling needs --K >= 4 for two rows n = 1..K-2, got {k_trunc}")
     seq = scaling.SizeSequence(kind=kind, rule=args.rule)
-    spec = TruncatedSeries(kind, k_trunc)
-    report = scaling.build_scaling_report(seq, spec, budget)
+    report = scaling.build_scaling_report(seq, k_trunc, budget)
     _write_text(args.output, scaling.report_to_json(report))
     if args.csv is not None:
         _write_text(args.csv, "\n".join(scaling.report_csv_lines(report)))
@@ -264,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("finite-gap", help="finite-size gaps at fixed field values")
-    p.add_argument("--gamma", default=None, help='exact value, e.g. "1/3" or "0.25"')
-    p.add_argument(
+    field = p.add_mutually_exclusive_group(required=True)
+    field.add_argument("--gamma", default=None, help='exact value, e.g. "1/3" or "0.25"')
+    field.add_argument(
         "--gamma-series", choices=sorted(_SEQ_KINDS), default=None,
         help="use the truncated series over this sequence instead of --gamma",
     )
@@ -283,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=(scaling.RULE_PLAIN, scaling.RULE_DOUBLED),
                    default=scaling.RULE_PLAIN)
     p.add_argument("--terms", "--K", dest="terms", type=int, default=None,
-                   help="series truncation (default: largest in budget)")
+                   help="series truncation K, at least 4 (default: the largest K "
+                   "whose terms fit the bit budget)")
     p.add_argument("-o", "--output", default=None, help="JSON report path")
     p.add_argument("--csv", default=None, help="also write the CSV summary here")
 

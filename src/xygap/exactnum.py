@@ -58,7 +58,12 @@ class TruncatedSeries:
 
 @dataclass(frozen=True)
 class DigitInjection:
-    """Digits b_0..b_K mapped to sum((2 b_i + 1)/a_(INJECTION_FIRST_INDEX + i))."""
+    """Digits b_0..b_K mapped to sum((2 b_i + 1)/a_(INJECTION_FIRST_INDEX + i)).
+
+    :func:`gamma_value` certifies that the positions are far enough apart
+    for the map to be injective.  The value is not confined to (0, 1):
+    leading digits 8 or 9 push it above 1, which :func:`gamma_within` detects.
+    """
 
     digits: Tuple[int, ...]
 
@@ -378,11 +383,11 @@ def gamma_bounds_check(spec: GammaSpec, bit_budget: int = DEFAULT_BIT_BUDGET) ->
         raise SpecNotApplicableError(
             "bounds certificate is defined for double-exponential truncated series only"
         )
-    lo, hi = gamma_enclosure(spec, bit_budget)
-    return Fraction(1, 2) < lo and hi < 1
+    return gamma_within(spec, Fraction(1, 2), 1, bit_budget)
 
 
-def gamma_in_unit_interval(spec: GammaSpec, bit_budget: int = DEFAULT_BIT_BUDGET) -> bool:
-    """True when the whole enclosure lies strictly inside (0, 1)."""
-    lo, hi = gamma_enclosure(spec, bit_budget)
-    return 0 < lo and hi < 1
+def gamma_within(spec: GammaSpec, lo, hi, bit_budget: int = DEFAULT_BIT_BUDGET) -> bool:
+    """True when the whole enclosure of the untruncated value lies strictly
+    inside (lo, hi)."""
+    enc_lo, enc_hi = gamma_enclosure(spec, bit_budget)
+    return lo < enc_lo and enc_hi < hi

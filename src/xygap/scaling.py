@@ -25,10 +25,10 @@ agree.  A certified bound on the truncation tail accompanies each row so
 that branch decisions and classification bands provably hold for the
 untruncated field, or the row fails loudly as truncation-insufficient.
 
-The appendix constructions live here too: the digit-injection map that
-embeds arbitrary decimal strings into anomalous field values, and the
-interval construction that plants such a value inside any target
-subinterval of (0, 1).
+The interval construction of the appendix lives here too: it plants an
+anomalous field value inside any target subinterval of (0, 1).  The
+digit-injection map, which embeds decimal strings into anomalous field
+values, is :class:`xygap.exactnum.DigitInjection`.
 """
 
 from __future__ import annotations
@@ -37,22 +37,20 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import gaplaw
-from .errors import DegenerateDeltaError, TruncationInsufficientError
+from .errors import BitBudgetError, DegenerateDeltaError, TruncationInsufficientError
 from .exactnum import (
-    DigitInjection,
     IntervalConstruction,
     TruncatedSeries,
-    _injection_positions,
     decimal_str,
     format_rational,
-    gamma_enclosure,
     gamma_value,
+    gamma_within,
     series_tail_bound_after,
 )
-from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, next_term_bits, terms
+from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, next_term, terms
 
 RULE_PLAIN = "a_n"
 RULE_DOUBLED = "2a_n"
@@ -77,15 +75,10 @@ class SizeSequence:
             raise ValueError(f"rule must be {RULE_PLAIN!r} or {RULE_DOUBLED!r}, got {self.rule!r}")
 
 
-def sequence_terms(seq: SizeSequence, count: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> list[int]:
-    """Exact terms a_1..a_count of the underlying recurrence."""
-    return terms(seq.kind, count, bit_budget)
-
-
 def sequence_sizes(seq: SizeSequence, count: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> list[int]:
     """System sizes N_1..N_count under the size rule."""
     scale = 1 if seq.rule == RULE_PLAIN else 2
-    return [scale * a for a in sequence_terms(seq, count, bit_budget)]
+    return [scale * a for a in terms(seq.kind, count, bit_budget)]
 
 
 @dataclass(frozen=True)
@@ -115,17 +108,6 @@ class ScalingReport:
     rows: Tuple[ScalingRow, ...]
     classification: str
     certificate: Tuple[str, ...]
-
-
-def _series_for(seq: SizeSequence, gamma_spec) -> TruncatedSeries:
-    if not isinstance(gamma_spec, TruncatedSeries):
-        raise TypeError("scaling rows require a truncated-series field spec")
-    if gamma_spec.kind is not seq.kind:
-        raise ValueError(
-            f"field series kind {gamma_spec.kind.value} does not match size sequence "
-            f"kind {seq.kind.value}"
-        )
-    return gamma_spec
 
 
 def _two_route_offset(
@@ -161,16 +143,6 @@ def _two_route_offset(
     return size, direct
 
 
-def delta_closed_form(
-    seq: SizeSequence, n: int, gamma_spec: TruncatedSeries,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-) -> Fraction:
-    """Offset at N_n, computed two independent ways and checked for equality."""
-    spec = _series_for(seq, gamma_spec)
-    seq_terms = sequence_terms(seq, spec.count, bit_budget)
-    return _two_route_offset(seq, n, seq_terms, gamma_value(spec, bit_budget))[1]
-
-
 def certify_branch(delta: Fraction, deviation_bound: Fraction, size: int, gamma) -> str:
     """Branch of the gap law that provably holds for the untruncated field.
 
@@ -193,20 +165,19 @@ def certify_branch(delta: Fraction, deviation_bound: Fraction, size: int, gamma)
 
 
 def scaling_row(
-    seq: SizeSequence, n: int, gamma_spec: TruncatedSeries,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
+    seq: SizeSequence, n: int, truncation: int, bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> ScalingRow:
     """Build one certified row of a scaling run.
 
-    Extending the field by its tail raises field*N/2 by at most
+    The field is the series over ``seq.kind`` truncated at K = ``truncation``
+    terms.  Extending it by its tail raises field*N/2 by at most
     (N/2) * tail, and the tail is certified below 2/a_{K+1} (or 1/a_K when
     a_{K+1} is out of budget); that is the row's deviation bound.
     """
-    spec = _series_for(seq, gamma_spec)
-    seq_terms = sequence_terms(seq, spec.count, bit_budget)
-    gamma = gamma_value(spec, bit_budget)
+    seq_terms = terms(seq.kind, truncation, bit_budget)
+    gamma = gamma_value(TruncatedSeries(seq.kind, truncation), bit_budget)
     size, delta = _two_route_offset(seq, n, seq_terms, gamma)
-    dev = Fraction(size, 2) * series_tail_bound_after(seq.kind, spec.count, bit_budget)
+    dev = Fraction(size, 2) * series_tail_bound_after(seq.kind, truncation, bit_budget)
     branch = certify_branch(delta, dev, size, gamma)
     return ScalingRow(
         index=n, size=size, delta=delta, branch=branch,
@@ -214,66 +185,34 @@ def scaling_row(
     )
 
 
-def scaling_gap(
-    seq: SizeSequence, n: int, gamma_spec: TruncatedSeries,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-) -> Fraction:
-    """Exact gap at N_n for the truncated field."""
-    return scaling_row(seq, n, gamma_spec, bit_budget).gap
-
-
 # ---------------------------------------------------------------------------
 # classification
 
-def _pow2_in_budget(size: int, bit_budget: int) -> Optional[int]:
-    return 1 << size if size + 1 <= bit_budget else None
-
-
-def _factorial_in_budget(size: int, bit_budget: int) -> Optional[int]:
-    bits = next_term_bits(SequenceKind.FACTORIAL, size)
-    if bits is None or bits > bit_budget:
-        return None
-    return math.factorial(size)
+# label -> (recurrence whose successor of N is the band's scale, None for the
+# scale N itself; band edges; certificate text)
+_BANDS = {
+    CLASS_EXPONENTIAL: (SequenceKind.DOUBLE_EXP, Fraction(1, 2), Fraction(2), "gap*2^N in [1/2, 2]"),
+    CLASS_POLYNOMIAL: (None, Fraction(1, 2), Fraction(1), "gap*N in [1/2, 1]"),
+    CLASS_FACTORIAL: (SequenceKind.FACTORIAL, Fraction(1, 2), Fraction(2), "gap*N! in [1/2, 2]"),
+}
 
 
 def _band_value(row: ScalingRow, label: str, bit_budget: int) -> Optional[Fraction]:
-    if label == CLASS_EXPONENTIAL:
-        scale = _pow2_in_budget(row.size, bit_budget)
-    elif label == CLASS_FACTORIAL:
-        scale = _factorial_in_budget(row.size, bit_budget)
-    else:
-        scale = row.size
-    if scale is None:
-        return None
-    return row.gap * scale
-
-
-_BANDS = {
-    CLASS_EXPONENTIAL: (Fraction(1, 2), Fraction(2)),
-    CLASS_POLYNOMIAL: (Fraction(1, 2), Fraction(1)),
-    CLASS_FACTORIAL: (Fraction(1, 2), Fraction(2)),
-}
-
-_BAND_TEXT = {
-    CLASS_EXPONENTIAL: "gap*2^N in [1/2, 2]",
-    CLASS_POLYNOMIAL: "gap*N in [1/2, 1]",
-    CLASS_FACTORIAL: "gap*N! in [1/2, 2]",
-}
-
-
-def _row_passes(row: ScalingRow, label: str, bit_budget: int) -> bool:
-    """Band membership, robust under the certified truncation deviation.
+    """gap*scale when it is certified in band, else None.
 
     The untruncated gap differs from the row gap by at most
-    2*deviation_bound/N, so the scaled band value is perturbed by at most
-    that times the scale; the whole perturbed interval must stay in band.
+    2*deviation_bound/N, so the band value moves by at most that times the
+    scale; the whole perturbed interval must stay in band.  A scale out of
+    the bit budget certifies nothing.
     """
-    value = _band_value(row, label, bit_budget)
-    if value is None:
-        return False
-    lo, hi = _BANDS[label]
-    slack = value / row.gap * (2 * row.deviation_bound / row.size)
-    return lo <= value - slack and value + slack <= hi
+    recurrence, lo, hi, _ = _BANDS[label]
+    try:
+        scale = row.size if recurrence is None else next_term(recurrence, row.size, bit_budget)
+    except BitBudgetError:
+        return None
+    value = row.gap * scale
+    slack = 2 * scale * row.deviation_bound / row.size
+    return value if lo <= value - slack and value + slack <= hi else None
 
 
 def classify_scaling(
@@ -291,20 +230,17 @@ def classify_scaling(
     """
     if len(rows) < 2:
         raise ValueError("classification needs at least 2 certified rows")
-    labels = (CLASS_EXPONENTIAL, CLASS_POLYNOMIAL, CLASS_FACTORIAL)
+    values = {label: [_band_value(row, label, bit_budget) for row in rows] for label in _BANDS}
     for start in range(len(rows)):
-        suffix = rows[start:]
         passing = [
-            label for label in labels
-            if all(_row_passes(row, label, bit_budget) for row in suffix)
+            label for label, column in values.items()
+            if all(value is not None for value in column[start:])
         ]
         if len(passing) == 1:
             label = passing[0]
-            cert = [
-                f"{_BAND_TEXT[label]} holds for rows n={suffix[0].index}..{suffix[-1].index}"
-            ]
-            for row in suffix:
-                value = _band_value(row, label, bit_budget)
+            suffix = rows[start:]
+            cert = [f"{_BANDS[label][3]} holds for rows n={suffix[0].index}..{suffix[-1].index}"]
+            for row, value in zip(suffix, values[label][start:]):
                 cert.append(
                     f"n={row.index}, N={row.size}: band value {decimal_str(value, 12)}, "
                     f"offset tail bound {decimal_str(row.deviation_bound, 4)}"
@@ -318,25 +254,25 @@ def classify_scaling(
             return label, tuple(cert)
         if len(passing) > 1:
             return CLASS_INDETERMINATE, (
-                f"rows from n={suffix[0].index} satisfy several bands; refusing to pick",
+                f"rows from n={rows[start].index} satisfy several bands; refusing to pick",
             )
     return CLASS_INDETERMINATE, ("no classification band covers any suffix of the rows",)
 
 
 def build_scaling_report(
-    seq: SizeSequence, gamma_spec: TruncatedSeries,
+    seq: SizeSequence, truncation: int,
     bit_budget: int = DEFAULT_BIT_BUDGET,
     indices: Optional[Sequence[int]] = None,
 ) -> ScalingReport:
-    """Rows n = 1..K-2 (or the given indices) plus the certified classification."""
-    spec = _series_for(seq, gamma_spec)
+    """Rows n = 1..K-2 (or the given indices) plus the certified classification,
+    for the series over ``seq.kind`` truncated at K = ``truncation`` terms."""
     if indices is None:
-        indices = range(1, spec.count - 1)
-    rows = tuple(scaling_row(seq, n, spec, bit_budget) for n in indices)
+        indices = range(1, truncation - 1)
+    rows = tuple(scaling_row(seq, n, truncation, bit_budget) for n in indices)
     classification, certificate = classify_scaling(rows, bit_budget)
     return ScalingReport(
         sequence=seq,
-        truncation=spec.count,
+        truncation=truncation,
         rows=rows,
         classification=classification,
         certificate=certificate,
@@ -344,22 +280,7 @@ def build_scaling_report(
 
 
 # ---------------------------------------------------------------------------
-# appendix constructions
-
-def injection_gamma(digits: Iterable[int], bit_budget: int = DEFAULT_BIT_BUDGET) -> DigitInjection:
-    """Field value encoding a decimal digit string, sum((2 b_i + 1)/a_pos).
-
-    Positions start at the third double-exponential term (16, 65536, ...):
-    from there each denominator exceeds 21 times the previous one, so the
-    ten possible digits at one position occupy disjoint value windows and
-    distinct digit strings always give distinct values.  The value is not
-    confined to (0, 1); leading digits 8 or 9 push it above 1, which callers
-    can detect with :func:`xygap.exactnum.gamma_in_unit_interval`.
-    """
-    spec = DigitInjection(digits=tuple(digits))
-    _injection_positions(len(spec.digits), bit_budget)  # certifies separation in budget
-    return spec
-
+# appendix construction
 
 def dense_gamma_in_interval(
     lo, hi, bit_budget: int = DEFAULT_BIT_BUDGET
@@ -395,20 +316,11 @@ def dense_gamma_in_interval(
         lo=lo, hi=hi, scale_exp=k, anchor_num=anchor_num,
         positive_branch=positive, series_index=n,
     )
-    enc_lo, enc_hi = gamma_enclosure(spec, bit_budget)
-    if not (lo < enc_lo and enc_hi < hi):
+    if not gamma_within(spec, lo, hi, bit_budget):
         raise ArithmeticError(
             f"interval construction failed its own certificate for ({lo}, {hi})"
         )
     return spec
-
-
-def interval_membership_certified(
-    spec: IntervalConstruction, bit_budget: int = DEFAULT_BIT_BUDGET
-) -> bool:
-    """Exact check that the untruncated enclosure sits inside the target interval."""
-    enc_lo, enc_hi = gamma_enclosure(spec, bit_budget)
-    return spec.lo < enc_lo and enc_hi < spec.hi
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ from fractions import Fraction
 from itertools import product
 
 from . import gaplaw, scaling, sector
+from .errors import DegenerateDeltaError, TruncationInsufficientError
 from .exactnum import (
     TruncatedSeries,
     _injection_positions,
     _injection_sum,
     gamma_bounds_check,
+    gamma_within,
     tail_bound,
 )
 from .field import FieldPoint
@@ -63,14 +65,17 @@ def check_exact_vs_numeric(max_size: int = 64) -> CheckResult:
 
 
 def check_closed_form_routes(bit_budget: int = DEFAULT_BIT_BUDGET) -> CheckResult:
-    """Two-route offset equality over every in-budget (sequence, rule, n)."""
+    """Two-route offset equality, and a certified branch, over every in-budget
+    (sequence, rule, n)."""
     combos = 0
     for kind, k_trunc in ((SequenceKind.DOUBLE_EXP, 5), (SequenceKind.FACTORIAL, 4)):
-        spec = TruncatedSeries(kind, k_trunc)
         for rule in (scaling.RULE_PLAIN, scaling.RULE_DOUBLED):
             seq = scaling.SizeSequence(kind, rule)
             for n in range(1, k_trunc - 1):
-                scaling.delta_closed_form(seq, n, spec, bit_budget)  # raises on mismatch
+                try:
+                    scaling.scaling_row(seq, n, k_trunc, bit_budget)
+                except (ArithmeticError, DegenerateDeltaError, TruncationInsufficientError) as exc:
+                    return CheckResult("closed-form-routes", False, str(exc))
                 combos += 1
     return CheckResult("closed-form-routes", True, f"{combos} (sequence, rule, n) combinations agree")
 
@@ -101,8 +106,11 @@ def check_dense_intervals(
         lo_units = rng.randrange(1, 10**5 - width_units - 1)
         lo = Fraction(lo_units, 10**5)
         hi = Fraction(lo_units + width_units, 10**5)
-        spec = scaling.dense_gamma_in_interval(lo, hi, bit_budget)
-        if not scaling.interval_membership_certified(spec, bit_budget):
+        try:
+            spec = scaling.dense_gamma_in_interval(lo, hi, bit_budget)
+        except ArithmeticError as exc:
+            return CheckResult("dense-intervals", False, str(exc))
+        if not gamma_within(spec, lo, hi, bit_budget):
             return CheckResult("dense-intervals", False, f"membership failed for ({lo}, {hi})")
         bound = tail_bound(SequenceKind.DOUBLE_EXP, spec.series_index, bit_budget)
         if not bound < Fraction(1, 2 ** (spec.scale_exp + 1)):

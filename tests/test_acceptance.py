@@ -16,9 +16,11 @@ from conftest import min_excitation_brute
 from xygap.classical import FieldPoint, magnetization_x, thermo_gap
 from xygap.errors import DegenerateDeltaError
 from xygap.exactnum import (
+    DigitInjection,
     TruncatedSeries,
     gamma_bounds_check,
     gamma_value,
+    gamma_within,
     tail_bound,
 )
 from xygap.gaplaw import delta_frac, exact_gap, gap_times_size_values
@@ -31,8 +33,6 @@ from xygap.scaling import (
     SizeSequence,
     build_scaling_report,
     dense_gamma_in_interval,
-    injection_gamma,
-    interval_membership_certified,
     scaling_row,
 )
 from xygap.sector import finite_gap_numeric
@@ -177,35 +177,34 @@ def test_criterion_4_magnetization_jump_exceeds_one():
 
 def test_criterion_5_scaling_trichotomy():
     started = time.perf_counter()
-    dexp_field = TruncatedSeries(DEXP, 5)
-    fact_field = TruncatedSeries(FACT, 4)
+    dexp_k, fact_k = 5, 4
 
     # (a) exponential rate on sizes N_n = a_n; the row value is exact
-    row_exp = scaling_row(SizeSequence(DEXP, RULE_PLAIN), 3, dexp_field)
+    row_exp = scaling_row(SizeSequence(DEXP, RULE_PLAIN), 3, dexp_k)
     assert row_exp.size == 16
     assert row_exp.gap == Fraction(1, 2**16) + Fraction(1, 2**65536)
     assert Fraction(1, 2) <= row_exp.gap * 2**16 <= 2
-    report_exp = build_scaling_report(SizeSequence(DEXP, RULE_PLAIN), dexp_field)
+    report_exp = build_scaling_report(SizeSequence(DEXP, RULE_PLAIN), dexp_k)
     assert report_exp.classification == CLASS_EXPONENTIAL
 
     # (b) polynomial rate on doubled sizes with the same field
-    row_poly = scaling_row(SizeSequence(DEXP, RULE_DOUBLED), 3, dexp_field)
+    row_poly = scaling_row(SizeSequence(DEXP, RULE_DOUBLED), 3, dexp_k)
     assert row_poly.size == 32
     assert row_poly.gap == (1 - Fraction(1, 2**11) - Fraction(1, 2**65531)) / 32
     assert Fraction(1, 2) <= row_poly.gap * 32 <= 1
-    report_poly = build_scaling_report(SizeSequence(DEXP, RULE_DOUBLED), dexp_field)
+    report_poly = build_scaling_report(SizeSequence(DEXP, RULE_DOUBLED), dexp_k)
     assert report_poly.classification == CLASS_POLYNOMIAL
 
     # (c) factorial rate on the factorial sequence with its own field
-    row_fact = scaling_row(SizeSequence(FACT, RULE_PLAIN), 2, fact_field)
+    row_fact = scaling_row(SizeSequence(FACT, RULE_PLAIN), 2, fact_k)
     assert row_fact.size == 6
     assert row_fact.gap == Fraction(1, 720) + Fraction(1, math.factorial(720))
     assert Fraction(1, 2) <= row_fact.gap * 720 <= 2
-    report_fact = build_scaling_report(SizeSequence(FACT, RULE_PLAIN), fact_field)
+    report_fact = build_scaling_report(SizeSequence(FACT, RULE_PLAIN), fact_k)
     assert report_fact.classification == CLASS_FACTORIAL
 
     # every row above was already computed along two independent routes
-    # (direct fractional split vs closed form) inside delta_closed_form
+    # (direct fractional split vs closed form) inside scaling_row
     elapsed = time.perf_counter() - started
     ok = elapsed < 10.0
     _line(
@@ -251,14 +250,12 @@ def test_criterion_7_appendix_suite():
     for _ in range(100):
         width = rng.randrange(10, 50000)  # >= 1e-4 on the 1e-5 grid
         lo_units = rng.randrange(1, 10**5 - width - 1)
-        spec = dense_gamma_in_interval(
-            Fraction(lo_units, 10**5), Fraction(lo_units + width, 10**5)
-        )
-        assert interval_membership_certified(spec)
+        lo, hi = Fraction(lo_units, 10**5), Fraction(lo_units + width, 10**5)
+        assert gamma_within(dense_gamma_in_interval(lo, hi), lo, hi)
 
     # (d) digit injection is injective over all length-3 strings
     values = {
-        gamma_value(injection_gamma((b0, b1, b2)))
+        gamma_value(DigitInjection((b0, b1, b2)))
         for b0 in range(10)
         for b1 in range(10)
         for b2 in range(10)

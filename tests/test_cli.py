@@ -21,7 +21,7 @@ class TestParsing:
         grid = parse_grid("0:0.99:20")
         assert grid[0] == 0.0 and grid[-1] == 0.99 and len(grid) == 20
 
-    @pytest.mark.parametrize("bad", ["0:1", "0:1:0", "a:b:c", "1,2,3"])
+    @pytest.mark.parametrize("bad", ["0:1", "0:1:0", "a:b:c", "1,2,3", "-1e308:1e308:3"])
     def test_grid_rejects(self, bad):
         with pytest.raises(UsageError):
             parse_grid(bad)
@@ -147,6 +147,7 @@ class TestPhaseDiagram:
         # the step 2e308 is infinite, so the first grid point is -1e308 + 0*inf = nan
         res = cli("phase-diagram", "--gamma", "0:1:2", "--h=-1e308:1e308:3")
         assert res.returncode == 2, res.stderr
+        assert res.stderr == "error: grid step of '-1e308:1e308:3' overflows a double\n"
 
     def test_large_field_below_overflow(self, capsys):
         assert main(["phase-diagram", "--gamma", "0:1e150:2", "--h", "0:1e150:2"]) == 0
@@ -226,6 +227,9 @@ class TestFiniteGap:
             ("--gamma-series", "double-exp", "--terms", "0", "--N", "4"),
             ("--gamma", "1__0", "--N", "4"),
             ("--gamma", "1.d", "--N", "4"),
+            ("--gamma", "-0.5", "--h", "0.5", "--N", "4"),
+            ("--gamma=-1/3", "--h", "0.5", "--N", "4"),
+            ("--gamma", "1/3", "--gamma-series", "double-exp", "--N", "4"),
         ],
     )
     def test_usage_errors(self, cli, args):
@@ -285,6 +289,18 @@ class TestScaling:
         lines = summary.read_text().strip().split("\n")
         assert lines[0] == "n,N,delta_minus_half,gap,gap_decimal"
         assert len(lines) == 3
+
+    def test_default_truncation_is_largest_in_budget(self, cli, tmp_path):
+        # at 64 bits the double-exp terms stop at a_4 = 65536, so K = 4
+        out = tmp_path / "r.json"
+        res = cli("--bit-budget", "64", "scaling", "--seq", "double-exp", "-o", str(out))
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(out.read_text())
+        assert payload["field"]["terms"] == 4
+        assert [row["N"] for row in payload["rows"]] == [2, 4]
+        # the factorial terms stop at a_3 = 720, short of two rows: out of budget
+        res = cli("--bit-budget", "64", "scaling", "--seq", "factorial", "-o", str(out))
+        assert res.returncode == 3, res.stderr
 
     def test_budget_exhaustion_exit_code(self, cli, tmp_path):
         res = cli("scaling", "--seq", "double-exp", "--terms", "6",

@@ -155,7 +155,7 @@ class TestExactDecimalConversion:
             SizeSequence, build_scaling_report, report_csv_lines, report_to_json,
         )
 
-        report = build_scaling_report(SizeSequence(DEXP, "a_n"), TruncatedSeries(DEXP, 5))
+        report = build_scaling_report(SizeSequence(DEXP, "a_n"), 5)
         distinct = {
             abs(k)
             for row in report.rows
