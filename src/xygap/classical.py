@@ -29,11 +29,9 @@ well conditioned away from the critical point.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GapBranchError
 from .field import FieldPoint
@@ -64,14 +62,12 @@ _NEWTON_STEPS = 64   # the guess's Newton iterates in s; most points need under 
 _POLISH_STEPS = 3    # Newton steps in theta after asin
 
 
-@dataclass(frozen=True)
-class ClassicalAngles:
+class ClassicalAngles(NamedTuple):
     theta0: float
     phi0: float
 
 
-@dataclass(frozen=True)
-class PhaseRecord:
+class PhaseRecord(NamedTuple):
     gamma: float
     h: float
     theta0: float
@@ -251,6 +247,8 @@ def scan_csv_lines(records: Iterable[PhaseRecord]) -> list[str]:
 
 
 def scan_json(records: Iterable[PhaseRecord]) -> str:
+    import json
+
     payload = {
         "schema_version": 1,
         "records": [

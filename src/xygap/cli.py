@@ -8,14 +8,19 @@ Subcommands:
 * ``scaling``       - certified scaling report for an engineered sequence.
 * ``verify``        - cross-oracle suites; nonzero exit on any failure.
 
-Exit codes: 0 success, 1 verification/runtime failure, 2 usage error,
-3 bit-budget exhaustion.  Identical invocations produce byte-identical
-output files.
+Exit codes: 0 success, 1 verification/runtime failure (also a standard
+output closed early, as by ``| head``), 2 usage error, 3 bit-budget
+exhaustion.  Identical invocations produce byte-identical output files.
 
-The package needs only the standard library.  The float layers and
-``verify`` are imported inside the commands that run them, so ``--help`` and
-``scaling`` do not import (and, without a bytecode cache, compile) modules
-they do not use.
+The package needs only the standard library.  A process imports only the
+modules its command runs, because without a bytecode cache each module is
+also compiled.  At the top this module imports ``argparse`` and, of xygap,
+only ``errors`` and ``sequences``: all that ``--help`` needs.  Each
+``cmd_*`` imports its layers when it runs.  ``phase-diagram`` loads
+``classical`` and none of the exact layers.  ``finite-gap`` loads
+``exactnum`` (and with it ``fractions`` and ``decimal``), ``gaplaw`` at
+h = 0, and ``sector`` where it solves.  ``scaling`` and ``verify`` load
+their own modules.
 """
 
 from __future__ import annotations
@@ -24,15 +29,16 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence
 
-from . import gaplaw, scaling
 from .errors import BitBudgetError, XYGapError
-from .exactnum import (
-    TruncatedSeries, decimal_str, format_rational, gamma_value, parse_field_literal,
+from .sequences import (
+    DEFAULT_BIT_BUDGET, HARD_BIT_CAP, RULE_DOUBLED, RULE_PLAIN, SequenceKind, max_term_count,
 )
-from .sequences import DEFAULT_BIT_BUDGET, HARD_BIT_CAP, SequenceKind, max_term_count
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing for --help
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+    from fractions import Fraction
 
 BUDGET_ENV_VAR = "XYGAP_BIT_BUDGET"
 
@@ -99,6 +105,8 @@ def parse_sizes(text: str) -> list[int]:
 def parse_gamma(text: str, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
     """Exact field value from "p/q" or a decimal literal like "0.25", within the
     bit budget (BitBudgetError otherwise)."""
+    from .exactnum import parse_field_literal
+
     try:
         return parse_field_literal(text, bit_budget)
     except (ValueError, ZeroDivisionError) as exc:
@@ -121,7 +129,7 @@ def _resolve_budget(args) -> int:
     return budget
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: str | None, text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -156,6 +164,8 @@ FINITE_GAP_NUMERIC_HEADER = "N,gamma,h,gap_numeric"
 
 
 def _finite_gap_field(args, budget: int) -> Fraction:
+    from .exactnum import TruncatedSeries, gamma_value
+
     if args.gamma_series is None:
         return parse_gamma(args.gamma, budget)
     if args.terms < 1:
@@ -167,6 +177,7 @@ def _numeric_gaps(gamma: Fraction, h: float):
     """N -> eigensolver gap at (gamma, h); a negative field, or one too large
     for the eigensolver's doubles, is a usage error."""
     from . import sector
+    from .exactnum import format_rational
     from .field import FieldPoint
 
     if gamma < 0:
@@ -186,12 +197,16 @@ def _numeric_gaps(gamma: Fraction, h: float):
 
 
 def cmd_finite_gap(args, budget: int) -> int:
+    from .exactnum import decimal_str, format_rational
+
     if not math.isfinite(args.h):
         raise UsageError(f"--h must be finite, got {args.h}")
     sizes = parse_sizes(args.N)
     gamma = _finite_gap_field(args, budget)
     gamma_text = format_rational(gamma)
     if args.h == 0.0:
+        from . import gaplaw
+
         if not 0 <= gamma < 1:
             raise UsageError(f"the exact h=0 route needs 0 <= gamma < 1, got {gamma_text}")
         numeric_gap = _numeric_gaps(gamma, 0.0) if min(sizes) <= args.cross_max else None
@@ -217,6 +232,8 @@ def cmd_finite_gap(args, budget: int) -> int:
 
 
 def cmd_scaling(args, budget: int) -> int:
+    from . import scaling
+
     kind = _SEQ_KINDS[args.seq]
     k_trunc = args.terms
     if k_trunc is None:
@@ -283,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling", help="certified scaling report for an engineered sequence")
     p.add_argument("--seq", choices=sorted(_SEQ_KINDS), required=True)
-    p.add_argument("--rule", choices=(scaling.RULE_PLAIN, scaling.RULE_DOUBLED),
-                   default=scaling.RULE_PLAIN)
+    p.add_argument("--rule", choices=(RULE_PLAIN, RULE_DOUBLED), default=RULE_PLAIN)
     p.add_argument("--terms", "--K", dest="terms", type=int, default=None,
                    help="series truncation K, at least 4 (default: the largest K "
                    "whose terms fit the bit budget)")
@@ -320,7 +336,18 @@ def _mend_argv(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _run_command(args) -> int:
+    budget = _resolve_budget(args)
+    if args.command == "phase-diagram":
+        return cmd_phase_diagram(args)
+    if args.command == "finite-gap":
+        return cmd_finite_gap(args, budget)
+    if args.command == "scaling":
+        return cmd_scaling(args, budget)
+    return cmd_verify(args, budget)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
@@ -329,14 +356,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        budget = _resolve_budget(args)
-        if args.command == "phase-diagram":
-            return cmd_phase_diagram(args)
-        if args.command == "finite-gap":
-            return cmd_finite_gap(args, budget)
-        if args.command == "scaling":
-            return cmd_scaling(args, budget)
-        return cmd_verify(args, budget)
+        code = _run_command(args)
+        sys.stdout.flush()  # a reader gone early shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # `xygap ... | head`: stop without a message, and point fd 1 at
+        # /dev/null so that the exit-time flush of what is still buffered
+        # cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAILURE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,10 +27,9 @@ from __future__ import annotations
 import decimal
 import functools
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from .errors import BitBudgetError, SpecNotApplicableError
 from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, doubling_holds, terms
@@ -44,45 +43,47 @@ INJECTION_FIRST_INDEX = 3
 _INJECTION_MIN_RATIO = 21
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """First ``count`` terms of sum(1/a_n) over the given sequence kind."""
-
+class _TruncatedSeries(NamedTuple):
     kind: SequenceKind
     count: int
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"truncation index must be >= 1, got {self.count}")
+
+class TruncatedSeries(_TruncatedSeries):
+    """First ``count`` terms of sum(1/a_n) over the given sequence kind."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: SequenceKind, count: int):
+        if count < 1:
+            raise ValueError(f"truncation index must be >= 1, got {count}")
+        return super().__new__(cls, kind, count)
 
 
-@dataclass(frozen=True)
-class DigitInjection:
+class _DigitInjection(NamedTuple):
+    digits: Tuple[int, ...]
+
+
+class DigitInjection(_DigitInjection):
     """Digits b_0..b_K mapped to sum((2 b_i + 1)/a_(INJECTION_FIRST_INDEX + i)).
 
     :func:`gamma_value` certifies that the positions are far enough apart
     for the map to be injective.  The value is not confined to (0, 1):
     leading digits 8 or 9 push it above 1, which :func:`gamma_within` detects.
+    Any iterable of digits is stored as a tuple.
     """
 
-    digits: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if not self.digits:
+    def __new__(cls, digits):
+        digits = tuple(digits)
+        if not digits:
             raise ValueError("at least one digit is required")
-        if any(not (0 <= b <= 9) for b in self.digits):
-            raise ValueError(f"digits must lie in 0..9, got {self.digits}")
+        if any(not (0 <= b <= 9) for b in digits):
+            raise ValueError(f"digits must lie in 0..9, got {digits}")
+        return super().__new__(cls, digits)
 
 
-@dataclass(frozen=True)
-class IntervalConstruction:
-    """Dyadic anchor anchor_num/2**scale_exp +- the series tail from index series_index.
-
-    Built by :func:`xygap.scaling.dense_gamma_in_interval`; carries the
-    target interval (lo, hi) it is certified to land in.
-    """
-
+class _IntervalConstruction(NamedTuple):
     lo: Fraction
     hi: Fraction
     scale_exp: int
@@ -90,9 +91,21 @@ class IntervalConstruction:
     positive_branch: bool
     series_index: int
 
-    def __post_init__(self):
-        if not (0 < self.lo < self.hi < 1):
-            raise ValueError(f"need 0 < lo < hi < 1, got ({self.lo}, {self.hi})")
+
+class IntervalConstruction(_IntervalConstruction):
+    """Dyadic anchor anchor_num/2**scale_exp +- the series tail from index series_index.
+
+    Built by :func:`xygap.scaling.dense_gamma_in_interval`; carries the
+    target interval (lo, hi) it is certified to land in.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction, scale_exp: int, anchor_num: int,
+                positive_branch: bool, series_index: int):
+        if not (0 < lo < hi < 1):
+            raise ValueError(f"need 0 < lo < hi < 1, got ({lo}, {hi})")
+        return super().__new__(cls, lo, hi, scale_exp, anchor_num, positive_branch, series_index)
 
     @property
     def anchor(self) -> Fraction:

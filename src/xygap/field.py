@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FieldPoint:
-    """One (gamma, h) point; gamma is the transverse field and must be >= 0."""
-
+class _FieldPoint(NamedTuple):
     gamma: float
     h: float
 
-    def __post_init__(self):
-        if not (self.gamma >= 0 and math.isfinite(self.gamma) and math.isfinite(self.h)):
+
+class FieldPoint(_FieldPoint):
+    """One (gamma, h) point; gamma is the transverse field and must be >= 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, gamma: float, h: float):
+        self = super().__new__(cls, gamma, h)
+        if not (gamma >= 0 and math.isfinite(gamma) and math.isfinite(h)):
             raise ValueError(f"need finite gamma >= 0 and finite h, got {self}")
+        return self

@@ -31,9 +31,8 @@ r = q, the low branch r < q, the neighbors tie at r = 0, and the gap is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DegenerateDeltaError
 
@@ -56,8 +55,7 @@ def _as_exact(value, what: str) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class DeltaValue:
+class DeltaValue(NamedTuple):
     """Fractional offset of gamma*N/2 from the admissible projection grid."""
 
     value: Fraction
@@ -65,15 +63,13 @@ class DeltaValue:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class MagnetizationLevel:
+class MagnetizationLevel(NamedTuple):
     size: int
     m: Fraction
     energy: Fraction
 
 
-@dataclass(frozen=True)
-class GapRecord:
+class GapRecord(NamedTuple):
     """One (N, gamma) result row; gap is None on a degenerate crossing."""
 
     size: int

@@ -33,11 +33,9 @@ values, is :class:`xygap.exactnum.DigitInjection`.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import gaplaw
 from .errors import BitBudgetError, DegenerateDeltaError, TruncationInsufficientError
@@ -50,10 +48,9 @@ from .exactnum import (
     gamma_within,
     series_tail_bound_after,
 )
-from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, next_term, terms
-
-RULE_PLAIN = "a_n"
-RULE_DOUBLED = "2a_n"
+from .sequences import (
+    DEFAULT_BIT_BUDGET, RULE_DOUBLED, RULE_PLAIN, SequenceKind, next_term, terms,
+)
 
 CLASS_EXPONENTIAL = "Exponential"
 CLASS_POLYNOMIAL = "Polynomial"
@@ -63,16 +60,20 @@ CLASS_INDETERMINATE = "Indeterminate"
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class SizeSequence:
-    """A term recurrence plus the rule turning terms into system sizes."""
-
+class _SizeSequence(NamedTuple):
     kind: SequenceKind
     rule: str = RULE_PLAIN
 
-    def __post_init__(self):
-        if self.rule not in (RULE_PLAIN, RULE_DOUBLED):
-            raise ValueError(f"rule must be {RULE_PLAIN!r} or {RULE_DOUBLED!r}, got {self.rule!r}")
+
+class SizeSequence(_SizeSequence):
+    """A term recurrence plus the rule turning terms into system sizes."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: SequenceKind, rule: str = RULE_PLAIN):
+        if rule not in (RULE_PLAIN, RULE_DOUBLED):
+            raise ValueError(f"rule must be {RULE_PLAIN!r} or {RULE_DOUBLED!r}, got {rule!r}")
+        return super().__new__(cls, kind, rule)
 
 
 def sequence_sizes(seq: SizeSequence, count: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> list[int]:
@@ -81,8 +82,7 @@ def sequence_sizes(seq: SizeSequence, count: int, bit_budget: int = DEFAULT_BIT_
     return [scale * a for a in terms(seq.kind, count, bit_budget)]
 
 
-@dataclass(frozen=True)
-class ScalingRow:
+class ScalingRow(NamedTuple):
     """One certified (n, N_n) row of a scaling run.
 
     ``deviation_bound`` bounds how far the offset of the *untruncated* field
@@ -101,8 +101,7 @@ class ScalingRow:
         return self.delta - _HALF
 
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(NamedTuple):
     sequence: SizeSequence
     truncation: int
     rows: Tuple[ScalingRow, ...]
@@ -359,6 +358,8 @@ def report_to_json_dict(report: ScalingReport) -> dict:
 
 
 def report_to_json(report: ScalingReport) -> str:
+    import json
+
     return json.dumps(report_to_json_dict(report), indent=2)
 
 

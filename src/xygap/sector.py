@@ -43,8 +43,8 @@ rejected when the matrix is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .errors import XYGapError
 from .field import FieldPoint
@@ -52,8 +52,7 @@ from .field import FieldPoint
 _SAFMIN = 2.2250738585072014e-308
 
 
-@dataclass(frozen=True)
-class SectorHamiltonian:
+class SectorHamiltonian(NamedTuple):
     size: int
     diag: tuple[float, ...]      # length N+1, entry per m = -N/2 .. N/2
     offdiag: tuple[float, ...]   # length N, couples m and m+1

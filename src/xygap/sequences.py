@@ -21,6 +21,10 @@ from .errors import BitBudgetError
 DEFAULT_BIT_BUDGET = 10**6
 HARD_BIT_CAP = 10**8
 
+# The size rules of xygap.scaling: N_n = a_n or N_n = 2*a_n.
+RULE_PLAIN = "a_n"
+RULE_DOUBLED = "2a_n"
+
 _LGAMMA_SAFE_MAX = 2**48  # above this, a! is out of any sane budget
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from . import gaplaw, scaling, sector
 from .errors import DegenerateDeltaError, TruncationInsufficientError
@@ -31,8 +31,7 @@ from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, terms
 DEFAULT_SEED = 20240817
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

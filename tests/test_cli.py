@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from conftest import SRC_DIR
 from xygap import classical
 from xygap.cli import UsageError, main, parse_gamma, parse_grid, parse_sizes
 from xygap.errors import BitBudgetError
@@ -409,3 +413,30 @@ class TestVerify:
         res = cli("verify", "--max-N", max_n)
         assert res.returncode == 2, res.stdout + res.stderr
         assert res.stdout == ""
+
+
+class TestClosedStdout:
+    """A reader that stops early, as `xygap ... | head -1` does, ends the run
+    with the runtime-failure code and nothing on stderr."""
+
+    @pytest.mark.parametrize("args, header", [
+        # far larger than a pipe's buffer: still writing when the reader leaves
+        (("finite-gap", "--gamma", "1/3", "--N", "1:20000:all"), b"N,gamma,delta,"),
+        (("phase-diagram", "--gamma", "0:2:81", "--h", "-1:1:81"), b"gamma,h,theta0,"),
+        # small: the reader is gone before the first write, and a buffered
+        # stdout still holds the text when the process exits
+        (("finite-gap", "--gamma", "1/3", "--N", "1:8:all"), b""),
+    ])
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_reader_closes_pipe_early(self, args, header, unbuffered):
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "xygap", *args], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline() if header else b""
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert first.startswith(header)
+        assert (proc.returncode, stderr) == (1, b"")

@@ -1,16 +1,22 @@
 """Package-wide invariants: checks that survive ``python -O``, CLI output that
-``-O`` leaves unchanged, and an import that leaves the interpreter's global
-settings alone."""
+``-O`` leaves unchanged, an import that leaves the interpreter's global
+settings alone, CLI processes that load only what their command runs, and
+immutable result records that validate their fields."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from conftest import SRC_DIR, run_cli
+from xygap import classical, gaplaw, scaling, sector, verify
+from xygap.exactnum import DigitInjection, IntervalConstruction, TruncatedSeries
+from xygap.field import FieldPoint
+from xygap.sequences import SequenceKind
 
 
 def test_no_assert_statements_in_package():
@@ -63,6 +69,16 @@ def test_import_and_formatting_keep_decimal_context():
     assert res.returncode == 0, res.stderr
 
 
+# What each command may load.  Without a bytecode cache every module a
+# process imports is also compiled, so a CLI process imports only the layers
+# its command runs: --help needs the parser alone, phase-diagram none of the
+# exact layers, finite-gap at h != 0 neither the gap law nor the scaling layer.
+NEVER_LOADED = {"numpy", "scipy", "dataclasses"}
+HELP_PACKAGE_MODULES = {"xygap", "xygap.cli", "xygap.errors", "xygap.sequences"}
+HELP_NOT_LOADED = {"fractions", "decimal", "json"}
+EXACT_LAYERS = {"xygap.gaplaw", "xygap.exactnum", "xygap.scaling", "fractions", "decimal"}
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # importing scipy.linalg roughly doubles a CLI process's peak RSS, and
     # numpy alone costs a process about 0.2 s; every command, phase-diagram,
@@ -77,32 +93,42 @@ def test_cli_import_loads_no_scipy(tmp_path):
     )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
+    # the last line of stderr names the modules the command loaded
     run_as_main = (
         "import runpy, sys\n"
         "sys.argv[0] = 'xygap'\n"
+        "before = set(sys.modules)\n"
         "try:\n"
         "    runpy.run_module('xygap', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
         "loaded = {'numpy', 'scipy'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
+        "sys.stderr.write('\\n' + ' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    for argv in (["--help"],
-                 ["scaling", "--seq", "double-exp", "--K", "5", "-o", str(tmp_path / "r.json")],
-                 ["finite-gap", "--gamma", "1/3", "--N", "2:64:even", "--cross-max", "0",
-                  "-o", str(tmp_path / "fg.csv")],
-                 ["finite-gap", "--gamma", "1/3", "--N", "2:64:even",
-                  "-o", str(tmp_path / "cross.csv")],
-                 ["finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "64,1024",
-                  "-o", str(tmp_path / "sector.csv")],
-                 ["phase-diagram", "--gamma", "0:2:81", "--h", "-1:1:81",
-                  "-o", str(tmp_path / "pd.csv")],
-                 ["phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41", "--format", "json",
-                  "-o", str(tmp_path / "pd.json")],
-                 ["verify", "--max-N", "8"]):
+    for argv, not_loaded in (
+            (["--help"], HELP_NOT_LOADED),
+            (["scaling", "--seq", "double-exp", "--K", "5", "-o", str(tmp_path / "r.json")],
+             set()),
+            (["finite-gap", "--gamma", "1/3", "--N", "2:64:even", "--cross-max", "0",
+              "-o", str(tmp_path / "fg.csv")], {"xygap.sector", "xygap.scaling", "json"}),
+            (["finite-gap", "--gamma", "1/3", "--N", "2:64:even",
+              "-o", str(tmp_path / "cross.csv")], {"xygap.scaling", "json"}),
+            (["finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "64,1024",
+              "-o", str(tmp_path / "sector.csv")], {"xygap.gaplaw", "xygap.scaling", "json"}),
+            (["phase-diagram", "--gamma", "0:2:81", "--h", "-1:1:81",
+              "-o", str(tmp_path / "pd.csv")], EXACT_LAYERS | {"xygap.sector", "json"}),
+            (["phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41", "--format", "json",
+              "-o", str(tmp_path / "pd.json")], EXACT_LAYERS | {"xygap.sector"}),
+            (["verify", "--max-N", "8"], {"json"})):
         res = subprocess.run([sys.executable, "-c", run_as_main, *argv],
                              capture_output=True, text=True, env=env)
         assert res.returncode == 0, (argv, res.stderr)
+        loaded = set(res.stderr.split("\n")[-1].split())
+        assert "xygap.cli" in loaded, (argv, res.stderr)
+        assert loaded & (NEVER_LOADED | not_loaded) == set(), argv
+        if argv == ["--help"]:
+            assert {m for m in loaded if m.split(".")[0] == "xygap"} == HELP_PACKAGE_MODULES
     assert (tmp_path / "r.json").stat().st_size > 0
     assert len((tmp_path / "fg.csv").read_text().split("\n")) == 1 + 32 + 1
     assert all(row.split(",")[6] for row in (tmp_path / "cross.csv").read_text().split("\n")[1:-1])
@@ -111,16 +137,27 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert len(json.loads((tmp_path / "pd.json").read_text())["records"]) == 21 * 41
 
 
-def test_no_module_imports_numpy():
-    # the package runs on the standard library; numpy serves only the tests
+def _importers(module: str) -> set[str]:
+    """Package files with an import statement naming ``module`` or a submodule of it."""
     importers = set()
     for path in sorted((SRC_DIR / "xygap").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            if any(name == module or name.startswith(module + ".") for name in names):
                 importers.add(path.relative_to(SRC_DIR).as_posix())
-    assert importers == set()
+    return importers
+
+
+def test_no_module_imports_numpy():
+    # the package runs on the standard library; numpy serves only the tests
+    assert _importers("numpy") == set()
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples: importing dataclasses pulls in inspect, ast,
+    # dis and tokenize, about 10 ms of every CLI process without a bytecode cache
+    assert _importers("dataclasses") == set()
 
 
 @pytest.mark.parametrize("args", [
@@ -134,3 +171,68 @@ def test_output_unchanged_under_optimize(args):
     assert plain.returncode == 0, plain.stderr
     assert plain.stdout
     assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)
+
+
+def _records():
+    """One record of each of the 14 result types, and one field name of it."""
+    point = FieldPoint(0.5, 0.25)
+    seq = scaling.SizeSequence(SequenceKind.DOUBLE_EXP)
+    gamma = Fraction(1, 3)
+    return [
+        (point, "h"),
+        (TruncatedSeries(SequenceKind.FACTORIAL, 3), "count"),
+        (DigitInjection((1, 2)), "digits"),
+        (scaling.dense_gamma_in_interval(Fraction(1, 3), Fraction(1, 2)), "lo"),
+        (gaplaw.delta_frac(4, gamma), "value"),
+        (gaplaw.ground_level(4, gamma), "energy"),
+        (gaplaw.gap_record(4, gamma), "gap"),
+        (seq, "rule"),
+        (scaling.scaling_row(seq, 1, 4), "delta"),
+        (scaling.build_scaling_report(seq, 4), "rows"),
+        (classical.minimize_energy(point), "theta0"),
+        (classical.phase_record(point), "gap"),
+        (sector.build_sector_hamiltonian(4, point), "diag"),
+        (verify.CheckResult("name", True, "detail"), "passed"),
+    ]
+
+
+def test_records_are_immutable():
+    records = _records()
+    assert len({type(record) for record, _ in records}) == 14
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1  # no instance dict either
+
+
+_BAD_INTERVAL = {"lo": Fraction(1, 2), "hi": Fraction(1, 4), "scale_exp": 3, "anchor_num": 3,
+                 "positive_branch": True, "series_index": 4}
+
+
+@pytest.mark.parametrize("cls, fields, message", [
+    (FieldPoint, {"gamma": -0.5, "h": 0.5},
+     "need finite gamma >= 0 and finite h, got FieldPoint(gamma=-0.5, h=0.5)"),
+    (FieldPoint, {"gamma": 0.5, "h": float("nan")},
+     "need finite gamma >= 0 and finite h, got FieldPoint(gamma=0.5, h=nan)"),
+    (TruncatedSeries, {"kind": SequenceKind.FACTORIAL, "count": 0},
+     "truncation index must be >= 1, got 0"),
+    (DigitInjection, {"digits": []}, "at least one digit is required"),
+    (DigitInjection, {"digits": [3, 10]}, "digits must lie in 0..9, got (3, 10)"),
+    (IntervalConstruction, _BAD_INTERVAL, "need 0 < lo < hi < 1, got (1/2, 1/4)"),
+    (IntervalConstruction, {**_BAD_INTERVAL, "hi": Fraction(1)},
+     "need 0 < lo < hi < 1, got (1/2, 1)"),
+    (scaling.SizeSequence, {"kind": SequenceKind.DOUBLE_EXP, "rule": "3a_n"},
+     "rule must be 'a_n' or '2a_n', got '3a_n'"),
+])
+def test_validated_records_refuse_bad_fields(cls, fields, message):
+    for args, kwargs in ((tuple(fields.values()), {}), ((), fields)):
+        with pytest.raises(ValueError) as exc:
+            cls(*args, **kwargs)
+        assert str(exc.value) == message
+
+
+def test_digit_injection_stores_a_tuple():
+    spec = DigitInjection([1, 2])
+    assert type(spec.digits) is tuple
+    assert spec == DigitInjection(digits=(1, 2))
