@@ -235,15 +235,13 @@ def phase_diagram_scan(
 SCAN_CSV_HEADER = "gamma,h,theta0,m_x,gap"
 
 
-def _fmt(x: float) -> str:
-    return format(x + 0.0, ".17g")
-
-
 def scan_csv_lines(records: Iterable[PhaseRecord]) -> list[str]:
-    lines = [SCAN_CSV_HEADER]
-    for r in records:
-        lines.append(",".join(_fmt(v) for v in (r.gamma, r.h, r.theta0, r.m_x, r.gap)))
-    return lines
+    """The header and one row per record, each value as format(x, ".17g")
+    after ``+ 0.0``, which prints -0.0 as 0."""
+    row = "%.17g,%.17g,%.17g,%.17g,%.17g"
+    return [SCAN_CSV_HEADER, *[
+        row % (r.gamma + 0.0, r.h + 0.0, r.theta0 + 0.0, r.m_x + 0.0, r.gap + 0.0) for r in records
+    ]]
 
 
 def scan_json(records: Iterable[PhaseRecord]) -> str:

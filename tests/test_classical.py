@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from xygap.classical import (
     ClassicalAngles,
     FieldPoint,
+    PhaseRecord,
     classical_energy,
     magnetization_x,
     minimize_energy,
@@ -256,3 +257,18 @@ class TestScan:
         lines = scan_csv_lines(phase_diagram_scan([0.0], [0.5]))
         assert lines[0] == "gamma,h,theta0,m_x,gap"
         assert len(lines) == 2 and len(lines[1].split(",")) == 5
+
+    def test_csv_rows_match_per_value_format(self):
+        # the oracle formats each value alone, after + 0.0: a -0.0 prints as 0
+        records = [
+            *phase_diagram_scan([0.0, 0.5, 0.999999, 1.0, 1.5, 2.0], [-1.0, -0.25, 0.0, 1e-10, 0.3]),
+            PhaseRecord(gamma=0.5, h=-0.0, theta0=1.0471975511965976, m_x=-0.0, gap=0.0),
+            PhaseRecord(gamma=-0.0, h=-0.0, theta0=5e-324, m_x=-1e-300, gap=1.7976931348623157e308),
+        ]
+        want = ["gamma,h,theta0,m_x,gap", *(
+            ",".join(format(v + 0.0, ".17g") for v in (r.gamma, r.h, r.theta0, r.m_x, r.gap))
+            for r in records
+        )]
+        lines = scan_csv_lines(records)
+        assert lines == want
+        assert lines[-2] == "0.5,0,1.0471975511965976,0,0"

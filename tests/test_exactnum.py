@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from xygap import exactnum
@@ -112,6 +112,13 @@ def decimal_str_oracle(r: Fraction, digits: int) -> str:
     return f"{sign}{body}e{e:+03d}"
 
 
+# A big_ints draw of tens of thousands of bits often exceeds hypothesis's
+# per-example entropy limit, and that example is discarded and redrawn.  Some
+# seeds discard 20 before the tenth kept example (seed 240 on test_huge_rationals,
+# hypothesis 6.155), which fails the data_too_large health check, not the test.
+BIG_DRAWS = [HealthCheck.data_too_large]
+
+
 @st.composite
 def big_ints(draw, max_bits):
     """Signed integers below 2**max_bits, their bit lengths spread over both
@@ -137,14 +144,14 @@ class TestExactDecimalConversion:
         for n in _boundary_ints():
             assert str(exactnum._exact_decimal(n)) == str(Decimal(n)), n.bit_length()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, suppress_health_check=BIG_DRAWS)
     @given(big_ints(199_999))
     @example(2**199_999 + 12345)
     @example(-(3**126_000))
     def test_matches_decimal(self, n):
         assert str(exactnum._exact_decimal(n)) == str(Decimal(n))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, suppress_health_check=BIG_DRAWS)
     @given(big_ints(70_000), big_ints(70_000))
     def test_format_matches_decimal(self, num, den):
         r = Fraction(num, abs(den) + 1)
@@ -190,7 +197,7 @@ class TestStrTierAndDigitParsing:
         finally:
             sys.set_int_max_str_digits(before)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, suppress_health_check=BIG_DRAWS)
     @given(big_ints(199_999), st.integers(0, 3))
     @example(2**199_999 - 1, 0)
     @example(-(10**60_000), 2)
@@ -215,7 +222,7 @@ class TestDecimalStrAgainstOracle:
     def test_small_rationals(self, r, digits):
         assert decimal_str(r, digits) == decimal_str_oracle(r, digits)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, suppress_health_check=BIG_DRAWS)
     @given(big_ints(70_000), big_ints(70_000), st.sampled_from([1, 2, 4, 6, 12, 17]))
     @example(1, 2**65536, 6)
     @example(2**65536 + 1, 3 * 2**65535, 17)

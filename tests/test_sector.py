@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +13,11 @@ from xygap.classical import FieldPoint
 from xygap.gaplaw import delta_frac, exact_gap
 from xygap.sector import (
     SectorHamiltonian,
-    _bisect,
     build_sector_hamiltonian,
     finite_gap_numeric,
     lowest_eigenvalues,
     norm_bound,
+    sector_matrix,
 )
 
 
@@ -86,7 +88,8 @@ class TestEigenvalues:
 
 def whole_matrix_bisection(ham, indices):
     """Bisection with Sturm counts over all N+1 rows: the unwindowed algorithm,
-    from the start bracket, tolerance and pivmin the solver documents."""
+    one eigenvalue at a time, from the start bracket, tolerance and pivmin the
+    solver documents."""
     offdiag = np.asarray(ham.offdiag, dtype=float)
     diag = list(ham.diag)
     off_sq = [0.0, *(offdiag * offdiag).tolist()]
@@ -96,9 +99,25 @@ def whole_matrix_bisection(ham, indices):
     lo0 = min(diag) - (offmax * 2 + 1e-3 * span)
     hi0 = max(diag) + (offmax * 2 + 1e-3 * span)
     tol = 1e-15 * span
+
+    def count(shift):
+        below, q = 0, 1.0
+        for d, e2 in zip(diag, off_sq):
+            q = d - shift - e2 / q
+            if q < pivmin:
+                below += 1
+                q = min(q, -pivmin)
+        return below
+
     values = []
     for index in indices:
-        lo, hi = _bisect(diag, off_sq, index, lo0, hi0, tol, pivmin)
+        lo, hi = lo0, hi0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if count(mid) > index:
+                hi = mid
+            else:
+                lo = mid
         values.append(0.5 * (lo + hi))
     return np.array(values)
 
@@ -113,9 +132,9 @@ def count_lengths(monkeypatch):
     lengths = []
     inner = sector._sturm_count
 
-    def recording(diag, off_sq, shift, pivmin):
+    def recording(diag, *args):
         lengths.append(len(diag))
-        return inner(diag, off_sq, shift, pivmin)
+        return inner(diag, *args)
 
     monkeypatch.setattr(sector, "_sturm_count", recording)
     return lengths
@@ -152,7 +171,16 @@ def numpy_rows(size, point):
     return diag, offdiag, float(row.max()), int(np.argmin(edge)), float(off.max())
 
 
-ORACLE_SIZES = (*range(1, 71), 1024, 4096, 65536)
+ORACLE_SIZES = (*range(1, 71), 1024, 4096, 16384, 65536)
+
+# Fields whose whole-row quantities tie or sit at the edge of the doubles: at
+# gamma = 0 the edges are mirror-equal, so the centre is the first of two
+# rows; subnormal fields give subnormal or zero couplings.
+TIE_FIELDS = ((0.0, 0.3), (0.0, -1.7), (0.0, 0.0), (0.5, 5e-324), (0.25, -1e-310), (0.0, 4e-320))
+
+
+def summary_bytes(ham):
+    return struct.pack("dqddd", *ham.summary())
 
 
 class TestNumpyOracle:
@@ -164,8 +192,65 @@ class TestNumpyOracle:
             diag, offdiag, norm, centre, offmax = numpy_rows(size, point)
             assert np.array(ham.diag).tobytes() == diag.tobytes(), size
             assert np.array(ham.offdiag).tobytes() == offdiag.tobytes(), size
-            assert sector._gershgorin(ham) == (norm, centre, offmax), size
+            assert ham.summary() == (norm, centre, offmax, diag.min(), diag.max()), size
             assert norm_bound(ham) == norm, size
+            assert summary_bytes(sector_matrix(size, point)) == summary_bytes(ham), size
+
+
+class TestRowsOnDemand:
+    """The enclosure searches against a pass over every row."""
+
+    @pytest.mark.parametrize("gamma,h", TIE_FIELDS)
+    def test_summary_bit_equal_on_ties(self, gamma, h):
+        point = FieldPoint(gamma, h)
+        for size in ORACLE_SIZES:
+            ham = build_sector_hamiltonian(size, point)
+            assert summary_bytes(sector_matrix(size, point)) == summary_bytes(ham), size
+
+    def test_mirror_tie_takes_the_first_row(self):
+        # at gamma = 0 and odd N the rows m = -1/2 and m = 1/2 hold the lowest
+        # edge (at these N no rounding breaks the mirror symmetry)
+        for size in (63, 255, 4097, 65537):
+            ham = build_sector_hamiltonian(size, FieldPoint(0.0, 0.3))
+            edges = [(d - abs(b)) - abs(a) for d, a, b in
+                     zip(ham.diag, (0.0, *ham.offdiag), (*ham.offdiag, 0.0))]
+            centre = ham.summary()[1]
+            assert centre == edges.index(min(edges)) == (size - 1) // 2, size
+            assert edges[size - centre] == edges[centre], size
+            assert sector_matrix(size, FieldPoint(0.0, 0.3)).centre == centre, size
+
+    def test_adjacent_equal_diagonal_minimum(self):
+        # gamma = (N-1)/N makes rows m = N/2 - 1 and N/2 equal in exact arithmetic
+        for size in ORACLE_SIZES[1:]:
+            point = FieldPoint((size - 1) / size, 0.4)
+            ham = build_sector_hamiltonian(size, point)
+            matrix = sector_matrix(size, point)
+            assert summary_bytes(matrix) == summary_bytes(ham), size
+            if size <= 4096:
+                want = struct.pack("dd", *lowest_eigenvalues(ham, 2))
+                assert struct.pack("dd", *lowest_eigenvalues(matrix, 2)) == want, size
+
+    @pytest.mark.parametrize("gamma,h,sizes", [
+        *((gamma, h, ORACLE_SIZES) for gamma, h in WINDOW_FIELDS),
+        *((gamma, h, ORACLE_SIZES[:-2]) for gamma, h in TIE_FIELDS),
+    ])
+    def test_solve_bit_identical_to_explicit_rows(self, gamma, h, sizes):
+        point = FieldPoint(gamma, h)
+        for size in sizes:
+            ham = build_sector_hamiltonian(size, point)
+            want = lowest_eigenvalues(ham, 2)
+            got = lowest_eigenvalues(sector_matrix(size, point), 2)
+            assert struct.pack("dd", *got) == struct.pack("dd", *want), size
+            gap = finite_gap_numeric(size, point)
+            assert struct.pack("d", gap) == struct.pack("d", max(want[1] - want[0], 0.0)), size
+            if size <= 70:
+                assert np.asarray(got).tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
+
+    def test_solve_bit_identical_to_whole_matrix_at_65536(self):
+        point = FieldPoint(0.6, 0.6)
+        got = lowest_eigenvalues(sector_matrix(65536, point), 2)
+        want = whole_matrix_bisection(build_sector_hamiltonian(65536, point), range(2))
+        assert np.asarray(got).tobytes() == want.tobytes()
 
 
 class TestOverflow:
@@ -175,8 +260,13 @@ class TestOverflow:
         (1, 0.0, 3e154),  # the norm bound itself squares past the largest double
     ])
     def test_rejected_when_squared_norm_bound_overflows(self, size, gamma, h):
-        with pytest.raises(ValueError, match="overflows"):
-            build_sector_hamiltonian(size, FieldPoint(gamma, h))
+        point = FieldPoint(gamma, h)
+        message = (f"field gamma={gamma!r}, h={h!r} is too large at N={size}: "
+                   "the squared norm bound of the sector matrix overflows a double")
+        for build in (build_sector_hamiltonian, sector_matrix, finite_gap_numeric):
+            with pytest.raises(ValueError) as caught:
+                build(size, point)
+            assert str(caught.value) == message
 
     @pytest.mark.parametrize("size,gamma,h", [
         (4, 0.5, 1e150), (4, 1e150, 0.5), (1024, 0.5, -1e148),
@@ -188,16 +278,22 @@ class TestOverflow:
         with np.errstate(over="ignore"):
             assert math.isfinite(numpy_rows(size, point)[2] ** 2)
         assert math.isfinite(norm_bound(ham) ** 2)
-        assert math.isfinite(finite_gap_numeric(size, point))
+        assert summary_bytes(sector_matrix(size, point)) == summary_bytes(ham)
+        gap = finite_gap_numeric(size, point)
+        assert math.isfinite(gap)
+        want = lowest_eigenvalues(ham, 2)
+        assert struct.pack("d", gap) == struct.pack("d", max(want[1] - want[0], 0.0))
 
 
 class TestWindowedBisection:
     @pytest.mark.parametrize("size", [1024, 4096])
     @pytest.mark.parametrize("gamma,h", WINDOW_FIELDS)
     def test_bit_identical_to_whole_matrix(self, size, gamma, h):
-        ham = build_sector_hamiltonian(size, FieldPoint(gamma, h))
-        got = lowest_eigenvalues(ham, 2)
-        assert np.asarray(got).tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
+        point = FieldPoint(gamma, h)
+        ham = build_sector_hamiltonian(size, point)
+        want = whole_matrix_bisection(ham, range(2)).tobytes()
+        assert np.asarray(lowest_eigenvalues(ham, 2)).tobytes() == want
+        assert np.asarray(lowest_eigenvalues(sector_matrix(size, point), 2)).tobytes() == want
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -207,9 +303,11 @@ class TestWindowedBisection:
         k=st.integers(1, 3),
     )
     def test_bit_identical_on_random_fields(self, gamma, h, size, k):
-        ham = build_sector_hamiltonian(size, FieldPoint(gamma, h))
-        got = lowest_eigenvalues(ham, k)
-        assert np.asarray(got).tobytes() == whole_matrix_bisection(ham, range(k)).tobytes()
+        point = FieldPoint(gamma, h)
+        ham = build_sector_hamiltonian(size, point)
+        want = whole_matrix_bisection(ham, range(k)).tobytes()
+        assert np.asarray(lowest_eigenvalues(ham, k)).tobytes() == want
+        assert np.asarray(lowest_eigenvalues(sector_matrix(size, point), k)).tobytes() == want
 
     def test_extended_ground_state_widens_the_window(self, count_lengths):
         # a weakly disordered uniform chain: the low eigenvectors spread over
@@ -220,11 +318,58 @@ class TestWindowedBisection:
         off = -1.0 + rng.uniform(-1e-3, 1e-3, size=n)
         ham = SectorHamiltonian(size=n, diag=tuple(diag.tolist()), offdiag=tuple(off.tolist()))
         got = lowest_eigenvalues(ham, 2)
-        # without widening exactly two whole-matrix counts certify each value
-        assert count_lengths.count(n + 1) > 4
+        assert max(count_lengths) > 2 * half_width(n) + 1  # the window widened
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         expected = np.linalg.eigvalsh(dense)[:2]
         assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * norm_bound(ham)
+        assert np.asarray(got).tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
+
+    def test_decoupled_row_beyond_the_window(self, count_lengths):
+        # A harmonic well at row 150 and, far outside its window, one row
+        # with no couplings whose diagonal lies between the well's two lowest
+        # levels.  Inside the window nothing hints at it: the pivot leaving
+        # the window passes, so only the outside rows' pivot floor catches
+        # the eigenvalue it adds.
+        n = 900
+        rows = np.arange(n + 1)
+        diag = ((rows - 150) / 40.0) ** 2
+        off = np.full(n, -1.0)
+        well = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[:2]
+        diag[800] = 0.5 * (well[0] + well[1])
+        off[799:801] = 0.0
+        ham = SectorHamiltonian(size=n, diag=tuple(diag.tolist()), offdiag=tuple(off.tolist()))
+        got = lowest_eigenvalues(ham, 2)
+        expected = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[:2]
+        assert expected[1] == pytest.approx(diag[800], abs=1e-12)
+        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * norm_bound(ham)
+        assert np.asarray(got).tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
+        assert max(count_lengths) > 801  # the window widened past the decoupled row
+
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_level_coupled_across_the_window_edge(self, edge, count_lengths):
+        # Rows of diagonal 10 and no couplings, one isolated row at -5 that
+        # fixes the window to rows 194..706, and a three-row chain (diagonal
+        # 0, couplings -1) at the window's first or last rows, coupled by -1
+        # to the diagonal-10 row just outside.  Every outside row passes the
+        # pivot floor; the chain's level, -sqrt(2) inside the window, drops
+        # by about 0.02 through that coupling, which only the entering
+        # (first) or leaving (last) pivot shows.
+        n = 900
+        diag = np.full(n + 1, 10.0)
+        off = np.zeros(n)
+        diag[450] = -5.0
+        chain = [194, 195, 196] if edge == "first" else [704, 705, 706]
+        diag[chain] = 0.0
+        couples = [193, 194, 195] if edge == "first" else [704, 705, 706]
+        off[couples] = -1.0
+        ham = SectorHamiltonian(size=n, diag=tuple(diag.tolist()), offdiag=tuple(off.tolist()))
+        assert ham.summary()[1] == 450 and half_width(n) == 256
+        got = lowest_eigenvalues(ham, 2)
+        expected = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[:2]
+        assert expected[1] < -math.sqrt(2) - 0.02
+        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * norm_bound(ham)
+        assert np.asarray(got).tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
+        assert max(count_lengths) > 513  # the window widened
 
     def test_k_beyond_the_window_rows(self):
         size = 400
@@ -238,14 +383,27 @@ class TestWindowedBisection:
         assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * norm_bound(ham)
         tail = whole_matrix_bisection(ham, range(k - 3, k))
         assert np.asarray(got[-3:]).tobytes() == tail.tobytes()
+        assert lowest_eigenvalues(sector_matrix(size, FieldPoint(0.1, 0.5)), k) == got
 
-    def test_large_solve_counts_whole_matrix_only_to_certify(self, count_lengths):
+    def test_large_solve_counts_only_window_rows(self, count_lengths):
         size = 16384
         finite_gap_numeric(size, FieldPoint(0.6, 0.6))
-        full = [n for n in count_lengths if n == size + 1]
-        windowed = [n for n in count_lengths if n != size + 1]
-        assert len(full) == 4  # count(lo) and count(hi) for each of the pair
-        assert windowed and max(windowed) <= 2 * half_width(size) + 1
+        # about 90 shared bisection sweeps and four certificate sweeps, none
+        # longer than the first window
+        assert 80 <= len(count_lengths) <= 100
+        assert max(count_lengths) == 2 * half_width(size) + 1
+
+    def test_million_row_solve_stays_small(self):
+        # the window holds 16033 rows; every row of the matrix would take
+        # over 100 MB as Python floats
+        tracemalloc.start()
+        try:
+            gap = finite_gap_numeric(10**6, FieldPoint(0.6, 0.6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < gap < 1.0
+        assert peak < 4 * 2**20
 
 
 class TestFiniteGap:
