@@ -164,13 +164,13 @@ FINITE_GAP_NUMERIC_HEADER = "N,gamma,h,gap_numeric"
 
 
 def _finite_gap_field(args, budget: int) -> Fraction:
-    from .exactnum import TruncatedSeries, gamma_value
+    from .exactnum import gamma_value
 
     if args.gamma_series is None:
         return parse_gamma(args.gamma, budget)
     if args.terms < 1:
         raise UsageError(f"--terms must be >= 1, got {args.terms}")
-    return gamma_value(TruncatedSeries(_SEQ_KINDS[args.gamma_series], args.terms), budget)
+    return gamma_value(_SEQ_KINDS[args.gamma_series], args.terms, budget)
 
 
 def _numeric_gaps(gamma: Fraction, h: float):
@@ -315,7 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _mend_argv(argv: Sequence[str]) -> list[str]:
-    """Let '--h -1:1:81' work: merge values that look like negative grids."""
+    """Let '--h -1:1:81' and '--h -1e-3' work: argparse takes a token that
+    begins with '-' for an option unless it reads as a plain negative number,
+    so a '--h' or '--gamma' followed by a token that begins with a single '-'
+    is merged into one '--h=...' token.  A token that begins with '--' is
+    left alone: it names the next option."""
     out = []
     skip = False
     for i, tok in enumerate(argv):
@@ -327,7 +331,7 @@ def _mend_argv(argv: Sequence[str]) -> list[str]:
             tok in ("--h", "--gamma")
             and nxt is not None
             and nxt.startswith("-")
-            and ":" in nxt
+            and not nxt.startswith("--")
         ):
             out.append(f"{tok}={nxt}")
             skip = True

@@ -44,6 +44,3 @@ class TruncationInsufficientError(XYGapError):
     cannot be decided at the current series truncation.
     """
 
-
-class SpecNotApplicableError(XYGapError, ValueError):
-    """The operation is defined only for a different field-specification variant."""

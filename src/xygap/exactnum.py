@@ -7,19 +7,22 @@ here is a ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms, positive denominator).
 
 Besides a plain p/q (a ``Fraction``, see :func:`parse_field_literal`), a
-field value can be built by three recipes (:data:`GammaSpec`):
+field value comes from one of two recipes here, each a pair of functions:
 
-* :class:`TruncatedSeries` - the first K terms of sum(1/a_n) over one of the
-  engineered sequences.
-* :class:`DigitInjection` - sum((2 b_i + 1)/a_pos) for decimal digits b_i,
-  the map that embeds an arbitrary real into the set of anomalous fields.
-* :class:`IntervalConstruction` - a dyadic anchor plus or minus a series
-  tail, squeezed inside a target interval.
+* :func:`gamma_value` and :func:`series_enclosure` - the first K terms of
+  sum(1/a_n) over one of the engineered sequences.
+* :func:`injection_value` and :func:`injection_enclosure` -
+  sum((2 b_i + 1)/a_pos) for decimal digits b_i, the map that embeds an
+  arbitrary real into the set of anomalous fields, at the positions
+  :func:`injection_positions` certifies.
 
-Series specs denote infinite sums, so every evaluation is a truncation.
-:func:`gamma_enclosure` returns exact rational bounds that contain the
-untruncated value, which is what makes downstream comparisons (offset vs
-1/2, interval membership) decidable rather than approximate.
+The appendix's third recipe, a dyadic anchor plus or minus a series tail
+squeezed inside a target interval, lives in :mod:`xygap.scaling`.
+
+Series denote infinite sums, so every evaluation is a truncation.  The
+enclosures are exact rational bounds that contain the untruncated value,
+which is what makes downstream comparisons (offset vs 1/2, interval
+membership) decidable rather than approximate.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ import functools
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import NamedTuple, Tuple, Union
+from typing import Tuple
 
-from .errors import BitBudgetError, SpecNotApplicableError
+from .errors import BitBudgetError
 from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, doubling_holds, terms
 
 # First sequence index used by the digit-injection map.  Consecutive
@@ -41,78 +44,6 @@ from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, doubling_holds, terms
 # a_3 = 16 onward (a_4/a_3 = 4096) but fails for a_1, a_2.
 INJECTION_FIRST_INDEX = 3
 _INJECTION_MIN_RATIO = 21
-
-
-class _TruncatedSeries(NamedTuple):
-    kind: SequenceKind
-    count: int
-
-
-class TruncatedSeries(_TruncatedSeries):
-    """First ``count`` terms of sum(1/a_n) over the given sequence kind."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: SequenceKind, count: int):
-        if count < 1:
-            raise ValueError(f"truncation index must be >= 1, got {count}")
-        return super().__new__(cls, kind, count)
-
-
-class _DigitInjection(NamedTuple):
-    digits: Tuple[int, ...]
-
-
-class DigitInjection(_DigitInjection):
-    """Digits b_0..b_K mapped to sum((2 b_i + 1)/a_(INJECTION_FIRST_INDEX + i)).
-
-    :func:`gamma_value` certifies that the positions are far enough apart
-    for the map to be injective.  The value is not confined to (0, 1):
-    leading digits 8 or 9 push it above 1, which :func:`gamma_within` detects.
-    Any iterable of digits is stored as a tuple.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, digits):
-        digits = tuple(digits)
-        if not digits:
-            raise ValueError("at least one digit is required")
-        if any(not (0 <= b <= 9) for b in digits):
-            raise ValueError(f"digits must lie in 0..9, got {digits}")
-        return super().__new__(cls, digits)
-
-
-class _IntervalConstruction(NamedTuple):
-    lo: Fraction
-    hi: Fraction
-    scale_exp: int
-    anchor_num: int
-    positive_branch: bool
-    series_index: int
-
-
-class IntervalConstruction(_IntervalConstruction):
-    """Dyadic anchor anchor_num/2**scale_exp +- the series tail from index series_index.
-
-    Built by :func:`xygap.scaling.dense_gamma_in_interval`; carries the
-    target interval (lo, hi) it is certified to land in.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, lo: Fraction, hi: Fraction, scale_exp: int, anchor_num: int,
-                positive_branch: bool, series_index: int):
-        if not (0 < lo < hi < 1):
-            raise ValueError(f"need 0 < lo < hi < 1, got ({lo}, {hi})")
-        return super().__new__(cls, lo, hi, scale_exp, anchor_num, positive_branch, series_index)
-
-    @property
-    def anchor(self) -> Fraction:
-        return Fraction(self.anchor_num, 2**self.scale_exp)
-
-
-GammaSpec = Union[TruncatedSeries, DigitInjection, IntervalConstruction]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +268,25 @@ def series_tail_bound_after(
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _injection_positions(length: int, bit_budget: int) -> list[int]:
+def gamma_value(
+    kind: SequenceKind, count: int, bit_budget: int = DEFAULT_BIT_BUDGET
+) -> Fraction:
+    """Exact sum of 1/a_n over the first ``count`` terms of the sequence."""
+    return sum((Fraction(1, a) for a in terms(kind, count, bit_budget)), Fraction(0))
+
+
+def series_enclosure(
+    kind: SequenceKind, count: int, bit_budget: int = DEFAULT_BIT_BUDGET
+) -> Tuple[Fraction, Fraction]:
+    """Exact bounds [lo, hi] containing the untruncated series: the truncation
+    underestimates, so [value, value + tail]."""
+    value = gamma_value(kind, count, bit_budget)
+    return value, value + series_tail_bound_after(kind, count, bit_budget)
+
+
+def injection_positions(length: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> list[int]:
+    """Denominators a_3..a_(length+2) of the digit-injection map, certified far
+    enough apart for the map to be injective."""
     seq = terms(SequenceKind.DOUBLE_EXP, INJECTION_FIRST_INDEX + length - 1, bit_budget)
     positions = seq[INJECTION_FIRST_INDEX - 1 :]
     for a, b in zip(positions, positions[1:]):
@@ -346,61 +295,27 @@ def _injection_positions(length: int, bit_budget: int) -> list[int]:
     return positions
 
 
-def _injection_sum(digits, positions: list[int]) -> Fraction:
+def injection_value(digits, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
+    """Digits b_0..b_K mapped to sum((2 b_i + 1)/a_(INJECTION_FIRST_INDEX + i)).
+
+    The value is not confined to (0, 1): leading digits 8 or 9 push it
+    above 1, as its enclosure shows.
+    """
+    digits = tuple(digits)
+    if not digits:
+        raise ValueError("at least one digit is required")
+    if any(not (0 <= b <= 9) for b in digits):
+        raise ValueError(f"digits must lie in 0..9, got {digits}")
+    positions = injection_positions(len(digits), bit_budget)
     return sum((Fraction(2 * b + 1, a) for b, a in zip(digits, positions)), Fraction(0))
 
 
-def gamma_value(spec: GammaSpec, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
-    """Exact rational value of the (truncated) field recipe."""
-    if isinstance(spec, TruncatedSeries):
-        seq = terms(spec.kind, spec.count, bit_budget)
-        return sum((Fraction(1, a) for a in seq), Fraction(0))
-    if isinstance(spec, DigitInjection):
-        return _injection_sum(spec.digits, _injection_positions(len(spec.digits), bit_budget))
-    if isinstance(spec, IntervalConstruction):
-        first = Fraction(1, terms(SequenceKind.DOUBLE_EXP, spec.series_index, bit_budget)[-1])
-        return spec.anchor + first if spec.positive_branch else spec.anchor - first
-    raise TypeError(f"not a field spec: {spec!r}")
-
-
-def gamma_enclosure(
-    spec: GammaSpec, bit_budget: int = DEFAULT_BIT_BUDGET
+def injection_enclosure(
+    digits, bit_budget: int = DEFAULT_BIT_BUDGET
 ) -> Tuple[Fraction, Fraction]:
-    """Exact bounds [lo, hi] containing the untruncated field value.
-
-    For series variants the truncated value underestimates, so the enclosure
-    is [value, value + tail]; the interval construction's negative branch
-    overestimates instead.  For a digit injection the enclosure covers every
-    infinite digit continuation.
-    """
-    v = gamma_value(spec, bit_budget)
-    if isinstance(spec, TruncatedSeries):
-        return v, v + series_tail_bound_after(spec.kind, spec.count, bit_budget)
-    if isinstance(spec, DigitInjection):
-        last_index = INJECTION_FIRST_INDEX + len(spec.digits) - 1
-        cont = 19 * series_tail_bound_after(SequenceKind.DOUBLE_EXP, last_index, bit_budget)
-        return v, v + cont
-    rest = series_tail_bound_after(SequenceKind.DOUBLE_EXP, spec.series_index, bit_budget)
-    if spec.positive_branch:
-        return v, v + rest
-    return v - rest, v
-
-
-def gamma_bounds_check(spec: GammaSpec, bit_budget: int = DEFAULT_BIT_BUDGET) -> bool:
-    """Certify 1/2 < field < 1 for the untruncated double-exponential series.
-
-    True iff 1/2 < value and value + tail < 1, which pins the infinite sum
-    strictly inside (1/2, 1).
-    """
-    if not isinstance(spec, TruncatedSeries) or spec.kind is not SequenceKind.DOUBLE_EXP:
-        raise SpecNotApplicableError(
-            "bounds certificate is defined for double-exponential truncated series only"
-        )
-    return gamma_within(spec, Fraction(1, 2), 1, bit_budget)
-
-
-def gamma_within(spec: GammaSpec, lo, hi, bit_budget: int = DEFAULT_BIT_BUDGET) -> bool:
-    """True when the whole enclosure of the untruncated value lies strictly
-    inside (lo, hi)."""
-    enc_lo, enc_hi = gamma_enclosure(spec, bit_budget)
-    return lo < enc_lo and enc_hi < hi
+    """Exact bounds [lo, hi] covering every infinite continuation of the digits."""
+    digits = tuple(digits)
+    value = injection_value(digits, bit_budget)
+    last_index = INJECTION_FIRST_INDEX + len(digits) - 1
+    tail = series_tail_bound_after(SequenceKind.DOUBLE_EXP, last_index, bit_budget)
+    return value, value + 19 * tail

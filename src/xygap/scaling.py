@@ -25,10 +25,12 @@ agree.  A certified bound on the truncation tail accompanies each row so
 that branch decisions and classification bands provably hold for the
 untruncated field, or the row fails loudly as truncation-insufficient.
 
-The interval construction of the appendix lives here too: it plants an
-anomalous field value inside any target subinterval of (0, 1).  The
-digit-injection map, which embeds decimal strings into anomalous field
-values, is :class:`xygap.exactnum.DigitInjection`.
+The interval construction of the appendix lives here too
+(:func:`dense_gamma_in_interval`, :class:`IntervalConstruction` and its
+:func:`construction_enclosure`): it plants an anomalous field value inside
+any target subinterval of (0, 1).  The digit-injection map, which embeds
+decimal strings into anomalous field values, is
+:func:`xygap.exactnum.injection_value`.
 """
 
 from __future__ import annotations
@@ -39,15 +41,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import gaplaw
 from .errors import BitBudgetError, DegenerateDeltaError, TruncationInsufficientError
-from .exactnum import (
-    IntervalConstruction,
-    TruncatedSeries,
-    decimal_str,
-    format_rational,
-    gamma_value,
-    gamma_within,
-    series_tail_bound_after,
-)
+from .exactnum import decimal_str, format_rational, gamma_value, series_tail_bound_after
 from .sequences import (
     DEFAULT_BIT_BUDGET, RULE_DOUBLED, RULE_PLAIN, SequenceKind, next_term, terms,
 )
@@ -174,7 +168,7 @@ def scaling_row(
     a_{K+1} is out of budget); that is the row's deviation bound.
     """
     seq_terms = terms(seq.kind, truncation, bit_budget)
-    gamma = gamma_value(TruncatedSeries(seq.kind, truncation), bit_budget)
+    gamma = gamma_value(seq.kind, truncation, bit_budget)
     size, delta = _two_route_offset(seq, n, seq_terms, gamma)
     dev = Fraction(size, 2) * series_tail_bound_after(seq.kind, truncation, bit_budget)
     branch = certify_branch(delta, dev, size, gamma)
@@ -281,6 +275,52 @@ def build_scaling_report(
 # ---------------------------------------------------------------------------
 # appendix construction
 
+class _IntervalConstruction(NamedTuple):
+    lo: Fraction
+    hi: Fraction
+    scale_exp: int
+    anchor_num: int
+    positive_branch: bool
+    series_index: int
+
+
+class IntervalConstruction(_IntervalConstruction):
+    """Dyadic anchor anchor_num/2**scale_exp +- the series tail from index series_index.
+
+    Built by :func:`dense_gamma_in_interval`; carries the target interval
+    (lo, hi) it is certified to land in.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction, scale_exp: int, anchor_num: int,
+                positive_branch: bool, series_index: int):
+        if not (0 < lo < hi < 1):
+            raise ValueError(f"need 0 < lo < hi < 1, got ({lo}, {hi})")
+        return super().__new__(cls, lo, hi, scale_exp, anchor_num, positive_branch, series_index)
+
+    @property
+    def anchor(self) -> Fraction:
+        return Fraction(self.anchor_num, 2**self.scale_exp)
+
+
+def construction_enclosure(
+    spec: IntervalConstruction, bit_budget: int = DEFAULT_BIT_BUDGET
+) -> Tuple[Fraction, Fraction]:
+    """Exact bounds [lo, hi] containing anchor +- the untruncated series tail.
+
+    The tail's first term 1/a_n is added exactly and the rest is bounded, so
+    the positive branch underestimates and the negative one overestimates.
+    """
+    first = Fraction(1, terms(SequenceKind.DOUBLE_EXP, spec.series_index, bit_budget)[-1])
+    rest = series_tail_bound_after(SequenceKind.DOUBLE_EXP, spec.series_index, bit_budget)
+    if spec.positive_branch:
+        value = spec.anchor + first
+        return value, value + rest
+    value = spec.anchor - first
+    return value - rest, value
+
+
 def dense_gamma_in_interval(
     lo, hi, bit_budget: int = DEFAULT_BIT_BUDGET
 ) -> IntervalConstruction:
@@ -315,7 +355,8 @@ def dense_gamma_in_interval(
         lo=lo, hi=hi, scale_exp=k, anchor_num=anchor_num,
         positive_branch=positive, series_index=n,
     )
-    if not gamma_within(spec, lo, hi, bit_budget):
+    enc_lo, enc_hi = construction_enclosure(spec, bit_budget)
+    if not (lo < enc_lo and enc_hi < hi):
         raise ArithmeticError(
             f"interval construction failed its own certificate for ({lo}, {hi})"
         )

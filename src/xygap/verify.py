@@ -3,8 +3,9 @@
 Every suite pits two independent computations of the same quantity against
 each other: the exact h = 0 gap law against the tridiagonal eigensolver,
 the closed-form offset against the direct fractional split, the certified
-tail bounds against explicit partial sums, and the interval construction
-against exact membership checks.
+tail bounds against explicit partial sums, the interval construction
+against exact membership checks, and the eigensolver against itself on the
+mirrored matrix.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from typing import NamedTuple
 
 from . import gaplaw, scaling, sector
 from .errors import DegenerateDeltaError, TruncationInsufficientError
-from .exactnum import (
-    TruncatedSeries,
-    _injection_positions,
-    _injection_sum,
-    gamma_bounds_check,
-    gamma_within,
-    tail_bound,
-)
+from .exactnum import injection_positions, injection_value, series_enclosure, tail_bound
 from .field import FieldPoint
 from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, terms
 
@@ -82,7 +76,8 @@ def check_closed_form_routes(bit_budget: int = DEFAULT_BIT_BUDGET) -> CheckResul
 def check_appendix_bounds(bit_budget: int = DEFAULT_BIT_BUDGET) -> CheckResult:
     """Field enclosure in (1/2, 1) and tail bounds vs explicit partial sums."""
     for k_trunc in range(2, 6):
-        if not gamma_bounds_check(TruncatedSeries(SequenceKind.DOUBLE_EXP, k_trunc), bit_budget):
+        lo, hi = series_enclosure(SequenceKind.DOUBLE_EXP, k_trunc, bit_budget)
+        if not (Fraction(1, 2) < lo and hi < 1):
             return CheckResult("appendix-bounds", False, f"enclosure check failed at K={k_trunc}")
     seq = terms(SequenceKind.DOUBLE_EXP, 5, bit_budget)
     for n in range(1, 5):
@@ -109,7 +104,8 @@ def check_dense_intervals(
             spec = scaling.dense_gamma_in_interval(lo, hi, bit_budget)
         except ArithmeticError as exc:
             return CheckResult("dense-intervals", False, str(exc))
-        if not gamma_within(spec, lo, hi, bit_budget):
+        enc_lo, enc_hi = scaling.construction_enclosure(spec, bit_budget)
+        if not (lo < enc_lo and enc_hi < hi):
             return CheckResult("dense-intervals", False, f"membership failed for ({lo}, {hi})")
         bound = tail_bound(SequenceKind.DOUBLE_EXP, spec.series_index, bit_budget)
         if not bound < Fraction(1, 2 ** (spec.scale_exp + 1)):
@@ -126,7 +122,7 @@ def check_injection_injective(bit_budget: int = DEFAULT_BIT_BUDGET) -> CheckResu
     iff the integers sum((2b + 1)*(L/a)) are; a few strings tie those
     integers to the library's sum.
     """
-    positions = _injection_positions(3, bit_budget)  # separation certified once
+    positions = injection_positions(3, bit_budget)
     lcm = math.lcm(*positions)
     weights = [lcm // a for a in positions]
 
@@ -134,7 +130,7 @@ def check_injection_injective(bit_budget: int = DEFAULT_BIT_BUDGET) -> CheckResu
         return sum((2 * b + 1) * w for b, w in zip(digits, weights))
 
     for digits in ((0, 0, 0), (9, 9, 9), (0, 9, 5), (5, 0, 9), (3, 1, 4)):
-        if _injection_sum(digits, positions) * lcm != numerator(digits):
+        if injection_value(digits, bit_budget) * lcm != numerator(digits):
             return CheckResult(
                 "injection-injective", False,
                 f"digits {digits}: integer numerator differs from the field value",
@@ -148,13 +144,18 @@ def check_injection_injective(bit_budget: int = DEFAULT_BIT_BUDGET) -> CheckResu
 
 
 def check_gauge_invariance(size: int = 32, gamma: float = 0.3, h: float = 0.7) -> CheckResult:
-    """Flipping one off-diagonal sign must leave the spectrum untouched."""
+    """Reversing the rows (the reflection m -> -m) and flipping one
+    off-diagonal sign is a signed permutation similarity, so it must leave
+    the spectrum untouched.  The sign flip alone could not fail, as the
+    Sturm counts read only squared couplings; the reversal shows a solver
+    that pairs a coupling with the wrong row a different matrix."""
     ham = sector.build_sector_hamiltonian(size, FieldPoint(gamma, h))
-    flipped_off = list(ham.offdiag)
-    flipped_off[size // 2] *= -1.0
-    flipped = sector.SectorHamiltonian(size=ham.size, diag=ham.diag, offdiag=tuple(flipped_off))
+    mirrored_off = list(reversed(ham.offdiag))
+    mirrored_off[size // 2] *= -1.0
+    mirrored = sector.SectorHamiltonian(
+        size=ham.size, diag=ham.diag[::-1], offdiag=tuple(mirrored_off))
     ref = sector.lowest_eigenvalues(ham, 3)
-    alt = sector.lowest_eigenvalues(flipped, 3)
+    alt = sector.lowest_eigenvalues(mirrored, 3)
     worst = max(abs(a - b) for a, b in zip(ref, alt))
     ok = worst < 1e-11 * max(sector.norm_bound(ham), 1.0)
     return CheckResult("gauge-invariance", ok, f"spectra differ by at most {worst:.3e}")

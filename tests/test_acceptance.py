@@ -15,14 +15,7 @@ from fractions import Fraction
 from conftest import min_excitation_brute
 from xygap.classical import FieldPoint, magnetization_x, thermo_gap
 from xygap.errors import DegenerateDeltaError
-from xygap.exactnum import (
-    DigitInjection,
-    TruncatedSeries,
-    gamma_bounds_check,
-    gamma_value,
-    gamma_within,
-    tail_bound,
-)
+from xygap.exactnum import injection_value, series_enclosure, tail_bound
 from xygap.gaplaw import delta_frac, exact_gap, gap_times_size_values
 from xygap.scaling import (
     CLASS_EXPONENTIAL,
@@ -32,6 +25,7 @@ from xygap.scaling import (
     RULE_PLAIN,
     SizeSequence,
     build_scaling_report,
+    construction_enclosure,
     dense_gamma_in_interval,
     scaling_row,
 )
@@ -233,7 +227,9 @@ def test_criterion_7_appendix_suite():
     started = time.perf_counter()
 
     # (a) certified enclosure in (1/2, 1) for truncations K = 2..5
-    assert all(gamma_bounds_check(TruncatedSeries(DEXP, k)) for k in range(2, 6))
+    for k in range(2, 6):
+        lo, hi = series_enclosure(DEXP, k)
+        assert Fraction(1, 2) < lo and hi < 1
 
     # (b) tail bound 2/a_n dominates every explicit partial sum
     dexp_terms = terms(DEXP, 5)
@@ -251,11 +247,12 @@ def test_criterion_7_appendix_suite():
         width = rng.randrange(10, 50000)  # >= 1e-4 on the 1e-5 grid
         lo_units = rng.randrange(1, 10**5 - width - 1)
         lo, hi = Fraction(lo_units, 10**5), Fraction(lo_units + width, 10**5)
-        assert gamma_within(dense_gamma_in_interval(lo, hi), lo, hi)
+        enc_lo, enc_hi = construction_enclosure(dense_gamma_in_interval(lo, hi))
+        assert lo < enc_lo and enc_hi < hi
 
     # (d) digit injection is injective over all length-3 strings
     values = {
-        gamma_value(DigitInjection((b0, b1, b2)))
+        injection_value((b0, b1, b2))
         for b0 in range(10)
         for b1 in range(10)
         for b2 in range(10)

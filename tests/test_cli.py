@@ -219,6 +219,18 @@ class TestFiniteGap:
 
         assert parse_rational(cols[4]) == Fraction(1, 65536) + Fraction(1, 2**65536)
 
+    def test_negative_exponent_form_after_its_option(self, cli):
+        # argparse takes "-1e-3" for an option unless it is glued on with "="
+        spaced = cli("finite-gap", "--gamma", "1/3", "--h", "-1e-3", "--N", "4")
+        glued = cli("finite-gap", "--gamma", "1/3", "--h=-1e-3", "--N", "4")
+        assert spaced.returncode == 0, spaced.stderr
+        assert (spaced.stdout, spaced.stderr) == (glued.stdout, glued.stderr)
+        assert spaced.stdout.startswith("N,gamma,h,gap_numeric\n4,1/3,-0.001,")
+
+    def test_negative_gamma_after_its_option(self, capsys):
+        assert main(["finite-gap", "--gamma", "-1/3", "--h", "0.5", "--N", "4"]) == 2
+        assert capsys.readouterr().err == "error: --gamma must be >= 0, got -1/3\n"
+
     def test_gamma_required(self, cli):
         res = cli("finite-gap", "--N", "4")
         assert res.returncode == 2

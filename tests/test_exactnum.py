@@ -8,17 +8,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from xygap import exactnum
-from xygap.errors import SpecNotApplicableError
 from xygap.exactnum import (
-    DigitInjection,
-    TruncatedSeries,
     decimal_str,
     format_rational,
-    gamma_bounds_check,
-    gamma_enclosure,
     gamma_value,
+    injection_enclosure,
+    injection_value,
     parse_field_literal,
     parse_rational,
+    series_enclosure,
     series_tail_bound_after,
     tail_bound,
 )
@@ -283,37 +281,37 @@ class TestFieldLiteralAgainstFraction:
 
 class TestSeriesValues:
     def test_two_term_sum(self):
-        assert gamma_value(TruncatedSeries(DEXP, 2)) == Fraction(3, 4)
+        assert gamma_value(DEXP, 2) == Fraction(3, 4)
 
     def test_four_term_sum(self):
-        assert gamma_value(TruncatedSeries(DEXP, 4)) == Fraction(53249, 65536)
+        assert gamma_value(DEXP, 4) == Fraction(53249, 65536)
 
     def test_factorial_three_terms(self):
-        assert gamma_value(TruncatedSeries(FACT, 3)) == Fraction(361, 720)
+        assert gamma_value(FACT, 3) == Fraction(361, 720)
 
     def test_monotone_in_truncation_with_exact_increment(self):
         from xygap.sequences import terms
 
         seq = terms(DEXP, 5)
         for k in range(1, 5):
-            lo = gamma_value(TruncatedSeries(DEXP, k))
-            hi = gamma_value(TruncatedSeries(DEXP, k + 1))
+            lo = gamma_value(DEXP, k)
+            hi = gamma_value(DEXP, k + 1)
             assert hi > lo
             assert hi - lo == Fraction(1, seq[k])
 
     def test_enclosure_width_at_least_halves(self):
         widths = []
         for k in range(1, 5):
-            lo, hi = gamma_enclosure(TruncatedSeries(DEXP, k))
+            lo, hi = series_enclosure(DEXP, k)
             widths.append(hi - lo)
         for prev, nxt in zip(widths, widths[1:]):
             assert nxt <= prev / 2
 
     def test_enclosure_contains_deeper_truncations(self):
         # the untruncated value is bracketed: any deeper truncation must stay inside
-        lo, hi = gamma_enclosure(TruncatedSeries(DEXP, 2))
+        lo, hi = series_enclosure(DEXP, 2)
         for k in (3, 4, 5):
-            v = gamma_value(TruncatedSeries(DEXP, k))
+            v = gamma_value(DEXP, k)
             assert lo <= v < hi
 
 
@@ -351,24 +349,24 @@ class TestTailBounds:
 class TestBoundsCertificate:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_certifies_interval(self, k):
-        assert gamma_bounds_check(TruncatedSeries(DEXP, k)) is True
-
-    def test_not_applicable_to_digit_injection(self):
-        with pytest.raises(SpecNotApplicableError):
-            gamma_bounds_check(DigitInjection((1,)))
-
-    def test_not_applicable_to_factorial_series(self):
-        with pytest.raises(SpecNotApplicableError):
-            gamma_bounds_check(TruncatedSeries(FACT, 3))
+        lo, hi = series_enclosure(DEXP, k)
+        assert Fraction(1, 2) < lo and hi < 1
 
 
 class TestDigitInjectionSpec:
+    """The digit-injection map's value and enclosure."""
+
     def test_digit_validation(self):
         with pytest.raises(ValueError):
-            DigitInjection(digits=(10,))
+            injection_value(digits=(10,))
         with pytest.raises(ValueError):
-            DigitInjection(digits=())
+            injection_value(digits=())
 
     def test_all_zero_digits_give_series_tail(self):
-        value = gamma_value(DigitInjection(digits=(0, 0, 0)))
+        value = injection_value(digits=(0, 0, 0))
         assert value == Fraction(1, 16) + Fraction(1, 65536) + Fraction(1, 2**65536)
+
+    def test_enclosure_covers_every_continuation(self):
+        lo, hi = injection_enclosure((3, 5))
+        for last in range(10):
+            assert lo < injection_value((3, 5, last)) < hi

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import min_excitation_brute
 from xygap.errors import DegenerateDeltaError
-from xygap.exactnum import TruncatedSeries, gamma_value
+from xygap.exactnum import gamma_value
 from xygap.gaplaw import (
     BRANCH_DEGENERATE,
     BRANCH_HIGH,
@@ -103,7 +103,7 @@ class TestResidueRouteAgainstSplitOracle:
     def test_series_fields(self, kind, count):
         # the 65k-bit double-exp field and the factorial one, at N = 1..64 and
         # at every size a scaling row of either rule can take
-        gamma = gamma_value(TruncatedSeries(kind, count))
+        gamma = gamma_value(kind, count)
         rows = {
             size
             for rule in (RULE_PLAIN, RULE_DOUBLED)

@@ -13,8 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SRC_DIR, run_cli
-from xygap import classical, gaplaw, scaling, sector, verify
-from xygap.exactnum import DigitInjection, IntervalConstruction, TruncatedSeries
+from xygap import classical, exactnum, gaplaw, scaling, sector, verify
 from xygap.field import FieldPoint
 from xygap.sequences import SequenceKind
 
@@ -114,6 +113,8 @@ def test_cli_import_loads_no_scipy(tmp_path):
               "-o", str(tmp_path / "fg.csv")], {"xygap.sector", "xygap.scaling", "json"}),
             (["finite-gap", "--gamma", "1/3", "--N", "2:64:even",
               "-o", str(tmp_path / "cross.csv")], {"xygap.scaling", "json"}),
+            (["finite-gap", "--gamma-series", "double-exp", "--terms", "5", "--N", "2:64:even",
+              "-o", str(tmp_path / "series.csv")], {"xygap.scaling", "json"}),
             (["finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "64,1024",
               "-o", str(tmp_path / "sector.csv")], {"xygap.gaplaw", "xygap.scaling", "json"}),
             (["phase-diagram", "--gamma", "0:2:81", "--h", "-1:1:81",
@@ -132,6 +133,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert (tmp_path / "r.json").stat().st_size > 0
     assert len((tmp_path / "fg.csv").read_text().split("\n")) == 1 + 32 + 1
     assert all(row.split(",")[6] for row in (tmp_path / "cross.csv").read_text().split("\n")[1:-1])
+    assert len((tmp_path / "series.csv").read_text().split("\n")) == 1 + 32 + 1
     assert len((tmp_path / "sector.csv").read_text().split("\n")) == 1 + 2 + 1
     assert len((tmp_path / "pd.csv").read_text().split("\n")) == 1 + 81 * 81 + 1
     assert len(json.loads((tmp_path / "pd.json").read_text())["records"]) == 21 * 41
@@ -174,14 +176,12 @@ def test_output_unchanged_under_optimize(args):
 
 
 def _records():
-    """One record of each of the 14 result types, and one field name of it."""
+    """One record of each of the 12 result types, and one field name of it."""
     point = FieldPoint(0.5, 0.25)
     seq = scaling.SizeSequence(SequenceKind.DOUBLE_EXP)
     gamma = Fraction(1, 3)
     return [
         (point, "h"),
-        (TruncatedSeries(SequenceKind.FACTORIAL, 3), "count"),
-        (DigitInjection((1, 2)), "digits"),
         (scaling.dense_gamma_in_interval(Fraction(1, 3), Fraction(1, 2)), "lo"),
         (gaplaw.delta_frac(4, gamma), "value"),
         (gaplaw.ground_level(4, gamma), "energy"),
@@ -198,7 +198,7 @@ def _records():
 
 def test_records_are_immutable():
     records = _records()
-    assert len({type(record) for record, _ in records}) == 14
+    assert len({type(record) for record, _ in records}) == 12
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
@@ -210,29 +210,25 @@ _BAD_INTERVAL = {"lo": Fraction(1, 2), "hi": Fraction(1, 4), "scale_exp": 3, "an
                  "positive_branch": True, "series_index": 4}
 
 
-@pytest.mark.parametrize("cls, fields, message", [
+# The value functions of the series and the digit-injection map refuse bad
+# arguments as the records do.
+@pytest.mark.parametrize("make, fields, message", [
     (FieldPoint, {"gamma": -0.5, "h": 0.5},
      "need finite gamma >= 0 and finite h, got FieldPoint(gamma=-0.5, h=0.5)"),
     (FieldPoint, {"gamma": 0.5, "h": float("nan")},
      "need finite gamma >= 0 and finite h, got FieldPoint(gamma=0.5, h=nan)"),
-    (TruncatedSeries, {"kind": SequenceKind.FACTORIAL, "count": 0},
-     "truncation index must be >= 1, got 0"),
-    (DigitInjection, {"digits": []}, "at least one digit is required"),
-    (DigitInjection, {"digits": [3, 10]}, "digits must lie in 0..9, got (3, 10)"),
-    (IntervalConstruction, _BAD_INTERVAL, "need 0 < lo < hi < 1, got (1/2, 1/4)"),
-    (IntervalConstruction, {**_BAD_INTERVAL, "hi": Fraction(1)},
+    (exactnum.gamma_value, {"kind": SequenceKind.FACTORIAL, "count": 0},
+     "count must be >= 1, got 0"),
+    (exactnum.injection_value, {"digits": []}, "at least one digit is required"),
+    (exactnum.injection_value, {"digits": [3, 10]}, "digits must lie in 0..9, got (3, 10)"),
+    (scaling.IntervalConstruction, _BAD_INTERVAL, "need 0 < lo < hi < 1, got (1/2, 1/4)"),
+    (scaling.IntervalConstruction, {**_BAD_INTERVAL, "hi": Fraction(1)},
      "need 0 < lo < hi < 1, got (1/2, 1)"),
     (scaling.SizeSequence, {"kind": SequenceKind.DOUBLE_EXP, "rule": "3a_n"},
      "rule must be 'a_n' or '2a_n', got '3a_n'"),
 ])
-def test_validated_records_refuse_bad_fields(cls, fields, message):
+def test_validated_records_refuse_bad_fields(make, fields, message):
     for args, kwargs in ((tuple(fields.values()), {}), ((), fields)):
         with pytest.raises(ValueError) as exc:
-            cls(*args, **kwargs)
+            make(*args, **kwargs)
         assert str(exc.value) == message
-
-
-def test_digit_injection_stores_a_tuple():
-    spec = DigitInjection([1, 2])
-    assert type(spec.digits) is tuple
-    assert spec == DigitInjection(digits=(1, 2))

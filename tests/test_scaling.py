@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from xygap.errors import BitBudgetError, TruncationInsufficientError
-from xygap.exactnum import DigitInjection, gamma_value, gamma_within, tail_bound
+from xygap.exactnum import injection_enclosure, injection_value, tail_bound
 from xygap.gaplaw import BRANCH_LOW
 from xygap.scaling import (
     CLASS_EXPONENTIAL,
@@ -17,6 +17,7 @@ from xygap.scaling import (
     SizeSequence,
     build_scaling_report,
     classify_scaling,
+    construction_enclosure,
     dense_gamma_in_interval,
     report_csv_lines,
     report_to_json_dict,
@@ -213,24 +214,24 @@ class TestInjection:
         for b0 in range(10):
             for b1 in range(10):
                 for b2 in range(10):
-                    values.add(gamma_value(DigitInjection((b0, b1, b2))))
+                    values.add(injection_value((b0, b1, b2)))
         assert len(values) == 1000
 
     def test_zero_digits_reproduce_series_tail(self):
-        value = gamma_value(DigitInjection((0, 0)))
+        value = injection_value((0, 0))
         assert value == Fraction(1, 16) + Fraction(1, 65536)
 
     def test_large_leading_digit_leaves_unit_interval(self):
-        spec = DigitInjection((9, 0))
-        assert gamma_value(spec) > 1
-        assert not gamma_within(spec, 0, 1)
+        lo, hi = injection_enclosure((9, 0))
+        assert 1 < lo < hi
 
     def test_small_digits_stay_inside(self):
-        assert gamma_within(DigitInjection((3, 5, 7)), 0, 1)
+        lo, hi = injection_enclosure((3, 5, 7))
+        assert 0 < lo and hi < 1
 
     def test_budget_limit(self):
         with pytest.raises(BitBudgetError):
-            gamma_value(DigitInjection((1, 2, 3, 4)))  # needs the sixth double-exp term
+            injection_value((1, 2, 3, 4))  # needs the sixth double-exp term
 
 
 class TestDenseInterval:
@@ -243,7 +244,8 @@ class TestDenseInterval:
         spec = dense_gamma_in_interval(Fraction(3, 10), Fraction(30001, 100000))
         assert spec.scale_exp == 17
         assert spec.series_index == 5
-        assert gamma_within(spec, spec.lo, spec.hi)
+        lo, hi = construction_enclosure(spec)
+        assert spec.lo < lo and hi < spec.hi
 
     def test_appendix_bound_chain(self):
         spec = dense_gamma_in_interval(Fraction(1, 3), Fraction(2, 3))
@@ -260,9 +262,8 @@ class TestDenseInterval:
             lo = Fraction(lo_units, 10**5)
             hi = Fraction(lo_units + width, 10**5)
             spec = dense_gamma_in_interval(lo, hi)
-            assert gamma_within(spec, lo, hi)
-            value = gamma_value(spec)
-            assert lo < value < hi
+            enc_lo, enc_hi = construction_enclosure(spec)
+            assert lo < enc_lo < enc_hi < hi
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):

@@ -77,12 +77,14 @@ class TestEigenvalues:
             lowest_eigenvalues(ham, 4)
 
     def test_offdiagonal_sign_is_gauge(self):
+        # the sign flip alone leaves every squared coupling as it was; the
+        # reflection m -> -m (rows reversed) moves each to the other side
         ham = build_sector_hamiltonian(16, FieldPoint(0.4, 0.9))
-        flipped_off = list(ham.offdiag)
-        flipped_off[7] *= -1.0
-        flipped = SectorHamiltonian(16, ham.diag, tuple(flipped_off))
+        mirrored_off = list(reversed(ham.offdiag))
+        mirrored_off[7] *= -1.0
+        mirrored = SectorHamiltonian(16, ham.diag[::-1], tuple(mirrored_off))
         ref = lowest_eigenvalues(ham, 4)
-        alt = lowest_eigenvalues(flipped, 4)
+        alt = lowest_eigenvalues(mirrored, 4)
         assert np.max(np.abs(np.asarray(ref) - np.asarray(alt))) < 1e-12 * norm_bound(ham)
 
 

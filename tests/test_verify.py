@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from xygap import gaplaw, scaling, verify
+from xygap import exactnum, gaplaw, scaling, sector, verify
 from xygap.cli import main
 from xygap.verify import CheckResult, check_injection_injective
 
@@ -15,17 +15,22 @@ class TestInjectionSuite:
         )
 
     def test_catches_colliding_positions(self, monkeypatch):
-        # ratio 2 between positions: (2b + 1) windows overlap, strings collide
-        monkeypatch.setattr(verify, "_injection_positions", lambda length, budget: [16, 32, 64])
+        # ratio 2 between positions: (2b + 1) windows overlap, strings collide;
+        # the library's value takes the same positions, so only the count fails
+        def colliding(length, budget):
+            return [16, 32, 64]
+
+        monkeypatch.setattr(verify, "injection_positions", colliding)
+        monkeypatch.setattr(exactnum, "injection_positions", colliding)
         res = check_injection_injective()
         assert not res.passed
         assert res.detail.endswith("distinct values from 1000 digit strings")
 
     def test_catches_numerators_that_leave_the_library_sum(self, monkeypatch):
-        real = verify._injection_sum
+        real = verify.injection_value
         monkeypatch.setattr(
-            verify, "_injection_sum",
-            lambda digits, positions: real(digits, positions) + Fraction(1, 2**70_000),
+            verify, "injection_value",
+            lambda digits, budget: real(digits, budget) + Fraction(1, 2**70_000),
         )
         res = check_injection_injective()
         assert not res.passed
@@ -51,7 +56,23 @@ class TestFailuresAreReported:
         assert lines[1].startswith("FAIL closed-form-routes: offset routes disagree at n=1, N=2")
 
     def test_interval_construction_fails_its_certificate(self, monkeypatch):
-        monkeypatch.setattr(scaling, "gamma_within", lambda spec, lo, hi, budget: False)
+        # an enclosure as wide as the target interval is not strictly inside it
+        monkeypatch.setattr(
+            scaling, "construction_enclosure", lambda spec, budget: (spec.lo, spec.hi))
         res = verify.check_dense_intervals(samples=3)
         assert not res.passed
         assert res.detail.startswith("interval construction failed its own certificate for (")
+
+    def test_gauge_suite_catches_couplings_on_the_wrong_rows(self, monkeypatch):
+        # a solver whose squared couplings sit one row too low sees the same
+        # squares whatever their signs, but not the same matrix mirrored
+        real = sector._bisect
+
+        def shifted(diag, off_sq, *rest):
+            return real(diag, [0.0, *off_sq[:-1]], *rest)
+
+        assert verify.check_gauge_invariance().passed
+        monkeypatch.setattr(sector, "_bisect", shifted)
+        res = verify.check_gauge_invariance()
+        assert not res.passed
+        assert float(res.detail.rpartition(" ")[2]) > 0.2
