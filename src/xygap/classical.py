@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GapBranchError
 from .field import FieldPoint
@@ -235,13 +235,13 @@ def phase_diagram_scan(
 SCAN_CSV_HEADER = "gamma,h,theta0,m_x,gap"
 
 
-def scan_csv_lines(records: Iterable[PhaseRecord]) -> list[str]:
-    """The header and one row per record, each value as format(x, ".17g")
-    after ``+ 0.0``, which prints -0.0 as 0."""
+def scan_csv_lines(records: Iterable[PhaseRecord]) -> Iterator[str]:
+    """The header, then one row per record as the caller asks for it, each
+    value as format(x, ".17g") after ``+ 0.0``, which prints -0.0 as 0."""
     row = "%.17g,%.17g,%.17g,%.17g,%.17g"
-    return [SCAN_CSV_HEADER, *[
-        row % (r.gamma + 0.0, r.h + 0.0, r.theta0 + 0.0, r.m_x + 0.0, r.gap + 0.0) for r in records
-    ]]
+    yield SCAN_CSV_HEADER
+    for r in records:
+        yield row % (r.gamma + 0.0, r.h + 0.0, r.theta0 + 0.0, r.m_x + 0.0, r.gap + 0.0)
 
 
 def scan_json(records: Iterable[PhaseRecord]) -> str:

@@ -12,6 +12,16 @@ Exit codes: 0 success, 1 verification/runtime failure (also a standard
 output closed early, as by ``| head``), 2 usage error, 3 bit-budget
 exhaustion.  Identical invocations produce byte-identical output files.
 
+Every command first computes all that can fail: the parsed sizes and field,
+the scan records, the eigensolver gaps, the scaling report.  Only then does
+it open its output, and :func:`_write_lines` streams the rows to it as they
+are formatted.  So a failing command writes no file and prints nothing to
+standard output, and the output text is never held: a size range stays a
+``range``, and each row is formatted, written and dropped in turn.  What
+stays in memory is only what can fail, such as one float per size at
+h != 0 and one record per scan point, so the exact h = 0 rows run in memory
+that does not grow with the row count.
+
 The package needs only the standard library.  A process imports only the
 modules its command runs, because without a bytecode cache each module is
 also compiled.  At the top this module imports ``argparse`` and, of xygap,
@@ -37,7 +47,7 @@ from .sequences import (
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing for --help
 if TYPE_CHECKING:
-    from collections.abc import Sequence
+    from collections.abc import Iterable, Sequence
     from fractions import Fraction
 
 BUDGET_ENV_VAR = "XYGAP_BIT_BUDGET"
@@ -73,8 +83,9 @@ def parse_grid(text: str) -> list[float]:
     return [lo + i * step for i in range(count - 1)] + [hi]
 
 
-def parse_sizes(text: str) -> list[int]:
-    """Size list: "2:64:even", "3:99:odd", "1:50:all", or "16,64,256"."""
+def parse_sizes(text: str) -> Sequence[int]:
+    """Size list: "2:64:even", "3:99:odd", "1:50:all" (each a ``range``), or
+    "16,64,256"; a range that selects no size is a usage error."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3 or parts[2] not in ("even", "odd", "all"):
@@ -88,11 +99,12 @@ def parse_sizes(text: str) -> list[int]:
         if start < 1 or stop < start:
             raise UsageError(f"need 1 <= start <= stop in {text!r}")
         sizes = range(start, stop + 1)
-        if parts[2] == "even":
-            return [n for n in sizes if n % 2 == 0]
-        if parts[2] == "odd":
-            return [n for n in sizes if n % 2 == 1]
-        return list(sizes)
+        if parts[2] != "all":
+            parity = 0 if parts[2] == "even" else 1
+            sizes = range(start if start % 2 == parity else start + 1, stop + 1, 2)
+        if not sizes:
+            raise UsageError(f"size range {text!r} selects no size")
+        return sizes
     try:
         out = [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
@@ -129,16 +141,20 @@ def _resolve_budget(args) -> int:
     return budget
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_lines(path: str | None, lines: Iterable[str]) -> None:
+    """Write each line and a newline to ``path``, or to standard output for
+    None or "-", as the iterable yields it; the text is never held whole."""
     if path in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+        out = sys.stdout
+    else:
+        out = open(path, "w", encoding="ascii", newline="\n")
+    try:
+        for line in lines:
+            out.write(line)
+            out.write("\n")
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def cmd_phase_diagram(args) -> int:
@@ -153,9 +169,9 @@ def cmd_phase_diagram(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.format == "json":
-        _write_text(args.output, classical.scan_json(records))
+        _write_lines(args.output, [classical.scan_json(records)])
     else:
-        _write_text(args.output, "\n".join(classical.scan_csv_lines(records)))
+        _write_lines(args.output, classical.scan_csv_lines(records))
     return EXIT_OK
 
 
@@ -204,30 +220,38 @@ def cmd_finite_gap(args, budget: int) -> int:
     sizes = parse_sizes(args.N)
     gamma = _finite_gap_field(args, budget)
     gamma_text = format_rational(gamma)
-    if args.h == 0.0:
-        from . import gaplaw
+    if args.h != 0.0:
+        numeric_gap = _numeric_gaps(gamma, args.h)
+        gaps = [numeric_gap(size) for size in sizes]
+        h_text = format(args.h, ".17g")
 
-        if not 0 <= gamma < 1:
-            raise UsageError(f"the exact h=0 route needs 0 <= gamma < 1, got {gamma_text}")
-        numeric_gap = _numeric_gaps(gamma, 0.0) if min(sizes) <= args.cross_max else None
-        lines = [FINITE_GAP_EXACT_HEADER]
+        def numeric_rows():
+            yield FINITE_GAP_NUMERIC_HEADER
+            for size, gap in zip(sizes, gaps):
+                yield f"{size},{gamma_text},{h_text},{format(gap, '.17g')}"
+
+        _write_lines(args.output, numeric_rows())
+        return EXIT_OK
+    from . import gaplaw
+
+    if not 0 <= gamma < 1:
+        raise UsageError(f"the exact h=0 route needs 0 <= gamma < 1, got {gamma_text}")
+    checked = [size for size in sizes if size <= args.cross_max]
+    numeric_gap = _numeric_gaps(gamma, 0.0) if checked else None
+    cross = {size: format(numeric_gap(size), ".17g") for size in checked}
+
+    def exact_rows():
+        # gap_record cannot raise once gamma is in [0, 1), so rows are
+        # computed as they are written
+        yield FINITE_GAP_EXACT_HEADER
         for size in sizes:
             rec = gaplaw.gap_record(size, gamma)
-            numeric = format(numeric_gap(size), ".17g") if size <= args.cross_max else ""
             gap = ("," if rec.gap is None
                    else f"{format_rational(rec.gap)},{decimal_str(rec.gap, 17)}")
             delta = format_rational(rec.delta.value)
-            lines.append(f"{size},{gamma_text},{delta},{rec.branch},{gap},{numeric}")
-        _write_text(args.output, "\n".join(lines))
-        return EXIT_OK
-    numeric_gap = _numeric_gaps(gamma, args.h)
-    lines = [FINITE_GAP_NUMERIC_HEADER]
-    for size in sizes:
-        gap = numeric_gap(size)
-        lines.append(
-            f"{size},{gamma_text},{format(args.h, '.17g')},{format(gap, '.17g')}"
-        )
-    _write_text(args.output, "\n".join(lines))
+            yield f"{size},{gamma_text},{delta},{rec.branch},{gap},{cross.get(size, '')}"
+
+    _write_lines(args.output, exact_rows())
     return EXIT_OK
 
 
@@ -243,9 +267,9 @@ def cmd_scaling(args, budget: int) -> int:
         raise UsageError(f"scaling needs --K >= 4 for two rows n = 1..K-2, got {k_trunc}")
     seq = scaling.SizeSequence(kind=kind, rule=args.rule)
     report = scaling.build_scaling_report(seq, k_trunc, budget)
-    _write_text(args.output, scaling.report_to_json(report))
+    _write_lines(args.output, [scaling.report_to_json(report)])
     if args.csv is not None:
-        _write_text(args.csv, "\n".join(scaling.report_csv_lines(report)))
+        _write_lines(args.csv, scaling.report_csv_lines(report))
     return EXIT_OK
 
 

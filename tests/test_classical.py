@@ -254,7 +254,7 @@ class TestScan:
             assert rec.gap == pytest.approx(expected, abs=1e-12)
 
     def test_csv_shape(self):
-        lines = scan_csv_lines(phase_diagram_scan([0.0], [0.5]))
+        lines = list(scan_csv_lines(phase_diagram_scan([0.0], [0.5])))
         assert lines[0] == "gamma,h,theta0,m_x,gap"
         assert len(lines) == 2 and len(lines[1].split(",")) == 5
 
@@ -269,6 +269,6 @@ class TestScan:
             ",".join(format(v + 0.0, ".17g") for v in (r.gamma, r.h, r.theta0, r.m_x, r.gap))
             for r in records
         )]
-        lines = scan_csv_lines(records)
+        lines = list(scan_csv_lines(records))
         assert lines == want
         assert lines[-2] == "0.5,0,1.0471975511965976,0,0"

