@@ -5,6 +5,9 @@ Subcommands:
 * ``phase-diagram`` - thermodynamic-limit scan over a (gamma, h) grid.
 * ``finite-gap``    - finite-size gaps; exact rationals on the h = 0 line,
   eigensolver values elsewhere, with a cross-check column when both apply.
+  The exact rows are computed in integers (``gaplaw.exact_row``) and
+  printed by ``exactnum``'s ``(num, den)`` text helpers, with no Fraction
+  built per row.
 * ``scaling``       - certified scaling report for an engineered sequence.
 * ``verify``        - cross-oracle suites; nonzero exit on any failure.
 
@@ -15,9 +18,10 @@ exhaustion.  Identical invocations produce byte-identical output files.
 Every command first computes all that can fail: the parsed sizes and field,
 the scan records, the eigensolver gaps, the scaling report.  Only then does
 it open its output, and :func:`_write_lines` streams the rows to it as they
-are formatted.  So a failing command writes no file and prints nothing to
-standard output, and the output text is never held: a size range stays a
-``range``, and each row is formatted, written and dropped in turn.  What
+are formatted (the scaling JSON goes through :func:`_write_chunks` in the
+encoder's chunks).  So a failing command writes no file and prints nothing
+to standard output, and the output text is never held: a size range stays
+a ``range``, and each row is formatted, written and dropped in turn.  What
 stays in memory is only what can fail, such as one float per size at
 h != 0 and one record per scan point, so the exact h = 0 rows run in memory
 that does not grow with the row count.
@@ -36,6 +40,7 @@ their own modules.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -106,7 +111,7 @@ def parse_sizes(text: str) -> Sequence[int]:
             raise UsageError(f"size range {text!r} selects no size")
         return sizes
     try:
-        out = [int(tok) for tok in text.split(",") if tok]
+        out = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad size list {text!r}: {exc}") from None
     if not out or any(n < 1 for n in out):
@@ -141,20 +146,23 @@ def _resolve_budget(args) -> int:
     return budget
 
 
-def _write_lines(path: str | None, lines: Iterable[str]) -> None:
-    """Write each line and a newline to ``path``, or to standard output for
-    None or "-", as the iterable yields it; the text is never held whole."""
+def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
+    """Write each chunk to ``path``, or to standard output for None or "-",
+    as the iterable yields it; the text is never held whole."""
     if path in (None, "-"):
         out = sys.stdout
     else:
         out = open(path, "w", encoding="ascii", newline="\n")
     try:
-        for line in lines:
-            out.write(line)
-            out.write("\n")
+        out.writelines(chunks)
     finally:
         if out is not sys.stdout:
             out.close()
+
+
+def _write_lines(path: str | None, lines: Iterable[str]) -> None:
+    """Write each line and a newline, as :func:`_write_chunks`."""
+    _write_chunks(path, itertools.chain.from_iterable(zip(lines, itertools.repeat("\n"))))
 
 
 def cmd_phase_diagram(args) -> int:
@@ -213,7 +221,7 @@ def _numeric_gaps(gamma: Fraction, h: float):
 
 
 def cmd_finite_gap(args, budget: int) -> int:
-    from .exactnum import decimal_str, format_rational
+    from .exactnum import decimal_text, format_rational, ratio_text
 
     if not math.isfinite(args.h):
         raise UsageError(f"--h must be finite, got {args.h}")
@@ -240,16 +248,19 @@ def cmd_finite_gap(args, budget: int) -> int:
     numeric_gap = _numeric_gaps(gamma, 0.0) if checked else None
     cross = {size: format(numeric_gap(size), ".17g") for size in checked}
 
+    p, q = gamma.numerator, gamma.denominator
+    exact_row, degenerate = gaplaw.exact_row, gaplaw.BRANCH_DEGENERATE
+
     def exact_rows():
-        # gap_record cannot raise once gamma is in [0, 1), so rows are
+        # exact_row cannot raise once gamma is in [0, 1), so rows are
         # computed as they are written
         yield FINITE_GAP_EXACT_HEADER
         for size in sizes:
-            rec = gaplaw.gap_record(size, gamma)
-            gap = ("," if rec.gap is None
-                   else f"{format_rational(rec.gap)},{decimal_str(rec.gap, 17)}")
-            delta = format_rational(rec.delta.value)
-            yield f"{size},{gamma_text},{delta},{rec.branch},{gap},{cross.get(size, '')}"
+            branch, delta_num, delta_den, gap_num, gap_den = exact_row(size, p, q)
+            gap = ("," if branch == degenerate
+                   else f"{ratio_text(gap_num, gap_den)},{decimal_text(gap_num, gap_den)}")
+            delta = ratio_text(delta_num, delta_den)
+            yield f"{size},{gamma_text},{delta},{branch},{gap},{cross.get(size, '')}"
 
     _write_lines(args.output, exact_rows())
     return EXIT_OK
@@ -267,7 +278,7 @@ def cmd_scaling(args, budget: int) -> int:
         raise UsageError(f"scaling needs --K >= 4 for two rows n = 1..K-2, got {k_trunc}")
     seq = scaling.SizeSequence(kind=kind, rule=args.rule)
     report = scaling.build_scaling_report(seq, k_trunc, budget)
-    _write_lines(args.output, [scaling.report_to_json(report)])
+    _write_chunks(args.output, itertools.chain(scaling.report_json_chunks(report), ["\n"]))
     if args.csv is not None:
         _write_lines(args.csv, scaling.report_csv_lines(report))
     return EXIT_OK

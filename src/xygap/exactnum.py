@@ -207,33 +207,42 @@ def parse_field_literal(text: str, bit_budget: int = DEFAULT_BIT_BUDGET) -> Frac
     return value
 
 
-def format_rational(r: Fraction) -> str:
-    """Canonical "p/q" form, denominator always present ("0/1", "3/4", ...)."""
-    num, den = r.numerator, r.denominator
+def ratio_text(num: int, den: int) -> str:
+    """"num/den" for the integers of a rational in lowest terms, den > 0."""
     if num.bit_length() <= _STR_BITS and den.bit_length() <= _STR_BITS:
         return f"{num}/{den}"
     return f"{_exact_decimal(num)}/{_exact_decimal(den)}"
 
 
-def decimal_str(r: Fraction, digits: int = 17) -> str:
-    """Scientific-notation decimal approximation with the stated digit count.
+def decimal_text(num: int, den: int, digits: int = 17) -> str:
+    """num/den (den > 0) in scientific notation with ``digits`` significant
+    digits, rounded half away from zero.
 
-    One correctly rounded division of the exact numerator and denominator,
-    so it works for rationals far outside float range (e.g. 2**-65536).
-    Rounds half away from zero.  For human inspection and file output only;
-    never used in computations.
+    One correctly rounded division of the exact integers, so it works for
+    rationals far outside float range (e.g. 2**-65536).  For human
+    inspection and file output only; never used in computations.
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    if r == 0:
+    if not num:
         return "0"
-    quotient = _rounding_context(digits).divide(
-        _exact_decimal(r.numerator), _exact_decimal(r.denominator)
-    )
+    if num.bit_length() > _SPLIT_BITS or den.bit_length() > _SPLIT_BITS:
+        num, den = _exact_decimal(num), _exact_decimal(den)
+    quotient = _rounding_context(digits).divide(num, den)  # ints convert exactly
     # an exact quotient keeps only its own digits (6/5 -> 1.2); the format
     # pads it to `digits` and rounds nothing, so no context setting matters
     mantissa = format(quotient, f".{digits - 1}e").partition("e")[0]
     return f"{mantissa}e{quotient.adjusted():+03d}"
+
+
+def format_rational(r: Fraction) -> str:
+    """Canonical "p/q" form, denominator always present ("0/1", "3/4", ...)."""
+    return ratio_text(r.numerator, r.denominator)
+
+
+def decimal_str(r: Fraction, digits: int = 17) -> str:
+    """:func:`decimal_text` of a Fraction."""
+    return decimal_text(r.numerator, r.denominator, digits)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,16 @@ lengths in units of 1/(2q), m* sits at p*N and the grid at the multiples of
 
 above the grid point at or below it.  Then delta = r/(2q); the crossing is
 r = q, the low branch r < q, the neighbors tie at r = 0, and the gap is
-|q - r|/(q*N).  Floats are rejected; Fractions are built only for results.
+|q - r|/(q*N).  :func:`exact_row` computes each row once, in integers, each
+ratio reduced by one gcd; the CLI prints those integers as they are, and
+:func:`gap_record` wraps the same row in Fractions for ``verify``,
+``scaling`` and the tests.  Floats are rejected.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import DegenerateDeltaError
@@ -94,34 +98,36 @@ def energy_level(size: int, m, gamma) -> Fraction:
     return -Fraction(size + 2, 4) + m * m / size - gamma * m
 
 
-def _residue(size: int, gamma: Fraction) -> tuple[int, int, int]:
-    """(p, q, r) with gamma = p/q and r = 2q*delta, see the module docstring."""
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    p, q = gamma.numerator, gamma.denominator
-    if not 0 <= p < q:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    return p, q, (p * size + (size & 1) * q) % (2 * q)
+def exact_row(size: int, p: int, q: int) -> tuple[str, int, int, int, int]:
+    """The row of (N, gamma = p/q) in integers: (branch, delta numerator,
+    delta denominator, gap numerator, gap denominator), each ratio in lowest
+    terms, the gap 0/1 on a degenerate crossing.
 
-
-def _delta(size: int, q: int, r: int) -> DeltaValue:
-    return DeltaValue(Fraction(r, 2 * q), ODD if size & 1 else EVEN, r == q)
+    delta = r/(2q) and gap = |q - r|/(q*N) from the one residue r (module
+    docstring); assumes N >= 1 and 0 <= p < q, which :func:`gap_record`
+    checks.
+    """
+    two_q = q + q
+    r = (p * size + (size & 1) * q) % two_q
+    g = gcd(r, two_q)
+    num, den = abs(q - r), q * size
+    h = gcd(num, den)
+    branch = BRANCH_LOW if r < q else BRANCH_HIGH if r > q else BRANCH_DEGENERATE
+    return branch, r // g, two_q // g, num // h, den // h
 
 
 def delta_frac(size: int, gamma) -> DeltaValue:
     """Split gamma*N/2 off the admissible grid; flags the exact-1/2 crossing."""
-    _, q, r = _residue(size, _as_exact(gamma, "gamma"))
-    return _delta(size, q, r)
+    return gap_record(size, gamma).delta
 
 
 def _level_pair(size: int, gamma) -> tuple[Fraction, Fraction]:
     """(m0, m1): the grid neighbors of gamma*N/2, the nearer one first."""
-    gamma = _as_exact(gamma, "gamma")
-    p, q, r = _residue(size, gamma)
-    if r == q:
-        raise DegenerateDeltaError(size, gamma)
-    below = Fraction(p * size - r, 2 * q)
-    return (below, below + 1) if r < q else (below + 1, below)
+    rec = gap_record(size, gamma)
+    if rec.gap is None:
+        raise DegenerateDeltaError(size, rec.gamma)
+    below = rec.gamma * size / 2 - rec.delta.value
+    return (below, below + 1) if rec.branch == BRANCH_LOW else (below + 1, below)
 
 
 def ground_level(size: int, gamma) -> MagnetizationLevel:
@@ -146,15 +152,21 @@ def excited_level(size: int, gamma) -> MagnetizationLevel:
 def gap_record(size: int, gamma) -> GapRecord:
     """Result row for one (N, gamma); degenerate crossings are kept, flagged.
 
-    The gap is |1 - 2*delta|/N = |q - r|/(q*N) from the one residue r.
+    :func:`exact_row` in Fractions: the gap is |1 - 2*delta|/N = |q - r|/(q*N)
+    from the one residue r.
     """
     gamma = _as_exact(gamma, "gamma")
-    _, q, r = _residue(size, gamma)
-    delta = _delta(size, q, r)
-    if r == q:
-        return GapRecord(size, gamma, delta, BRANCH_DEGENERATE, None)
-    branch = BRANCH_LOW if r < q else BRANCH_HIGH
-    return GapRecord(size, gamma, delta, branch, Fraction(abs(q - r), q * size), r == 0)
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    p, q = gamma.numerator, gamma.denominator
+    if not 0 <= p < q:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    branch, delta_num, delta_den, gap_num, gap_den = exact_row(size, p, q)
+    degenerate = branch == BRANCH_DEGENERATE
+    delta = DeltaValue(Fraction(delta_num, delta_den), ODD if size & 1 else EVEN, degenerate)
+    if degenerate:
+        return GapRecord(size, gamma, delta, branch, None)
+    return GapRecord(size, gamma, delta, branch, Fraction(gap_num, gap_den), delta_num == 0)
 
 
 def exact_gap(size: int, gamma) -> Fraction:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from . import gaplaw
 from .errors import BitBudgetError, DegenerateDeltaError, TruncationInsufficientError
@@ -105,8 +105,9 @@ class ScalingReport(NamedTuple):
 
 def _two_route_offset(
     seq: SizeSequence, n: int, seq_terms: list[int], gamma: Fraction
-) -> Tuple[int, Fraction]:
-    """(N_n, offset) from the terms a_1..a_K and the field value they sum to.
+) -> gaplaw.GapRecord:
+    """The gap record at N_n, from the terms a_1..a_K and the field value
+    they sum to, its offset checked against the closed form.
 
     Route one is the definition: the fractional split of field*N/2.  Route
     two is the closed form above.  Exact disagreement would mean the
@@ -127,13 +128,14 @@ def _two_route_offset(
         closed = _HALF + Fraction(a_n, 2) * tail
     else:
         closed = Fraction(a_n, 2) * tail
-    direct = gaplaw.delta_frac(size, gamma).value
+    rec = gaplaw.gap_record(size, gamma)
+    direct = rec.delta.value
     if direct != closed:
         raise ArithmeticError(
             f"offset routes disagree at n={n}, N={size}: direct - closed = "
             f"{decimal_str(direct - closed, 6)}"
         )
-    return size, direct
+    return rec
 
 
 def certify_branch(delta: Fraction, deviation_bound: Fraction, size: int, gamma) -> str:
@@ -169,13 +171,12 @@ def scaling_row(
     """
     seq_terms = terms(seq.kind, truncation, bit_budget)
     gamma = gamma_value(seq.kind, truncation, bit_budget)
-    size, delta = _two_route_offset(seq, n, seq_terms, gamma)
+    rec = _two_route_offset(seq, n, seq_terms, gamma)
+    size, delta = rec.size, rec.delta.value
     dev = Fraction(size, 2) * series_tail_bound_after(seq.kind, truncation, bit_budget)
     branch = certify_branch(delta, dev, size, gamma)
-    return ScalingRow(
-        index=n, size=size, delta=delta, branch=branch,
-        gap=abs(1 - 2 * delta) / size, deviation_bound=dev,
-    )
+    return ScalingRow(index=n, size=size, delta=delta, branch=branch, gap=rec.gap,
+                      deviation_bound=dev)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +403,14 @@ def report_to_json(report: ScalingReport) -> str:
     import json
 
     return json.dumps(report_to_json_dict(report), indent=2)
+
+
+def report_json_chunks(report: ScalingReport) -> Iterator[str]:
+    """The text of :func:`report_to_json` in the encoder's chunks, so that it
+    can be written without being held whole."""
+    import json
+
+    return json.JSONEncoder(indent=2).iterencode(report_to_json_dict(report))
 
 
 SCALING_CSV_HEADER = "n,N,delta_minus_half,gap,gap_decimal"

@@ -94,7 +94,20 @@ the lowest pair follows one path while the count at the midpoint is 0 or
 >= 2 and splits at the first count of 1, with the brackets single-value
 bisection would reach.  On the benchmark's fields a lowest pair costs
 84-95 window sweeps plus four for the certificate, where it took 102-104
-window sweeps and four whole-matrix sweeps.
+window sweeps and four whole-matrix sweeps.  Bisection reads a count only
+through min(count, k): it compares the count with the first index of the
+eigenvalues sharing a bracket and with one past their last, at most k,
+and splits the group at a count between them.  When every squared
+coupling of the window is 0.0 (h = 0, or squares that underflow), each
+pivot differs from fl(d_i - x) at most in the sign of a zero, since
+e**2/q = +-0.0 with q never 0, so a row counts iff fl(d_i - x) < pivmin.
+Rounding keeps that test monotone in d_i, so the counting rows are those
+with the smallest diagonal entries, equal entries together: on decoupled
+rows the Sturm count is a rank of the diagonal (Kahan 1966; Barth, Martin
+& Wilkinson 1967).  min(count, k) is then the number of the k smallest
+entries that count, O(k) per step instead of a sweep; it equals the
+sweep's min(count, k) exactly, so the path, the brackets and the
+certificate are unchanged.
 """
 
 from __future__ import annotations
@@ -214,6 +227,8 @@ def _couplings(n: int, point: FieldPoint, first: int, stop: int) -> list[float]:
     integer (n - j)(j + 1), converted with one rounding; it is 0 at j = -1
     and j = n."""
     scale = -(point.h / 2.0)
+    if not scale:  # h = 0: each product of the signed zero is that zero
+        return [scale] * (stop - first + 1)
     sqrt = math.sqrt
     return [scale * sqrt((n - j) * (j + 1)) for j in range(first - 1, stop)]
 
@@ -362,14 +377,29 @@ def _bisect(diag, off_sq, k: int, lo: float, hi: float,
     """Shrink [lo, hi] around eigenvalues 0..k-1 to width <= tol each, every
     bracket the one bisecting that eigenvalue alone reaches: eigenvalues
     whose brackets coincide share each count, and part where it falls
-    between them."""
+    between them.  The bisection reads only min(count, k); on decoupled
+    rows the k smallest diagonal entries give it (module docstring)."""
+    if any(off_sq):
+        def count_below(shift: float) -> int:
+            return _sturm_count(diag, off_sq, shift, pivmin)[0]
+    else:
+        smallest = sorted(diag)[:k]
+
+        def count_below(shift: float) -> int:
+            count = 0
+            for d in smallest:
+                if d - shift >= pivmin:
+                    break
+                count += 1
+            return count
+
     brackets: list[tuple[float, float]] = [(lo, hi)] * k
     groups = [(0, k, lo, hi)]  # eigenvalues first..stop-1 share [lo, hi]
     while groups:
         first, stop, lo, hi = groups.pop()
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            count = _sturm_count(diag, off_sq, mid, pivmin)[0]
+            count = count_below(mid)
             if count <= first:
                 lo = mid
             elif count >= stop:

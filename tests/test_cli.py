@@ -1,19 +1,26 @@
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import SRC_DIR
 from xygap import classical
 from xygap.cli import UsageError, main, parse_gamma, parse_grid, parse_sizes
 from xygap.errors import BitBudgetError
-from xygap.exactnum import format_rational
+from xygap.exactnum import decimal_str, format_rational, gamma_value
+from xygap.gaplaw import gap_record
+from xygap.scaling import RULE_DOUBLED, RULE_PLAIN, SizeSequence, sequence_sizes
+from xygap.sequences import SequenceKind
 
 
 class TestParsing:
@@ -38,10 +45,19 @@ class TestParsing:
         assert parse_sizes("16,64,256") == [16, 64, 256]
         assert parse_sizes("10") == [10]
 
-    @pytest.mark.parametrize("bad", ["2:64", "2:64:prime", "0:4:all", "-3"])
+    @pytest.mark.parametrize("bad", ["2:64", "2:64:prime", "0:4:all", "-3", "3,,4", "4,"])
     def test_sizes_rejects(self, bad):
         with pytest.raises(UsageError):
             parse_sizes(bad)
+
+    @pytest.mark.parametrize("h", ["0", "0.5"])
+    @pytest.mark.parametrize("sizes", ["3,,4", "4,", ",4", ""])
+    def test_empty_size_token_is_usage_error(self, capsys, sizes, h):
+        assert main(["finite-gap", "--gamma", "1/3", "--h", h, "--N", sizes]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: bad size list {sizes!r}: "
+                       "invalid literal for int() with base 10: ''\n")
 
     def test_size_range_is_a_range(self):
         # a long range costs no memory
@@ -298,6 +314,63 @@ class TestFiniteGap:
         assert len(runs[0].stdout.split("\n")) == 4
 
 
+def fraction_route_rows(gamma: Fraction, sizes) -> str:
+    """The exact rows through gap_record, format_rational and decimal_str,
+    with no cross-check column: the oracle for the CLI's integer rows."""
+    gamma_text = format_rational(gamma)
+    lines = ["N,gamma,delta,branch,gap,gap_decimal,gap_numeric"]
+    for size in sizes:
+        rec = gap_record(size, gamma)
+        gap = "," if rec.gap is None else f"{format_rational(rec.gap)},{decimal_str(rec.gap, 17)}"
+        lines.append(f"{size},{gamma_text},{format_rational(rec.delta.value)},{rec.branch},{gap},")
+    return "\n".join(lines) + "\n"
+
+
+def cli_rows(*args: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["finite-gap", *args, "--cross-max", "0", "-o", "-"]) == 0
+    return out.getvalue()
+
+
+class TestIntegerRowsAgainstFractionRoute:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 70).flatmap(lambda bits: st.integers(1, 2**bits)), st.data())
+    @example(2, None)
+    @example(2**70, None)
+    def test_rational_fields(self, q, data):
+        p = 0 if data is None else data.draw(st.integers(0, q - 1))
+        gamma = Fraction(p, q)
+        q = gamma.denominator
+        # N = q and 2q put gamma*N/2 on a crossing (r = q) or a tie (r = 0)
+        sizes = [1, 2, 3, q, q + 1, 2 * q, 2 * q + 1, 3 * q]
+        if data is not None:
+            sizes += data.draw(st.lists(st.integers(1, 2**72), max_size=20))
+        want = fraction_route_rows(gamma, sizes)
+        assert cli_rows("--gamma", format_rational(gamma), "--N", ",".join(map(str, sizes))) == want
+
+    @pytest.mark.parametrize("gamma,sizes", [
+        ("0", "1:9:all"),      # odd N crosses, even N ties
+        ("1/2", "1:12:all"),   # crossings at N = 2 mod 4
+        ("3/5", "1:2000:all"),
+        ("9/11", "2:2000:even"),
+    ])
+    def test_small_fields(self, gamma, sizes):
+        assert cli_rows("--gamma", gamma, "--N", sizes) == fraction_route_rows(
+            Fraction(gamma), parse_sizes(sizes))
+
+    @pytest.mark.parametrize("kind,terms", [
+        (SequenceKind.DOUBLE_EXP, 5), (SequenceKind.FACTORIAL, 4),
+    ])
+    def test_series_fields(self, kind, terms):
+        # N = 1..64 and every size a scaling row of either rule takes
+        sizes = sorted(set(range(1, 65)).union(*(
+            sequence_sizes(SizeSequence(kind, rule), terms - 1) for rule in (RULE_PLAIN, RULE_DOUBLED))))
+        got = cli_rows("--gamma-series", kind.value, "--terms", str(terms),
+                       "--N", ",".join(map(str, sizes)))
+        assert got == fraction_route_rows(gamma_value(kind, terms), sizes)
+
+
 class TestNothingWrittenOnFailure:
     """Rows stream to the output only once every value that can fail is
     computed, so a command that fails leaves no file, leaves an existing file
@@ -373,6 +446,18 @@ class TestScaling:
         payload = json.loads(out.read_text())
         assert payload["classification"] == expected
         assert payload["schema_version"] == 1
+
+    @pytest.mark.parametrize("kind,rule,terms", [
+        (SequenceKind.DOUBLE_EXP, RULE_PLAIN, 5), (SequenceKind.FACTORIAL, RULE_PLAIN, 4),
+    ])
+    def test_json_is_the_report_text_streamed(self, tmp_path, kind, rule, terms):
+        from xygap.scaling import build_scaling_report, report_to_json
+
+        out = tmp_path / "report.json"
+        argv = ["scaling", "--seq", kind.value, "--rule", rule, "--K", str(terms), "-o", str(out)]
+        assert main(argv) == 0
+        report = build_scaling_report(SizeSequence(kind, rule), terms)
+        assert out.read_text() == report_to_json(report) + "\n"
 
     def test_csv_summary(self, cli, tmp_path):
         out, summary = tmp_path / "report.json", tmp_path / "summary.csv"

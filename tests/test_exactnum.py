@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from xygap import exactnum
 from xygap.exactnum import (
     decimal_str,
+    decimal_text,
     format_rational,
     gamma_value,
     injection_enclosure,
     injection_value,
     parse_field_literal,
     parse_rational,
+    ratio_text,
     series_enclosure,
     series_tail_bound_after,
     tail_bound,
@@ -247,6 +249,28 @@ class TestDecimalStrAgainstOracle:
     ])
     def test_short_quotients_and_carries(self, r, digits, expected):
         assert decimal_str(r, digits) == expected == decimal_str_oracle(r, digits)
+
+
+class TestIntegerTextHelpers:
+    """ratio_text and decimal_text take a rational's integers; format_rational
+    and decimal_str are their Fraction wrappers."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=BIG_DRAWS)
+    @given(big_ints(70_000), big_ints(70_000), st.sampled_from([1, 2, 6, 12, 17]))
+    @example(1, 2**65536 - 1, 17)
+    @example(2**65536 + 1, 3 * 2**65535, 17)
+    @example(-(3**41_000), 2**65536, 6)
+    def test_match_the_fraction_wrappers(self, num, den, digits):
+        r = Fraction(num, abs(den) + 1)
+        num, den = r.numerator, r.denominator
+        assert ratio_text(num, den) == format_rational(r) == f"{Decimal(num)}/{Decimal(den)}"
+        assert decimal_text(num, den, digits) == decimal_str(r, digits) == decimal_str_oracle(r, digits)
+
+    def test_default_digits_and_zero(self):
+        assert decimal_text(1, 3) == decimal_str(Fraction(1, 3)) == "3.3333333333333333e-01"
+        assert decimal_text(0, 1) == "0" and ratio_text(0, 1) == "0/1"
+        with pytest.raises(ValueError):
+            decimal_text(1, 3, 0)
 
 
 class TestFieldLiteralAgainstFraction:

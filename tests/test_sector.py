@@ -1,4 +1,5 @@
 import math
+import random
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -181,6 +182,11 @@ ORACLE_SIZES = (*range(1, 71), 1024, 4096, 16384, 65536)
 TIE_FIELDS = ((0.0, 0.3), (0.0, -1.7), (0.0, 0.0), (0.5, 5e-324), (0.25, -1e-310), (0.0, 4e-320))
 
 
+# h = 0 fields as the CLI passes them to the eigensolver: verify's five
+# exact-vs-numeric fields, and 3/5 and 9/11.
+H0_GAMMAS = tuple(float(Fraction(g)) for g in ("0", "1/5", "1/3", "7/10", "99/100", "3/5", "9/11"))
+
+
 def summary_bytes(ham):
     return struct.pack("dqddd", *ham.summary())
 
@@ -235,6 +241,7 @@ class TestRowsOnDemand:
     @pytest.mark.parametrize("gamma,h,sizes", [
         *((gamma, h, ORACLE_SIZES) for gamma, h in WINDOW_FIELDS),
         *((gamma, h, ORACLE_SIZES[:-2]) for gamma, h in TIE_FIELDS),
+        *((gamma, 0.0, ORACLE_SIZES) for gamma in H0_GAMMAS),
     ])
     def test_solve_bit_identical_to_explicit_rows(self, gamma, h, sizes):
         point = FieldPoint(gamma, h)
@@ -406,6 +413,67 @@ class TestWindowedBisection:
             tracemalloc.stop()
         assert 0.0 < gap < 1.0
         assert peak < 4 * 2**20
+
+
+def step_ulps(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def decoupled_matrices(draw):
+    """Matrices whose squared couplings are all 0.0: couplings of +-0.0 or
+    small enough to underflow when squared; diagonals with ties, +-0.0,
+    neighbours a few ulps apart, subnormals and magnitudes up to 1e150.
+    Sizes past 65 are windowed."""
+    size = draw(st.integers(1, 40) | st.integers(500, 700))
+    anchors = draw(st.lists(
+        st.floats(-1e150, 1e150) | st.floats(-1e-300, 1e-300)
+        | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sector._SAFMIN, 1e150, -1e150]),
+        min_size=1, max_size=4))
+    couplings = draw(st.sampled_from([(0.0, -0.0), (0.0, -0.0, 1e-170, -3e-200, 5e-324)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        x = rng.choice(anchors)
+        roll = rng.random()
+        if roll < 0.3:
+            return x
+        if roll < 0.6:
+            return step_ulps(x, rng.randint(-3, 3))
+        if roll < 0.7:
+            return -x
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 150)
+
+    diag = tuple(entry() for _ in range(size + 1))
+    offdiag = tuple(rng.choice(couplings) for _ in range(size))
+    return SectorHamiltonian(size, diag, offdiag)
+
+
+class TestZeroCouplings:
+    """On decoupled rows the count is read off the smallest diagonal entries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(decoupled_matrices(), st.integers(1, 3))
+    def test_bit_identical_to_whole_matrix(self, ham, k):
+        assert not any(e * e for e in ham.offdiag)
+        k = min(k, ham.size + 1)
+        want = whole_matrix_bisection(ham, range(k)).tobytes()
+        assert np.asarray(lowest_eigenvalues(ham, k)).tobytes() == want
+
+    @pytest.mark.parametrize("gamma", H0_GAMMAS)
+    def test_h0_solves_make_no_sweeps(self, gamma, count_lengths):
+        point = FieldPoint(gamma, 0.0)
+        for size in range(1, 66):
+            finite_gap_numeric(size, point)
+        assert count_lengths == []  # the window holds every row: no certificate
+        for size in (1024, 4096):
+            count_lengths.clear()
+            finite_gap_numeric(size, point)
+            # only the certificate's four counts over the first window
+            assert len(count_lengths) == 4 and len(set(count_lengths)) == 1, size
+            assert count_lengths[0] <= 2 * half_width(size) + 1 < size + 1
 
 
 class TestFiniteGap:

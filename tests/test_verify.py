@@ -94,13 +94,15 @@ class TestFailuresAreReported:
     """A suite whose oracles disagree reports FAIL; the run goes on."""
 
     def test_offset_routes_disagree(self, monkeypatch, capsys):
-        real = gaplaw.delta_frac
+        real = gaplaw.gap_record
 
         def shifted(size, gamma):
-            d = real(size, gamma)
-            return gaplaw.DeltaValue(d.value + Fraction(1, 2**70_000), d.parity, d.degenerate)
+            rec = real(size, gamma)
+            d = rec.delta
+            return rec._replace(delta=gaplaw.DeltaValue(
+                d.value + Fraction(1, 2**70_000), d.parity, d.degenerate))
 
-        monkeypatch.setattr(gaplaw, "delta_frac", shifted)
+        monkeypatch.setattr(gaplaw, "gap_record", shifted)
         assert main(["verify", "--max-N", "8"]) == 1
         out, err = capsys.readouterr()
         lines = out.splitlines()
