@@ -62,23 +62,12 @@ _NEWTON_STEPS = 64   # the guess's Newton iterates in s; most points need under 
 _POLISH_STEPS = 3    # Newton steps in theta after asin
 
 
-class ClassicalAngles(NamedTuple):
-    theta0: float
-    phi0: float
-
-
 class PhaseRecord(NamedTuple):
     gamma: float
     h: float
     theta0: float
     m_x: float
     gap: float
-
-
-def classical_energy(angles: ClassicalAngles, point: FieldPoint) -> float:
-    """Energy density at the given angles."""
-    s, c = math.sin(angles.theta0), math.cos(angles.theta0)
-    return -0.25 * s * s - 0.5 * point.h * s * math.cos(angles.phi0) - 0.5 * point.gamma * c
 
 
 def _slope(theta: float, gamma: float, habs: float) -> float:
@@ -189,37 +178,13 @@ def _gap(theta0: float, point: FieldPoint) -> float:
     return math.sqrt(radicand) if radicand >= RADICAND_CLAMP else 0.0
 
 
-def minimize_energy(point: FieldPoint) -> ClassicalAngles:
-    """Global minimizer of the energy density over theta in [0, pi].
-
-    phi0 is 0 for h >= 0 and pi otherwise; theta0 is the last double in
-    [0, pi/2] where the slope is negative, or 0.0 (see :func:`_theta0`).
-    """
-    theta0 = _theta0(point.gamma, abs(point.h))
-    return ClassicalAngles(theta0=theta0, phi0=0.0 if point.h >= 0 else math.pi)
-
-
-def thermo_gap(point: FieldPoint) -> float:
-    """Thermodynamic-limit gap above the classical ground state.
-
-    The radicand vanishes identically on the first-order segment, so values
-    within RADICAND_CLAMP of zero are clamped to an exact 0.0; a radicand
-    below RADICAND_ERROR is reported as a wrong-branch failure instead.
-    """
-    return _gap(_theta0(point.gamma, abs(point.h)), point)
-
-
-def magnetization_x(point: FieldPoint) -> float:
-    """x magnetization per spin, sin(theta0)*cos(phi0), in [-1, 1].
-
-    Jumps between +-sin(theta0) across h = 0 for gamma < 1.  Exactly at
-    h = 0 the positive branch is reported by convention.
-    """
-    return _m_x(_theta0(point.gamma, abs(point.h)), point.h)
-
-
 def phase_record(point: FieldPoint) -> PhaseRecord:
-    """Minimizer, magnetization, and gap for a single field point."""
+    """Minimizer, magnetization, and gap for a single field point.
+
+    m_x = sin(theta0)*cos(phi0), with phi0 = 0 for h >= 0 and pi otherwise,
+    jumps between +-sin(theta0) across h = 0 for gamma < 1; exactly at h = 0
+    the positive branch is reported by convention.
+    """
     theta0 = _theta0(point.gamma, abs(point.h))
     return PhaseRecord(gamma=point.gamma + 0.0, h=point.h + 0.0, theta0=theta0,
                        m_x=_m_x(theta0, point.h), gap=_gap(theta0, point))

@@ -7,14 +7,14 @@ here is a ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms, positive denominator).
 
 Besides a plain p/q (a ``Fraction``, see :func:`parse_field_literal`), a
-field value comes from one of two recipes here, each a pair of functions:
+field value comes from one of two recipes here:
 
-* :func:`gamma_value` and :func:`series_enclosure` - the first K terms of
-  sum(1/a_n) over one of the engineered sequences.
-* :func:`injection_value` and :func:`injection_enclosure` -
-  sum((2 b_i + 1)/a_pos) for decimal digits b_i, the map that embeds an
-  arbitrary real into the set of anomalous fields, at the positions
-  :func:`injection_positions` certifies.
+* :func:`gamma_value` - the first K terms of sum(1/a_n) over one of the
+  engineered sequences, with :func:`series_enclosure` around the
+  untruncated sum.
+* :func:`injection_value` - sum((2 b_i + 1)/a_pos) for decimal digits b_i,
+  the map that embeds an arbitrary real into the set of anomalous fields,
+  at the positions :func:`injection_positions` certifies.
 
 The appendix's third recipe, a dyadic anchor plus or minus a series tail
 squeezed inside a target interval, lives in :mod:`xygap.scaling`.
@@ -308,7 +308,7 @@ def injection_value(digits, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
     """Digits b_0..b_K mapped to sum((2 b_i + 1)/a_(INJECTION_FIRST_INDEX + i)).
 
     The value is not confined to (0, 1): leading digits 8 or 9 push it
-    above 1, as its enclosure shows.
+    above 1.
     """
     digits = tuple(digits)
     if not digits:
@@ -317,14 +317,3 @@ def injection_value(digits, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
         raise ValueError(f"digits must lie in 0..9, got {digits}")
     positions = injection_positions(len(digits), bit_budget)
     return sum((Fraction(2 * b + 1, a) for b, a in zip(digits, positions)), Fraction(0))
-
-
-def injection_enclosure(
-    digits, bit_budget: int = DEFAULT_BIT_BUDGET
-) -> Tuple[Fraction, Fraction]:
-    """Exact bounds [lo, hi] covering every infinite continuation of the digits."""
-    digits = tuple(digits)
-    value = injection_value(digits, bit_budget)
-    last_index = INJECTION_FIRST_INDEX + len(digits) - 1
-    tail = series_tail_bound_after(SequenceKind.DOUBLE_EXP, last_index, bit_budget)
-    return value, value + 19 * tail

@@ -20,10 +20,11 @@ form.  With the field truncated at K >= n + 2 terms,
 
 because the discarded head sum_{k<n} a_n/(2*a_k) is an integer.  Every row
 is computed along two independent routes (this closed form, and the direct
-fractional split of field*N/2) and the two exact rationals are required to
-agree.  A certified bound on the truncation tail accompanies each row so
-that branch decisions and classification bands provably hold for the
-untruncated field, or the row fails loudly as truncation-insufficient.
+fractional split of field*N/2 by :func:`xygap.gaplaw.gap_record`) and the
+two exact rationals are required to agree.  A certified bound on the
+truncation tail accompanies each row so that branch decisions and
+classification bands provably hold for the untruncated field, or the row
+fails loudly as truncation-insufficient.
 
 The interval construction of the appendix lives here too
 (:func:`dense_gamma_in_interval`, :class:`IntervalConstruction` and its
@@ -68,12 +69,6 @@ class SizeSequence(_SizeSequence):
         if rule not in (RULE_PLAIN, RULE_DOUBLED):
             raise ValueError(f"rule must be {RULE_PLAIN!r} or {RULE_DOUBLED!r}, got {rule!r}")
         return super().__new__(cls, kind, rule)
-
-
-def sequence_sizes(seq: SizeSequence, count: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> list[int]:
-    """System sizes N_1..N_count under the size rule."""
-    scale = 1 if seq.rule == RULE_PLAIN else 2
-    return [scale * a for a in terms(seq.kind, count, bit_budget)]
 
 
 class ScalingRow(NamedTuple):
@@ -129,11 +124,10 @@ def _two_route_offset(
     else:
         closed = Fraction(a_n, 2) * tail
     rec = gaplaw.gap_record(size, gamma)
-    direct = rec.delta.value
-    if direct != closed:
+    if rec.delta != closed:
         raise ArithmeticError(
             f"offset routes disagree at n={n}, N={size}: direct - closed = "
-            f"{decimal_str(direct - closed, 6)}"
+            f"{decimal_str(rec.delta - closed, 6)}"
         )
     return rec
 
@@ -172,7 +166,7 @@ def scaling_row(
     seq_terms = terms(seq.kind, truncation, bit_budget)
     gamma = gamma_value(seq.kind, truncation, bit_budget)
     rec = _two_route_offset(seq, n, seq_terms, gamma)
-    size, delta = rec.size, rec.delta.value
+    size, delta = rec.size, rec.delta
     dev = Fraction(size, 2) * series_tail_bound_after(seq.kind, truncation, bit_budget)
     branch = certify_branch(delta, dev, size, gamma)
     return ScalingRow(index=n, size=size, delta=delta, branch=branch, gap=rec.gap,
@@ -256,13 +250,10 @@ def classify_scaling(
 def build_scaling_report(
     seq: SizeSequence, truncation: int,
     bit_budget: int = DEFAULT_BIT_BUDGET,
-    indices: Optional[Sequence[int]] = None,
 ) -> ScalingReport:
-    """Rows n = 1..K-2 (or the given indices) plus the certified classification,
-    for the series over ``seq.kind`` truncated at K = ``truncation`` terms."""
-    if indices is None:
-        indices = range(1, truncation - 1)
-    rows = tuple(scaling_row(seq, n, truncation, bit_budget) for n in indices)
+    """Rows n = 1..K-2 plus the certified classification, for the series
+    over ``seq.kind`` truncated at K = ``truncation`` terms."""
+    rows = tuple(scaling_row(seq, n, truncation, bit_budget) for n in range(1, truncation - 1))
     classification, certificate = classify_scaling(rows, bit_budget)
     return ScalingReport(
         sequence=seq,
@@ -399,15 +390,10 @@ def report_to_json_dict(report: ScalingReport) -> dict:
     }
 
 
-def report_to_json(report: ScalingReport) -> str:
-    import json
-
-    return json.dumps(report_to_json_dict(report), indent=2)
-
-
 def report_json_chunks(report: ScalingReport) -> Iterator[str]:
-    """The text of :func:`report_to_json` in the encoder's chunks, so that it
-    can be written without being held whole."""
+    """The report's JSON text (``json.dumps`` of :func:`report_to_json_dict`
+    with indent 2) in the encoder's chunks, so that it can be written
+    without being held whole."""
     import json
 
     return json.JSONEncoder(indent=2).iterencode(report_to_json_dict(report))

@@ -32,9 +32,6 @@ class SequenceKind(str, enum.Enum):
     DOUBLE_EXP = "double-exp"
     FACTORIAL = "factorial"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 def first_term(kind: SequenceKind) -> int:
     return 2 if kind is SequenceKind.DOUBLE_EXP else 3

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from xygap.gaplaw import gap_record
+
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -46,3 +48,12 @@ def min_excitation_brute(size: int, gamma: Fraction) -> Fraction | None:
     if best == second:
         return None
     return Fraction(second - best, 4 * size * q)
+
+
+def gap_times_size_values(gamma: Fraction, sizes) -> set[Fraction]:
+    """{N * gap(N)} over the sizes, skipping degenerate rows.
+
+    For gamma = p/q the offsets cycle through at most q values, so this set
+    has at most q members however many sizes are probed.
+    """
+    return {size * gap for size in sizes if (gap := gap_record(size, gamma).gap) is not None}

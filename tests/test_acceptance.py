@@ -12,11 +12,10 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import min_excitation_brute
-from xygap.classical import FieldPoint, magnetization_x, thermo_gap
-from xygap.errors import DegenerateDeltaError
+from conftest import gap_times_size_values, min_excitation_brute
+from xygap.classical import FieldPoint, phase_record
 from xygap.exactnum import injection_value, series_enclosure, tail_bound
-from xygap.gaplaw import delta_frac, exact_gap, gap_times_size_values
+from xygap.gaplaw import BRANCH_DEGENERATE, gap_record
 from xygap.scaling import (
     CLASS_EXPONENTIAL,
     CLASS_FACTORIAL,
@@ -48,12 +47,10 @@ def test_criterion_1_exact_vs_numeric_oracle():
     rows = 0
     for gamma in gammas:
         for size in range(2, 65, 2):
-            if delta_frac(size, gamma).degenerate:
+            exact = gap_record(size, gamma).gap
+            if exact is None:
                 continue
-            diff = abs(
-                exact_gap(size, gamma)
-                - Fraction(finite_gap_numeric(size, FieldPoint(float(gamma), 0.0)))
-            )
+            diff = abs(exact - Fraction(finite_gap_numeric(size, FieldPoint(float(gamma), 0.0))))
             worst = max(worst, diff)
             rows += 1
     elapsed = time.perf_counter() - started
@@ -76,14 +73,13 @@ def test_criterion_2_brute_force_level_oracle():
     for gamma in gammas:
         for size in range(1, 201):
             expected = min_excitation_brute(size, gamma)
+            rec = gap_record(size, gamma)
             if expected is None:
                 degenerate += 1
-                try:
-                    exact_gap(size, gamma)
-                    raise AssertionError(f"missed crossing at N={size}, gamma={gamma}")
-                except DegenerateDeltaError:
-                    continue
-            assert exact_gap(size, gamma) == expected  # exact rational equality
+                assert rec.gap is None and rec.branch == BRANCH_DEGENERATE, (
+                    f"missed crossing at N={size}, gamma={gamma}")
+                continue
+            assert rec.gap == expected  # exact rational equality
             checked += 1
     elapsed = time.perf_counter() - started
     ok = elapsed < 10.0
@@ -96,7 +92,7 @@ def test_criterion_3_thermodynamic_gap():
     worst = 0.0
     for i in range(100):
         h = 2.0 * i / 99
-        worst = max(worst, abs(thermo_gap(FieldPoint(0.0, h)) - math.sqrt(h + h * h)))
+        worst = max(worst, abs(phase_record(FieldPoint(0.0, h)).gap - math.sqrt(h + h * h)))
     finite = finite_gap_numeric(4096, FieldPoint(0.0, 0.5))
     finite_err = abs(finite - math.sqrt(0.75))
     elapsed = time.perf_counter() - started
@@ -111,14 +107,14 @@ _FIRST_ORDER_GAMMAS = [0.99 * i / 19 for i in range(20)]
 
 
 def test_criterion_4_first_order_gap_line():
-    worst = max(thermo_gap(FieldPoint(g, 0.0)) for g in _FIRST_ORDER_GAMMAS)
+    worst = max(phase_record(FieldPoint(g, 0.0)).gap for g in _FIRST_ORDER_GAMMAS)
     ok = worst <= 1e-14
     _line(4, ok, f"gap at h=0 is zero after clamp for 20 fields in [0, 0.99] (max {worst:.1e})")
     assert worst <= 1e-14
 
 
 def _mx_jump(gamma: float, eps: float) -> float:
-    return magnetization_x(FieldPoint(gamma, eps)) - magnetization_x(FieldPoint(gamma, -eps))
+    return phase_record(FieldPoint(gamma, eps)).m_x - phase_record(FieldPoint(gamma, -eps)).m_x
 
 
 def test_criterion_4_magnetization_jump_exceeds_one():

@@ -19,8 +19,9 @@ from xygap.cli import UsageError, main, parse_gamma, parse_grid, parse_sizes
 from xygap.errors import BitBudgetError
 from xygap.exactnum import decimal_str, format_rational, gamma_value
 from xygap.gaplaw import gap_record
-from xygap.scaling import RULE_DOUBLED, RULE_PLAIN, SizeSequence, sequence_sizes
+from xygap.scaling import RULE_PLAIN, SizeSequence
 from xygap.sequences import SequenceKind
+from xygap.sequences import terms as sequence_terms
 
 
 class TestParsing:
@@ -322,7 +323,7 @@ def fraction_route_rows(gamma: Fraction, sizes) -> str:
     for size in sizes:
         rec = gap_record(size, gamma)
         gap = "," if rec.gap is None else f"{format_rational(rec.gap)},{decimal_str(rec.gap, 17)}"
-        lines.append(f"{size},{gamma_text},{format_rational(rec.delta.value)},{rec.branch},{gap},")
+        lines.append(f"{size},{gamma_text},{format_rational(rec.delta)},{rec.branch},{gap},")
     return "\n".join(lines) + "\n"
 
 
@@ -365,7 +366,7 @@ class TestIntegerRowsAgainstFractionRoute:
     def test_series_fields(self, kind, terms):
         # N = 1..64 and every size a scaling row of either rule takes
         sizes = sorted(set(range(1, 65)).union(*(
-            sequence_sizes(SizeSequence(kind, rule), terms - 1) for rule in (RULE_PLAIN, RULE_DOUBLED))))
+            [scale * a for a in sequence_terms(kind, terms - 1)] for scale in (1, 2))))
         got = cli_rows("--gamma-series", kind.value, "--terms", str(terms),
                        "--N", ",".join(map(str, sizes)))
         assert got == fraction_route_rows(gamma_value(kind, terms), sizes)
@@ -451,13 +452,13 @@ class TestScaling:
         (SequenceKind.DOUBLE_EXP, RULE_PLAIN, 5), (SequenceKind.FACTORIAL, RULE_PLAIN, 4),
     ])
     def test_json_is_the_report_text_streamed(self, tmp_path, kind, rule, terms):
-        from xygap.scaling import build_scaling_report, report_to_json
+        from xygap.scaling import build_scaling_report, report_to_json_dict
 
         out = tmp_path / "report.json"
         argv = ["scaling", "--seq", kind.value, "--rule", rule, "--K", str(terms), "-o", str(out)]
         assert main(argv) == 0
         report = build_scaling_report(SizeSequence(kind, rule), terms)
-        assert out.read_text() == report_to_json(report) + "\n"
+        assert out.read_text() == json.dumps(report_to_json_dict(report), indent=2) + "\n"
 
     def test_csv_summary(self, cli, tmp_path):
         out, summary = tmp_path / "report.json", tmp_path / "summary.csv"

@@ -13,7 +13,6 @@ from xygap.exactnum import (
     decimal_text,
     format_rational,
     gamma_value,
-    injection_enclosure,
     injection_value,
     parse_field_literal,
     parse_rational,
@@ -159,7 +158,7 @@ class TestExactDecimalConversion:
 
     def test_each_big_integer_converted_once_per_report(self):
         from xygap.scaling import (
-            SizeSequence, build_scaling_report, report_csv_lines, report_to_json,
+            SizeSequence, build_scaling_report, report_csv_lines, report_to_json_dict,
         )
 
         report = build_scaling_report(SizeSequence(DEXP, "a_n"), 5)
@@ -171,7 +170,7 @@ class TestExactDecimalConversion:
             if k.bit_length() > exactnum._SPLIT_BITS
         }
         exactnum._big_decimal.cache_clear()
-        report_to_json(report)
+        report_to_json_dict(report)
         report_csv_lines(report)
         info = exactnum._big_decimal.cache_info()
         assert info.misses == len(distinct) > 0
@@ -378,7 +377,7 @@ class TestBoundsCertificate:
 
 
 class TestDigitInjectionSpec:
-    """The digit-injection map's value and enclosure."""
+    """The digit-injection map's values."""
 
     def test_digit_validation(self):
         with pytest.raises(ValueError):
@@ -391,6 +390,8 @@ class TestDigitInjectionSpec:
         assert value == Fraction(1, 16) + Fraction(1, 65536) + Fraction(1, 2**65536)
 
     def test_enclosure_covers_every_continuation(self):
-        lo, hi = injection_enclosure((3, 5))
+        # digits past a_4 add at most 19 times the series tail after it
+        lo = injection_value((3, 5))
+        hi = lo + 19 * series_tail_bound_after(DEXP, 4)
         for last in range(10):
             assert lo < injection_value((3, 5, last)) < hi

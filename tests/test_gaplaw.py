@@ -5,55 +5,45 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import min_excitation_brute
-from xygap.errors import DegenerateDeltaError
+from conftest import gap_times_size_values, min_excitation_brute
 from xygap.exactnum import gamma_value
-from xygap.gaplaw import (
-    BRANCH_DEGENERATE,
-    BRANCH_HIGH,
-    BRANCH_LOW,
-    DeltaValue,
-    GapRecord,
-    delta_frac,
-    energy_level,
-    exact_gap,
-    excited_level,
-    gap_record,
-    gap_times_size_values,
-    ground_level,
-)
-from xygap.scaling import RULE_DOUBLED, RULE_PLAIN, SizeSequence, sequence_sizes
-from xygap.sequences import SequenceKind
+from xygap.gaplaw import BRANCH_DEGENERATE, BRANCH_HIGH, BRANCH_LOW, GapRecord, gap_record
+from xygap.sequences import SequenceKind, terms
 
 HALF = Fraction(1, 2)
 
 
-def split_oracle(size: int, gamma: Fraction) -> tuple[Fraction, Fraction]:
-    """(anchor, offset) of gamma*N/2 in Fraction arithmetic: the grid point at
-    or below it (an integer for even N, a half-odd-integer for odd N) and the
-    distance above it."""
+def split_oracle(size: int, gamma: Fraction) -> Fraction:
+    """The offset of gamma*N/2 above the grid point at or below it (an
+    integer for even N, a half-odd-integer for odd N), in Fraction
+    arithmetic."""
     target = gamma * size / 2
     if size % 2 == 0:
-        anchor = Fraction(math.floor(target))
-    else:
-        anchor = math.floor(target - HALF) + HALF
-    return anchor, target - anchor
+        return target - math.floor(target)
+    return target - (math.floor(target - HALF) + HALF)
 
 
 def assert_matches_split_oracle(size: int, gamma: Fraction) -> None:
-    anchor, offset = split_oracle(size, gamma)
-    delta = DeltaValue(offset, "even" if size % 2 == 0 else "odd", offset == HALF)
-    assert delta_frac(size, gamma) == delta
+    offset = split_oracle(size, gamma)
     if offset == HALF:
-        expected = GapRecord(size, gamma, delta, BRANCH_DEGENERATE, None)
-        with pytest.raises(DegenerateDeltaError):
-            ground_level(size, gamma)
+        expected = GapRecord(size, gamma, offset, BRANCH_DEGENERATE, None)
     else:
         branch = BRANCH_LOW if offset < HALF else BRANCH_HIGH
-        expected = GapRecord(size, gamma, delta, branch, abs(1 - 2 * offset) / size, offset == 0)
-        m0, m1 = (anchor, anchor + 1) if offset < HALF else (anchor + 1, anchor)
-        assert (ground_level(size, gamma).m, excited_level(size, gamma).m) == (m0, m1)
+        expected = GapRecord(size, gamma, offset, branch, abs(1 - 2 * offset) / size, offset == 0)
     assert gap_record(size, gamma) == expected
+
+
+def level_energy(size: int, m, gamma: Fraction) -> Fraction:
+    """E(N, m) = -(N + 2)/4 + m**2/N - gamma*m, the level of projection m."""
+    return -Fraction(size + 2, 4) + Fraction(m) ** 2 / size - gamma * m
+
+
+def assert_level_pair(size: int, gamma: Fraction, m0, m1) -> None:
+    """m0 is the ground level and m1 the first excited one: the branch names
+    the side of gamma*N/2 that m0 lies on, and the gap is E(m1) - E(m0)."""
+    rec = gap_record(size, gamma)
+    assert rec.branch == (BRANCH_LOW if m0 <= gamma * size / 2 else BRANCH_HIGH)
+    assert rec.gap == level_energy(size, m1, gamma) - level_energy(size, m0, gamma)
 
 
 @st.composite
@@ -68,7 +58,7 @@ def fields(draw, max_bits):
 
 
 class TestResidueRouteAgainstSplitOracle:
-    """gap_record, delta_frac and the level pair against the Fraction split."""
+    """gap_record against the Fraction split."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(1, 2000), fields(64))
@@ -94,7 +84,7 @@ class TestResidueRouteAgainstSplitOracle:
         gamma = Fraction(2 * k + 1 if size % 2 == 0 else 2 * k, size)
         if gamma >= 1:
             return
-        assert delta_frac(size, gamma).degenerate
+        assert gap_record(size, gamma).branch == BRANCH_DEGENERATE
         assert_matches_split_oracle(size, gamma)
 
     @pytest.mark.parametrize("kind,count", [
@@ -104,11 +94,7 @@ class TestResidueRouteAgainstSplitOracle:
         # the 65k-bit double-exp field and the factorial one, at N = 1..64 and
         # at every size a scaling row of either rule can take
         gamma = gamma_value(kind, count)
-        rows = {
-            size
-            for rule in (RULE_PLAIN, RULE_DOUBLED)
-            for size in sequence_sizes(SizeSequence(kind, rule), count - 1)
-        }
+        rows = {scale * a for scale in (1, 2) for a in terms(kind, count - 1)}
         for size in sorted(set(range(1, 65)) | rows):
             assert_matches_split_oracle(size, gamma)
 
@@ -124,69 +110,54 @@ class TestEnergyLevel:
         ],
     )
     def test_values(self, size, m, gamma, expected):
-        assert energy_level(size, m, gamma) == expected
-
-    def test_parity_violation_rejected(self):
-        with pytest.raises(ValueError):
-            energy_level(4, Fraction(1, 2), Fraction(0))
-        with pytest.raises(ValueError):
-            energy_level(3, 1, Fraction(0))
-
-    def test_range_violation_rejected(self):
-        with pytest.raises(ValueError):
-            energy_level(4, 3, Fraction(0))
-
-    def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            energy_level(4, 1, 0.3)
+        assert level_energy(size, m, gamma) == expected
 
 
 class TestDeltaFrac:
     def test_even_size(self):
-        d = delta_frac(4, Fraction(1, 3))
-        assert d.value == Fraction(2, 3) and d.parity == "even" and not d.degenerate
+        rec = gap_record(4, Fraction(1, 3))
+        assert rec.delta == Fraction(2, 3) and rec.branch == BRANCH_HIGH
 
     def test_odd_size_on_grid(self):
         # target 1/2 is itself a half-odd-integer, so the offset vanishes
-        d = delta_frac(3, Fraction(1, 3))
-        assert d.value == 0 and d.parity == "odd" and not d.degenerate
+        rec = gap_record(3, Fraction(1, 3))
+        assert rec.delta == 0 and rec.branch == BRANCH_LOW
 
     def test_exact_crossing_flagged(self):
-        d = delta_frac(10, Fraction(1, 2))
-        assert d.value == HALF and d.degenerate
+        rec = gap_record(10, Fraction(1, 2))
+        assert rec.delta == HALF and rec.branch == BRANCH_DEGENERATE
 
     def test_odd_size_at_zero_field_is_degenerate(self):
         # m = +-1/2 tie exactly
-        assert delta_frac(3, Fraction(0)).degenerate
+        assert gap_record(3, Fraction(0)).branch == BRANCH_DEGENERATE
 
     def test_gamma_range_enforced(self):
         with pytest.raises(ValueError):
-            delta_frac(4, Fraction(3, 2))
+            gap_record(4, Fraction(3, 2))
 
 
 class TestLevels:
     def test_even_case(self):
-        assert ground_level(4, Fraction(1, 3)).m == 1
-        assert excited_level(4, Fraction(1, 3)).m == 0
+        assert_level_pair(4, Fraction(1, 3), 1, 0)
 
     def test_zero_field(self):
-        assert ground_level(16, Fraction(0)).m == 0
-        assert excited_level(16, Fraction(0)).m == 1
+        assert_level_pair(16, Fraction(0), 0, 1)
 
     def test_odd_case(self):
-        assert ground_level(3, Fraction(1, 3)).m == HALF
-        assert excited_level(3, Fraction(1, 3)).m == Fraction(3, 2)
+        assert_level_pair(3, Fraction(1, 3), HALF, Fraction(3, 2))
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateDeltaError):
-            ground_level(10, Fraction(1, 2))
+        # m = 2 and m = 3 tie, so there is no gap
+        gamma = Fraction(1, 2)
+        assert level_energy(10, 2, gamma) == level_energy(10, 3, gamma)
+        rec = gap_record(10, gamma)
+        assert rec.gap is None and rec.branch == BRANCH_DEGENERATE
 
     def test_ordering(self):
         for size in (2, 5, 8, 33):
-            gamma = Fraction(2, 7)
-            if delta_frac(size, gamma).degenerate:
-                continue
-            assert excited_level(size, gamma).energy > ground_level(size, gamma).energy
+            rec = gap_record(size, Fraction(2, 7))
+            if rec.branch != BRANCH_DEGENERATE:
+                assert rec.gap > 0
 
 
 class TestExactGap:
@@ -200,11 +171,11 @@ class TestExactGap:
         ],
     )
     def test_values(self, size, gamma, expected):
-        assert exact_gap(size, gamma) == expected
+        assert gap_record(size, gamma).gap == expected
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateDeltaError):
-            exact_gap(10, Fraction(1, 2))
+        rec = gap_record(10, Fraction(1, 2))
+        assert rec.gap is None and rec.branch == BRANCH_DEGENERATE
 
     @given(
         size=st.integers(min_value=1, max_value=300),
@@ -214,12 +185,10 @@ class TestExactGap:
     @settings(max_examples=200)
     def test_gap_law_identity(self, size, num, den):
         # N*gap + 2*min(delta, 1 - delta) == 1 exactly, both parities
-        gamma = Fraction(num % den, den)
-        d = delta_frac(size, gamma)
-        if d.degenerate:
+        rec = gap_record(size, Fraction(num % den, den))
+        if rec.branch == BRANCH_DEGENERATE:
             return
-        gap = exact_gap(size, gamma)
-        assert size * gap + 2 * min(d.value, 1 - d.value) == 1
+        assert size * rec.gap + 2 * min(rec.delta, 1 - rec.delta) == 1
 
     @given(
         size=st.integers(min_value=1, max_value=120),
@@ -229,14 +198,9 @@ class TestExactGap:
     @settings(max_examples=150)
     def test_matches_brute_force_enumeration(self, size, num, den):
         gamma = Fraction(num % den, den)
-        expected = min_excitation_brute(size, gamma)
-        if expected is None:
-            with pytest.raises(DegenerateDeltaError):
-                exact_gap(size, gamma)
-        else:
-            assert exact_gap(size, gamma) == expected
-            levels = excited_level(size, gamma).energy - ground_level(size, gamma).energy
-            assert levels == exact_gap(size, gamma)
+        rec = gap_record(size, gamma)
+        assert rec.gap == min_excitation_brute(size, gamma)
+        assert (rec.gap is None) == (rec.branch == BRANCH_DEGENERATE)
 
 
 class TestGapRecord:
@@ -249,6 +213,13 @@ class TestGapRecord:
     def test_excited_tie_flag_at_zero_field(self):
         assert gap_record(16, Fraction(0)).excited_tied
         assert not gap_record(4, Fraction(1, 3)).excited_tied
+
+    def test_floats_rejected(self):
+        for gamma in (0.3, 1.0):
+            with pytest.raises(TypeError) as exc:
+                gap_record(4, gamma)
+            assert str(exc.value) == ('gamma must be an exact rational (Fraction or int), '
+                                      'got float; build one with Fraction("p/q")')
 
 
 class TestValueSets:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from xygap.errors import BitBudgetError, TruncationInsufficientError
-from xygap.exactnum import injection_enclosure, injection_value, tail_bound
+from xygap.exactnum import injection_value, series_tail_bound_after, tail_bound
 from xygap.gaplaw import BRANCH_LOW
 from xygap.scaling import (
     CLASS_EXPONENTIAL,
@@ -22,7 +22,6 @@ from xygap.scaling import (
     report_csv_lines,
     report_to_json_dict,
     scaling_row,
-    sequence_sizes,
 )
 from xygap.sequences import SequenceKind, terms
 
@@ -43,7 +42,7 @@ class TestSizes:
         assert terms(FACT, 3) == [3, 6, 720]
 
     def test_doubled_rule(self):
-        assert sequence_sizes(DEXP_DOUBLED, 3) == [4, 8, 32]
+        assert [scaling_row(DEXP_DOUBLED, n, DEXP_K).size for n in (1, 2, 3)] == [4, 8, 32]
 
     def test_bad_rule(self):
         with pytest.raises(ValueError):
@@ -222,11 +221,14 @@ class TestInjection:
         assert value == Fraction(1, 16) + Fraction(1, 65536)
 
     def test_large_leading_digit_leaves_unit_interval(self):
-        lo, hi = injection_enclosure((9, 0))
+        # every continuation adds at most 19 times the series tail after a_4
+        lo = injection_value((9, 0))
+        hi = lo + 19 * series_tail_bound_after(DEXP, 4)
         assert 1 < lo < hi
 
     def test_small_digits_stay_inside(self):
-        lo, hi = injection_enclosure((3, 5, 7))
+        lo = injection_value((3, 5, 7))
+        hi = lo + 19 * series_tail_bound_after(DEXP, 5)
         assert 0 < lo and hi < 1
 
     def test_budget_limit(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from xygap import sector
 from xygap.classical import FieldPoint
-from xygap.gaplaw import delta_frac, exact_gap
+from xygap.gaplaw import gap_record
 from xygap.sector import (
     SectorHamiltonian,
     build_sector_hamiltonian,
@@ -492,10 +492,11 @@ class TestFiniteGap:
     def test_agrees_with_exact_law(self):
         for gamma in (Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(7, 10)):
             for size in range(2, 33, 2):
-                if delta_frac(size, gamma).degenerate:
+                exact = gap_record(size, gamma).gap
+                if exact is None:
                     continue
                 numeric = finite_gap_numeric(size, FieldPoint(float(gamma), 0.0))
-                assert abs(Fraction(numeric) - exact_gap(size, gamma)) < Fraction(1, 10**12)
+                assert abs(Fraction(numeric) - exact) < Fraction(1, 10**12)
 
     def test_gap_nonnegative(self):
         for size in (2, 3, 10, 33):
