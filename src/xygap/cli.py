@@ -242,8 +242,8 @@ def cmd_finite_gap(args, budget: int) -> int:
         return EXIT_OK
     from . import gaplaw
 
-    if not 0 <= gamma < 1:
-        raise UsageError(f"the exact h=0 route needs 0 <= gamma < 1, got {gamma_text}")
+    if gamma < 0:
+        raise UsageError(f"the exact h=0 route needs gamma >= 0, got {gamma_text}")
     checked = [size for size in sizes if size <= args.cross_max]
     numeric_gap = _numeric_gaps(gamma, 0.0) if checked else None
     cross = {size: format(numeric_gap(size), ".17g") for size in checked}
@@ -252,7 +252,7 @@ def cmd_finite_gap(args, budget: int) -> int:
     exact_row, degenerate = gaplaw.exact_row, gaplaw.BRANCH_DEGENERATE
 
     def exact_rows():
-        # exact_row cannot raise once gamma is in [0, 1), so rows are
+        # exact_row cannot raise once gamma is >= 0, so rows are
         # computed as they are written
         yield FINITE_GAP_EXACT_HEADER
         for size in sizes:

@@ -27,10 +27,22 @@ lengths in units of 1/(2q), m* sits at p*N and the grid at the multiples of
 
 above the grid point at or below it.  Then delta = r/(2q); the crossing is
 r = q, the low branch r < q, the neighbors tie at r = 0, and the gap is
-|q - r|/(q*N).  :func:`exact_row` computes each row once, in integers, each
-ratio reduced by one gcd; the CLI prints those integers as they are, and
-:func:`gap_record` wraps the same row in Fractions for ``verify`` and
-``scaling``.  Floats are rejected.
+|q - r|/(q*N).
+
+For gamma >= 1 the vertex sits at or past the top of the grid, m = N/2,
+which is then the ground level, and m = N/2 - 1 the first excited one (no
+level lies above N/2 to tie with it).  That is the edge branch:
+
+    gap = E(N, N/2 - 1) - E(N, N/2) = gamma - 1 + 1/N = ((p - q)*N + q)/(q*N),
+
+exactly 1/N at the critical point gamma = 1.  delta is still r/(2q), but it
+no longer sets the gap.  For gamma < 1 the grid point above m* is at most
+N/2, so the residue law above holds unchanged.
+
+:func:`exact_row` computes each row once, in integers, each ratio reduced by
+one gcd; the CLI prints those integers as they are, and :func:`gap_record`
+wraps the same row in Fractions for ``verify`` and ``scaling``.  Floats are
+rejected.
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ from typing import NamedTuple, Optional
 BRANCH_LOW = "delta<1/2"      # gap = (1 - 2 delta)/N
 BRANCH_HIGH = "delta>1/2"     # gap = (2 delta - 1)/N
 BRANCH_DEGENERATE = "degenerate"
+BRANCH_EDGE = "edge"          # gamma >= 1: gap = gamma - 1 + 1/N
 
 
 class GapRecord(NamedTuple):
@@ -61,16 +74,20 @@ def exact_row(size: int, p: int, q: int) -> tuple[str, int, int, int, int]:
     delta denominator, gap numerator, gap denominator), each ratio in lowest
     terms, the gap 0/1 on a degenerate crossing.
 
-    delta = r/(2q) and gap = |q - r|/(q*N) from the one residue r (module
-    docstring); assumes N >= 1 and 0 <= p < q, which :func:`gap_record`
-    checks.
+    delta = r/(2q) from the one residue r, and gap = |q - r|/(q*N), or
+    ((p - q)*N + q)/(q*N) on the edge branch, p >= q (module docstring);
+    assumes N >= 1 and p >= 0, which :func:`gap_record` checks.
     """
     two_q = q + q
     r = (p * size + (size & 1) * q) % two_q
     g = gcd(r, two_q)
-    num, den = abs(q - r), q * size
+    den = q * size
+    if p >= q:
+        num, branch = (p - q) * size + q, BRANCH_EDGE
+    else:
+        num = abs(q - r)
+        branch = BRANCH_LOW if r < q else BRANCH_HIGH if r > q else BRANCH_DEGENERATE
     h = gcd(num, den)
-    branch = BRANCH_LOW if r < q else BRANCH_HIGH if r > q else BRANCH_DEGENERATE
     return branch, r // g, two_q // g, num // h, den // h
 
 
@@ -78,7 +95,7 @@ def gap_record(size: int, gamma) -> GapRecord:
     """Result row for one (N, gamma); degenerate crossings are kept, flagged.
 
     :func:`exact_row` in Fractions: the gap is |1 - 2*delta|/N = |q - r|/(q*N)
-    from the one residue r.
+    from the one residue r, or gamma - 1 + 1/N on the edge branch.
     """
     if isinstance(gamma, int):
         gamma = Fraction(gamma)
@@ -90,10 +107,11 @@ def gap_record(size: int, gamma) -> GapRecord:
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     p, q = gamma.numerator, gamma.denominator
-    if not 0 <= p < q:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    if p < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
     branch, delta_num, delta_den, gap_num, gap_den = exact_row(size, p, q)
     delta = Fraction(delta_num, delta_den)
     if branch == BRANCH_DEGENERATE:
         return GapRecord(size, gamma, delta, branch, None)
-    return GapRecord(size, gamma, delta, branch, Fraction(gap_num, gap_den), delta_num == 0)
+    tied = delta_num == 0 and branch != BRANCH_EDGE
+    return GapRecord(size, gamma, delta, branch, Fraction(gap_num, gap_den), tied)

@@ -11,15 +11,17 @@ The off-diagonal sign is a gauge choice (a diagonal +-1 similarity flips
 it), which the test suite checks explicitly.  Only the bottom of the
 spectrum is ever needed, so eigenvalues come from Sturm-count bisection
 (no factorization), and a solve costs O(sqrt(N)) time and memory: only
-about 16*sqrt(N) rows are ever built.  Row i (0-based, m = i - N/2) has
+about 8*sqrt(N) rows are ever built.  Row i (0-based, m = i - N/2) has
 diagonal d_i and coupling e_i to row i+1 (e_-1 = e_N = 0); a_i = |e_i|.
 
 Bisection.  Eigenvalue k (0-based) is bisected from the start bracket
-[min d - (2 max a + s/1000), max d + (2 max a + s/1000)], s = max(norm
-bound, 1), with the norm bound max_i (|d_i| + a_i) + a_(i-1), down to
-width 1e-15*s; it is the bracket's midpoint.  The result is by definition
-that of bisection with counts over all N+1 rows; the rest of this
-docstring shows how it is reached without visiting them.
+[dmin - (2 max a + s/1000), dmax + (2 max a + s/1000)], s = max(norm
+bound, 1), down to width 1e-15*s; it is the bracket's midpoint.  With dmin
+and dmax the extreme diagonal entries and the norm bound at least the
+row-sum norm max_i (|d_i| + a_i) + a_(i-1), Gershgorin puts every
+eigenvalue inside the bracket.  The result is by definition that of
+bisection with counts over all N+1 rows from that bracket; the rest of
+this docstring shows how it is reached without visiting them.
 
 Sturm count.  Row i's pivot is q_i = (d_i - x) - e_(i-1)**2/q_(i-1), each
 operation one IEEE rounding, and the count of eigenvalues below x is the
@@ -43,42 +45,45 @@ rows is entered with, where q = +inf (L = 0, first pivot exactly
 fl(d - x)) means entered decoupled.
 
 Rows on demand.  Each row is the same expression of the same doubles
-whether built alone or in the whole matrix.  The whole-row quantities
-(norm bound, min and max d, max a, and the centre: the first row of the
-lowest Gershgorin lower edge g_i = (d_i - a_i) - a_(i-1)) come from block
-enclosures.  d_i = fl(A(m) - B(m)) with A(m) = -(S(S+1) - m*m)/N, which
-each rounding keeps non-decreasing in |m|, and B(m) = gamma*m,
-non-decreasing in m; a_j is the square root of the integer (N - j)(j +
-1), which rises to j = (N-1)//2 and mirrors after it.  Rounding is
-monotone, so on rows p..r the same float operations at the block's ends
-(and at m = 0, or the largest coupling, when the block holds it) bound
-every computed d_i, a_i, g_i and row sum, exactly: fl(A_lo - B_hi) <= d_i
-<= fl(A_hi - B_lo), and so on.  A depth-first search splits the blocks
-whose bound could hold the extremum and scans blocks of at most 32 rows
-one by one, so it returns the computed extremum itself, and the first row
-that attains it.  max a is the coupling at j = (N-1)//2.  Rounding is
-also symmetric, so each row sum (|d_i| + a_i) + a_(i-1) is at least -g_i,
-and equal to it where d_i <= 0: the norm bound is the larger of -min g
-and the largest row sum over rows with d_i > 0, a search that skips every
-block whose d stays <= 0.  A field whose squared norm bound overflows a
+whether built alone or in the whole matrix.  An explicit matrix
+(SectorHamiltonian) takes its summary from one pass over its rows, the
+sector matrix from closed forms.  d is a convex parabola in m with its
+vertex at m* = gamma*N/2: dmin is the smaller d of the at most two rows
+next to m*, clamped to the grid, and dmax the larger of the two end rows.
+Rounding could reorder only rows whose exact d agree to a few ulps, far
+inside the bracket's s/1000, and at the extremes of every tested field it
+does not.  max a is a_j at j = (N-1)//2, a_j being the square root of the
+integer (N - j)(j + 1).  The norm bound (max(|dmin|, |dmax|) + max a) +
+max a repeats each row sum's operations on operands at least as large, so
+it is at least every row sum; at h = 0 it is max |d_i|.  The centre, a row
+inside the ground-state well, is where the Gershgorin lower edge g_i =
+(d_i - a_i) - a_(i-1) stops falling, by bisection on the sign of g_(i+1) -
+g_i: g is a convex parabola minus a concave square root.  The certificate
+below makes any centre safe.  A field whose squared norm bound overflows a
 double is rejected (the Sturm counts square the couplings).
 
-Window and local certificate.  Bisection runs on the 2*(8*isqrt(N) +
-16) + 1 rows centred on the centre row, entered decoupled; the low
-eigenvectors live in a well of width ~sqrt(N) around it.  The bracket of
-each eigenvalue k is then certified without the outside rows: count(lo)
-<= k and count(hi) > k over all N+1 rows.
+Window and local certificate.  Bisection runs on the 2*(4*isqrt(N) +
+16) + 1 rows centred on the centre row, moved inside the matrix when the
+centre lies nearer an end, entered decoupled; the low eigenvectors live in
+a well of width ~sqrt(N) around it.  The bracket of each eigenvalue k is
+then certified without the outside rows: count(lo) <= k and count(hi) > k
+over all N+1 rows.
   - Outside rows.  Each row i outside the window must pass the pivot
-    floor: P_i = fl(fl(d_i - x) - fl(fl(a_(i-1)**2)/a_(i-1))) >=
-    max(a_i, pivmin) (the floating-point form of g_i >= x; a term with
-    a_(i-1) = 0 is 0).  Checked by the same enclosures, P_i >= fl(fl(d_lo
-    - x) - fl(fl(a_hi**2)/a_lo)), at the largest hi: P_i falls as x
-    rises.  By induction, a pivot q_(i-1) >= a_(i-1) makes q_i >= P_i, so
-    rows before the window add no count and hand it a pivot q >= a_(f-1)
-    (f the first window row); and a row entered with a negative pivot has
-    q_i >= fl(d_i - x) >= P_i, so the rows after the window add no count
-    when the window's last pivot is negative or >= a_(t-1) (t - 1 the last
-    window row).
+    floor: P_i = fl(fl(d_i - x) - fl(fl(a_(i-1)**2)/a_(i-1))) >= max(a_i,
+    pivmin) (the floating-point form of g_i >= x; a term with a_(i-1) = 0
+    is 0).  d_i = fl(A(m) - B(m)) with A(m) = -(S(S+1) - m*m)/N, which
+    each rounding keeps non-decreasing in |m|, and B(m) = gamma*m, and a_j
+    rises to j = (N-1)//2 and mirrors after it.  So on rows p..r the same
+    float operations at the block's ends (and at m = 0, or the largest
+    coupling, when the block holds it) bound every computed d_i and a_i,
+    and P_i >= fl(fl(d_lo - x) - fl(fl(a_hi**2)/a_lo)) at the largest hi
+    (P_i falls as x rises); a block failing that is split, down to 32 rows
+    checked one by one.  By induction, a pivot q_(i-1) >= a_(i-1) makes
+    q_i >= P_i, so rows before the window add no count and hand it a pivot
+    q >= a_(f-1) (f the first window row); and a row entered with a
+    negative pivot has q_i >= fl(d_i - x) >= P_i, so the rows after the
+    window add no count when the window's last pivot is negative or >=
+    a_(t-1) (t - 1 the last window row).
   - The sandwich.  By the lift's monotonicity, the window entered
     decoupled (q = +inf) ends at or below the true state and entered at q
     = a_(f-1) at or above it; if that end pivot passes the rule above,
@@ -93,7 +98,7 @@ Sweeps.  Eigenvalues whose brackets still coincide share each count:
 the lowest pair follows one path while the count at the midpoint is 0 or
 >= 2 and splits at the first count of 1, with the brackets single-value
 bisection would reach.  On the benchmark's fields a lowest pair costs
-84-95 window sweeps plus four for the certificate, where it took 102-104
+82-94 window sweeps plus four for the certificate, where it took 102-104
 window sweeps and four whole-matrix sweeps.  Bisection reads a count only
 through min(count, k): it compares the count with the first index of the
 eigenvalues sharing a bracket and with one past their last, at most k,
@@ -119,7 +124,7 @@ from .errors import XYGapError
 from .field import FieldPoint
 
 _SAFMIN = 2.2250738585072014e-308
-_LEAF = 32  # the enclosure searches scan blocks of at most this many rows
+_LEAF = 32  # outside_rows_clear checks blocks of at most this many rows row by row
 
 
 class SectorHamiltonian(NamedTuple):
@@ -180,7 +185,7 @@ class SectorMatrix(NamedTuple):
     size: int
     point: FieldPoint
     norm: float     # the norm bound
-    centre: int     # first row of the lowest Gershgorin lower edge
+    centre: int     # a row inside the ground-state well
     offmax: float   # max |e|
     dmin: float
     dmax: float
@@ -199,7 +204,7 @@ class SectorMatrix(NamedTuple):
         blocks = [(p, r) for p, r in ((0, first), (stop, n + 1)) if p < r]
         while blocks:
             p, r = blocks.pop()
-            d_lo, _, _, below_hi, above_lo, above_hi = _enclose(n, point, p, r)
+            d_lo, below_hi, above_lo, above_hi = _enclose(n, point, p, r)
             if above_lo:
                 quotient = above_hi * above_hi / above_lo
             else:
@@ -239,7 +244,7 @@ def _rows(n: int, point: FieldPoint, first: int, stop: int) -> tuple[list[float]
 
 def _enclose(n: int, point: FieldPoint, p: int, r: int):
     """Bounds on rows p..r-1 of the computed d_i, a_i and a_(i-1):
-    (d_lo, d_hi, below_lo, below_hi, above_lo, above_hi)."""
+    (d_lo, below_hi, above_lo, above_hi)."""
     half = n / 2.0
     s_sq = n * (n + 2) / 4.0
     gamma = point.gamma
@@ -248,7 +253,6 @@ def _enclose(n: int, point: FieldPoint, p: int, r: int):
     m_p, m_r = p - half, (r - 1) - half
     m_0 = m_p if m_p > 0 else m_r if m_r < 0 else 0.0  # the m nearest 0
     curv_lo = -(s_sq - m_0 * m_0) / n
-    curv_hi = max(-(s_sq - m_p * m_p) / n, -(s_sq - m_r * m_r) / n)
     # a_j at j = p - 1, p, r - 2 and r - 1, and at the peak
     a_above, a_first = scale * sqrt((n - p + 1) * p), scale * sqrt((n - p) * (p + 1))
     a_before, a_last = scale * sqrt((n - r + 2) * (r - 1)), scale * sqrt((n - r + 1) * r)
@@ -256,8 +260,7 @@ def _enclose(n: int, point: FieldPoint, p: int, r: int):
     top = scale * sqrt((n - peak) * (peak + 1))
     below_hi = top if p <= peak < r else a_first if peak < p else a_last
     above_hi = top if p - 1 <= peak < r - 1 else a_above if peak < p - 1 else a_before
-    return (curv_lo - gamma * m_r, curv_hi - gamma * m_p,
-            min(a_first, a_last), below_hi, min(a_above, a_before), above_hi)
+    return curv_lo - gamma * m_r, below_hi, min(a_above, a_before), above_hi
 
 
 def _pivot_floor_ok(diag, coup, shift: float, pivmin: float) -> bool:
@@ -273,75 +276,40 @@ def _pivot_floor_ok(diag, coup, shift: float, pivmin: float) -> bool:
     return True
 
 
-def _first_min(rows: int, bound, exact, best: float = math.inf) -> tuple[float, int]:
-    """The least value over rows 0..rows-1 and the first row holding it, or
-    (``best``, rows) when none is below ``best``.  ``bound(p, r)`` is at most
-    every value in rows p..r-1 and ``exact(p, r)`` lists those values; a
-    depth-first search splits each block that can hold a value <= the best,
-    the half with the lower bound first, and scans it once small."""
-    where = rows
-    blocks = [(bound(0, rows), 0, rows)]
-    while blocks:
-        low, p, r = blocks.pop()
-        if low > best:
-            continue
-        if r - p <= _LEAF:
-            for i, value in enumerate(exact(p, r), p):
-                if value < best or (value == best and i < where):
-                    best, where = value, i
-        else:
-            mid = (p + r) // 2
-            blocks += sorted([(bound(p, mid), p, mid), (bound(mid, r), mid, r)], reverse=True)
-    return best, where
+def _half_width(size: int) -> int:
+    """Half the width of the first bisection window (module docstring)."""
+    return 4 * math.isqrt(size) + 16
 
 
 def sector_matrix(size: int, point: FieldPoint) -> SectorMatrix:
-    """The sector matrix at ``point`` with rows on demand; ValueError when
-    its squared norm bound is not a finite double, where the Sturm counts
-    would overflow."""
+    """The sector matrix at ``point`` with rows on demand and its summary
+    from closed forms (module docstring); ValueError when its squared norm
+    bound is not a finite double, where the Sturm counts would overflow."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     n = size
-    rows = n + 1
-
-    def enclose(p, r):
-        return _enclose(n, point, p, r)
-
-    def diagonal(p, r):
-        return _diag(n, point, p, r)
-
-    dmin = _first_min(rows, lambda p, r: enclose(p, r)[0], diagonal)[0]
-    dmax = -_first_min(rows, lambda p, r: -enclose(p, r)[1],
-                       lambda p, r: [-d for d in diagonal(p, r)])[0]
+    # the row of the vertex gamma*N/2, clamped to the grid before int() sees it
+    vertex = int(min((point.gamma + 1.0) * (n / 2.0), float(n)))
+    dmin = min(_diag(n, point, vertex, min(vertex + 2, n + 1)))
+    dmax = max(_diag(n, point, 0, 1) + _diag(n, point, n, n + 1))
     peak = (n - 1) // 2
     offmax = abs(-(point.h / 2.0) * math.sqrt((n - peak) * (peak + 1)))
-    centre, norm = 0, math.inf  # an infinite |d| or |e| makes the norm bound infinite
-    if math.isfinite(max(dmax, -dmin, offmax)):
-        def edges(p, r):
-            diag, coup = _rows(n, point, p, r)
-            return [(d - abs(coup[i])) - abs(coup[i - 1]) for i, d in enumerate(diag, 1)]
-
-        def edge_bound(p, r):
-            d_lo, _, _, below_hi, _, above_hi = enclose(p, r)
-            return (d_lo - below_hi) - above_hi
-
-        def positive_row_sums(p, r):  # negated, so the search finds the largest
-            diag, coup = _rows(n, point, p, r)
-            return [-((d + abs(coup[i])) + abs(coup[i - 1])) if d > 0 else math.inf
-                    for i, d in enumerate(diag, 1)]
-
-        def positive_row_sum_bound(p, r):
-            _, d_hi, _, below_hi, _, above_hi = enclose(p, r)
-            return -((d_hi + below_hi) + above_hi) if d_hi > 0 else math.inf
-
-        lowest, centre = _first_min(rows, edge_bound, edges)
-        norm = -_first_min(rows, positive_row_sum_bound, positive_row_sums, lowest)[0]
+    norm = (max(abs(dmin), abs(dmax)) + offmax) + offmax  # rounds as the row sums
     if not math.isfinite(norm * norm):
         raise ValueError(
             f"field gamma={point.gamma!r}, h={point.h!r} is too large at N={n}: "
             "the squared norm bound of the sector matrix overflows a double"
         )
-    return SectorMatrix(n, point, norm, centre, offmax, dmin, dmax)
+    lo, hi = 0, n  # the first row i < n where g_(i+1) >= g_i, else n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        diag, coup = _rows(n, point, mid, mid + 2)
+        above, here, below = abs(coup[0]), abs(coup[1]), abs(coup[2])
+        if (diag[1] - below) - here >= (diag[0] - here) - above:
+            hi = mid
+        else:
+            lo = mid + 1
+    return SectorMatrix(n, point, norm, lo, offmax, dmin, dmax)
 
 
 def build_sector_hamiltonian(size: int, point: FieldPoint) -> SectorHamiltonian:
@@ -349,12 +317,6 @@ def build_sector_hamiltonian(size: int, point: FieldPoint) -> SectorHamiltonian:
     sector_matrix."""
     diag, coup = sector_matrix(size, point).rows(0, size + 1)
     return SectorHamiltonian(size=size, diag=tuple(diag), offdiag=tuple(coup[1:-1]))
-
-
-def norm_bound(ham) -> float:
-    """Max row sum of absolute values, (|d_i| + |e_i|) + |e_(i-1)|; cheap and
-    sufficient for tolerances."""
-    return ham.summary()[0]
 
 
 def _sturm_count(diag, off_sq, shift: float, pivmin: float, q: float = 1.0) -> tuple[int, float]:
@@ -456,9 +418,10 @@ def lowest_eigenvalues(ham, k: int) -> list[float]:
     lo0 = dmin - (offmax * 2 + 1e-3 * span)
     hi0 = dmax + (offmax * 2 + 1e-3 * span)
     tol = 1e-15 * span
-    half = 8 * math.isqrt(n) + 16
+    half = _half_width(n)
     while True:
-        first, stop = max(centre - half, 0), min(centre + half + 1, n + 1)
+        first = max(min(centre - half, n - 2 * half), 0)
+        stop = min(first + 2 * half + 1, n + 1)
         if stop - first < k:  # the window's counts cannot reach eigenvalue k - 1
             half *= 2
             continue

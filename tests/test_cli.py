@@ -223,6 +223,22 @@ class TestFiniteGap:
             products.add(int(cols[0]) * gap)
         assert products == {Fraction(1, 3), Fraction(1)}
 
+    @pytest.mark.parametrize("gamma", ["1", "3/2"])
+    def test_edge_rows_at_and_past_the_critical_point(self, cli, tmp_path, gamma):
+        out = tmp_path / "fg.csv"
+        res = cli("finite-gap", "--gamma", gamma, "--N", "1:64:all", "-o", str(out))
+        assert res.returncode == 0, res.stderr
+        from fractions import Fraction
+
+        from xygap.exactnum import parse_rational
+
+        for size, line in enumerate(out.read_text().strip().split("\n")[1:], 1):
+            cols = line.split(",")
+            assert cols[3] == "edge"
+            gap = parse_rational(cols[4])
+            assert gap == Fraction(gamma) - 1 + Fraction(1, size)
+            assert abs(float(gap) - float(cols[6])) < 1e-12
+
     def test_degenerate_row_kept_and_marked(self, cli, tmp_path):
         out = tmp_path / "fg.csv"
         res = cli("finite-gap", "--gamma", "1/2", "--N", "10", "-o", str(out))
@@ -279,6 +295,7 @@ class TestFiniteGap:
             ("--gamma", "1.d", "--N", "4"),
             ("--gamma", "-0.5", "--h", "0.5", "--N", "4"),
             ("--gamma=-1/3", "--h", "0.5", "--N", "4"),
+            ("--gamma=-1/3", "--N", "4"),
             ("--gamma", "1/3", "--gamma-series", "double-exp", "--N", "4"),
         ],
     )
@@ -355,6 +372,8 @@ class TestIntegerRowsAgainstFractionRoute:
         ("1/2", "1:12:all"),   # crossings at N = 2 mod 4
         ("3/5", "1:2000:all"),
         ("9/11", "2:2000:even"),
+        ("1", "1:200:all"),     # the edge branch: the critical point
+        ("7/4", "1:200:all"),
     ])
     def test_small_fields(self, gamma, sizes):
         assert cli_rows("--gamma", gamma, "--N", sizes) == fraction_route_rows(
@@ -521,7 +540,9 @@ class TestGoldenOutput:
     and tied rows at gamma = 0), recorded before the rows were computed from
     one integer residue, and of eigensolver runs (h != 0, and an h = 0 run
     with the numeric cross column), recorded while the sector layer still
-    built its rows in numpy; any change to the output bytes shows here."""
+    built its rows in numpy, the h != 0 runs at (0.5, 0.001) and (0.6,
+    0.6) again when the start bracket came from closed forms; any change
+    to the output bytes shows here."""
 
     @pytest.mark.parametrize("args,digests", [
         (("scaling", "--seq", "double-exp", "--rule", "a_n", "--K", "5"), {
@@ -555,10 +576,10 @@ class TestGoldenOutput:
             "out.csv": "55eec501a1bf6eecea2db0cd0a21f42612f278fbac06e83ca03462cd9ee73735",
         }),
         (("finite-gap", "--gamma", "0.5", "--h", "0.001", "--N", "64,1024,4096,16384"), {
-            "out.csv": "99970d33112adeaedc01247ae7e394547b0e61a6b824027a77401bd9bde1d40f",
+            "out.csv": "38a1a179c5fe842599fa440c528809666e51d4f7b0063016ac949fbaa75204bb",
         }),
         (("finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "1024,4096,16384"), {
-            "out.csv": "513653399129ee2fbcff0ce3eb3a3bcc5c97e912dc718b553cd1ae23375164c0",
+            "out.csv": "de4799ae4a09d25e2f78cbe5da59328f1336356947c199579f7db10e46004bb1",
         }),
         (("finite-gap", "--gamma", "1/3", "--N", "1:80:all", "--cross-max", "80"), {
             "out.csv": "7d08edd7bc4633c6296665d70b6c73dfdc529dbfb1fa2ad04124d932810784e0",

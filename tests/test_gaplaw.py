@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import gap_times_size_values, min_excitation_brute
 from xygap.exactnum import gamma_value
-from xygap.gaplaw import BRANCH_DEGENERATE, BRANCH_HIGH, BRANCH_LOW, GapRecord, gap_record
+from xygap.gaplaw import (
+    BRANCH_DEGENERATE,
+    BRANCH_EDGE,
+    BRANCH_HIGH,
+    BRANCH_LOW,
+    GapRecord,
+    gap_record,
+)
 from xygap.sequences import SequenceKind, terms
 
 HALF = Fraction(1, 2)
@@ -133,7 +140,7 @@ class TestDeltaFrac:
 
     def test_gamma_range_enforced(self):
         with pytest.raises(ValueError):
-            gap_record(4, Fraction(3, 2))
+            gap_record(4, Fraction(-1, 3))
 
 
 class TestLevels:
@@ -213,6 +220,15 @@ class TestGapRecord:
     def test_excited_tie_flag_at_zero_field(self):
         assert gap_record(16, Fraction(0)).excited_tied
         assert not gap_record(4, Fraction(1, 3)).excited_tied
+
+    @pytest.mark.parametrize("gamma", [Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2)])
+    def test_edge_branch_matches_brute_force_enumeration(self, gamma):
+        # for gamma >= 1 the levels N/2 and N/2 - 1 are the lowest pair
+        for size in range(1, 121):
+            rec = gap_record(size, gamma)
+            assert rec.gap == min_excitation_brute(size, gamma) == gamma - 1 + Fraction(1, size)
+            assert rec.branch == BRANCH_EDGE and not rec.excited_tied
+            assert rec.delta == split_oracle(size, gamma)
 
     def test_floats_rejected(self):
         for gamma in (0.3, 1.0):

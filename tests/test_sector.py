@@ -3,6 +3,7 @@ import random
 import struct
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from xygap.sector import (
     build_sector_hamiltonian,
     finite_gap_numeric,
     lowest_eigenvalues,
-    norm_bound,
     sector_matrix,
 )
 
@@ -86,22 +86,27 @@ class TestEigenvalues:
         mirrored = SectorHamiltonian(16, ham.diag[::-1], tuple(mirrored_off))
         ref = lowest_eigenvalues(ham, 4)
         alt = lowest_eigenvalues(mirrored, 4)
-        assert np.max(np.abs(np.asarray(ref) - np.asarray(alt))) < 1e-12 * norm_bound(ham)
+        assert np.max(np.abs(np.asarray(ref) - np.asarray(alt))) < 1e-12 * ham.summary()[0]
 
 
-def whole_matrix_bisection(ham, indices):
+def start_bracket(summary):
+    """The start bracket and tolerance the solver documents for a summary
+    (norm bound, centre, max |e|, min d, max d)."""
+    norm, _, offmax, dmin, dmax = summary
+    span = max(norm, 1.0)
+    return dmin - (offmax * 2 + 1e-3 * span), dmax + (offmax * 2 + 1e-3 * span), 1e-15 * span
+
+
+def whole_matrix_bisection(ham, indices, summary=None):
     """Bisection with Sturm counts over all N+1 rows: the unwindowed algorithm,
-    one eigenvalue at a time, from the start bracket, tolerance and pivmin the
-    solver documents."""
+    one eigenvalue at a time, from the start bracket and tolerance of
+    ``summary`` (the explicit rows' own by default) and the pivmin the solver
+    documents."""
     offdiag = np.asarray(ham.offdiag, dtype=float)
     diag = list(ham.diag)
     off_sq = [0.0, *(offdiag * offdiag).tolist()]
-    offmax = max(np.abs(offdiag).tolist(), default=0.0)
-    span = max(norm_bound(ham), 1.0)
     pivmin = sector._SAFMIN * max(1.0, max(off_sq))
-    lo0 = min(diag) - (offmax * 2 + 1e-3 * span)
-    hi0 = max(diag) + (offmax * 2 + 1e-3 * span)
-    tol = 1e-15 * span
+    lo0, hi0, tol = start_bracket(summary or ham.summary())
 
     def count(shift):
         below, q = 0, 1.0
@@ -125,8 +130,14 @@ def whole_matrix_bisection(ham, indices):
     return np.array(values)
 
 
-def half_width(size):
-    return 8 * math.isqrt(size) + 16
+half_width = sector._half_width
+
+
+def with_summary(ham, summary):
+    """The explicit rows of ``ham`` with another matrix's summary, so that
+    both are bisected from the same start bracket and centre."""
+    return SimpleNamespace(size=ham.size, summary=lambda: summary, rows=ham.rows,
+                           outside_rows_clear=ham.outside_rows_clear)
 
 
 @pytest.fixture
@@ -187,13 +198,18 @@ TIE_FIELDS = ((0.0, 0.3), (0.0, -1.7), (0.0, 0.0), (0.5, 5e-324), (0.25, -1e-310
 H0_GAMMAS = tuple(float(Fraction(g)) for g in ("0", "1/5", "1/3", "7/10", "99/100", "3/5", "9/11"))
 
 
-def summary_bytes(ham):
-    return struct.pack("dqddd", *ham.summary())
+def bytes_but_norm(summary):
+    """Every summary entry but the norm bound (the centre, max |e|, min d
+    and max d) as bytes, so that -0.0 and 0.0 differ."""
+    return struct.pack("qddd", *summary[1:])
 
 
 class TestNumpyOracle:
     @pytest.mark.parametrize("gamma,h", [*WINDOW_FIELDS, (0.3, 0.0), (0.7, -0.45)])
     def test_rows_norm_and_centre_bit_equal(self, gamma, h):
+        # the explicit rows and their one-pass summary against numpy; the
+        # closed forms give the same centre and extremes, and a norm bound
+        # at least the row-sum norm that equals it at h = 0
         point = FieldPoint(gamma, h)
         for size in ORACLE_SIZES:
             ham = build_sector_hamiltonian(size, point)
@@ -201,19 +217,55 @@ class TestNumpyOracle:
             assert np.array(ham.diag).tobytes() == diag.tobytes(), size
             assert np.array(ham.offdiag).tobytes() == offdiag.tobytes(), size
             assert ham.summary() == (norm, centre, offmax, diag.min(), diag.max()), size
-            assert norm_bound(ham) == norm, size
-            assert summary_bytes(sector_matrix(size, point)) == summary_bytes(ham), size
+            closed = sector_matrix(size, point).summary()
+            assert bytes_but_norm(closed) == bytes_but_norm(ham.summary()), size
+            assert closed[0] >= norm and (h or closed[0] == norm), size
+
+
+class TestClosedFormSummary:
+    magnitudes = st.just(0.0) | st.floats(-300.0, 150.0).map(lambda e: 10.0**e)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gamma=magnitudes | st.floats(0.0, 3.0) | st.sampled_from([1.0, 1.25, 2.0]),
+        h=magnitudes | magnitudes.map(lambda x: -x) | st.floats(-2.0, 2.0),
+        size=st.integers(1, 70) | st.integers(1, 65536),
+    )
+    def test_bracket_norm_bound_and_well(self, gamma, h, size):
+        point = FieldPoint(gamma, h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag, offdiag, row_norm, well, offmax = numpy_rows(size, point)
+        try:
+            summary = sector_matrix(size, point).summary()
+        except ValueError:
+            bound = (max(abs(float(diag.min())), abs(float(diag.max()))) + offmax) + offmax
+            assert not math.isfinite(bound * bound)
+            return
+        off = np.abs(offdiag)
+        edge = diag.copy()
+        edge[:-1] -= off
+        edge[1:] -= off
+        assert start_bracket(summary)[0] < edge.min()
+        norm, centre = summary[:2]
+        assert norm >= row_norm
+        # the first window, at least the half-width on each side of the
+        # centre, holds the first row of the lowest Gershgorin lower edge
+        assert abs(centre - well) <= half_width(size)
 
 
 class TestRowsOnDemand:
-    """The enclosure searches against a pass over every row."""
+    """The closed-form summary and the solve on rows built on demand against
+    the explicit rows."""
 
     @pytest.mark.parametrize("gamma,h", TIE_FIELDS)
     def test_summary_bit_equal_on_ties(self, gamma, h):
+        # every entry but the norm bound, which only has to bound the norm
         point = FieldPoint(gamma, h)
         for size in ORACLE_SIZES:
-            ham = build_sector_hamiltonian(size, point)
-            assert summary_bytes(sector_matrix(size, point)) == summary_bytes(ham), size
+            want = build_sector_hamiltonian(size, point).summary()
+            got = sector_matrix(size, point).summary()
+            assert bytes_but_norm(got) == bytes_but_norm(want), size
+            assert got[0] >= want[0], size
 
     def test_mirror_tie_takes_the_first_row(self):
         # at gamma = 0 and odd N the rows m = -1/2 and m = 1/2 hold the lowest
@@ -228,15 +280,16 @@ class TestRowsOnDemand:
             assert sector_matrix(size, FieldPoint(0.0, 0.3)).centre == centre, size
 
     def test_adjacent_equal_diagonal_minimum(self):
-        # gamma = (N-1)/N makes rows m = N/2 - 1 and N/2 equal in exact arithmetic
+        # gamma = (N-1)/N makes rows m = N/2 - 1 and N/2 equal in exact
+        # arithmetic: the closed form's two rows next to the vertex are they
         for size in ORACLE_SIZES[1:]:
             point = FieldPoint((size - 1) / size, 0.4)
             ham = build_sector_hamiltonian(size, point)
             matrix = sector_matrix(size, point)
-            assert summary_bytes(matrix) == summary_bytes(ham), size
+            assert bytes_but_norm(matrix.summary()) == bytes_but_norm(ham.summary()), size
             if size <= 4096:
-                want = struct.pack("dd", *lowest_eigenvalues(ham, 2))
-                assert struct.pack("dd", *lowest_eigenvalues(matrix, 2)) == want, size
+                want = lowest_eigenvalues(with_summary(ham, matrix.summary()), 2)
+                assert struct.pack("dd", *lowest_eigenvalues(matrix, 2)) == struct.pack("dd", *want)
 
     @pytest.mark.parametrize("gamma,h,sizes", [
         *((gamma, h, ORACLE_SIZES) for gamma, h in WINDOW_FIELDS),
@@ -247,18 +300,21 @@ class TestRowsOnDemand:
         point = FieldPoint(gamma, h)
         for size in sizes:
             ham = build_sector_hamiltonian(size, point)
-            want = lowest_eigenvalues(ham, 2)
-            got = lowest_eigenvalues(sector_matrix(size, point), 2)
+            matrix = sector_matrix(size, point)
+            want = lowest_eigenvalues(with_summary(ham, matrix.summary()), 2)
+            got = lowest_eigenvalues(matrix, 2)
             assert struct.pack("dd", *got) == struct.pack("dd", *want), size
             gap = finite_gap_numeric(size, point)
             assert struct.pack("d", gap) == struct.pack("d", max(want[1] - want[0], 0.0)), size
             if size <= 70:
-                assert np.asarray(got).tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
+                whole = whole_matrix_bisection(ham, range(2), matrix.summary())
+                assert np.asarray(got).tobytes() == whole.tobytes()
 
     def test_solve_bit_identical_to_whole_matrix_at_65536(self):
         point = FieldPoint(0.6, 0.6)
-        got = lowest_eigenvalues(sector_matrix(65536, point), 2)
-        want = whole_matrix_bisection(build_sector_hamiltonian(65536, point), range(2))
+        matrix = sector_matrix(65536, point)
+        got = lowest_eigenvalues(matrix, 2)
+        want = whole_matrix_bisection(build_sector_hamiltonian(65536, point), range(2), matrix.summary())
         assert np.asarray(got).tobytes() == want.tobytes()
 
 
@@ -266,7 +322,8 @@ class TestOverflow:
     @pytest.mark.parametrize("size,gamma,h", [
         (4, 0.5, 1e200), (4, 0.5, -1e200), (4, 0.5, 1e308), (4, 1e308, 0.5),
         (65536, 0.5, 1e152),
-        (1, 0.0, 3e154),  # the norm bound itself squares past the largest double
+        (1, 0.0, 3e154),  # the row-sum norm itself squares past the largest double
+        (1, 0.0, 2e154),  # max|d| + 2*max|e| squares to inf, the row-sum norm does not
     ])
     def test_rejected_when_squared_norm_bound_overflows(self, size, gamma, h):
         point = FieldPoint(gamma, h)
@@ -279,18 +336,18 @@ class TestOverflow:
 
     @pytest.mark.parametrize("size,gamma,h", [
         (4, 0.5, 1e150), (4, 1e150, 0.5), (1024, 0.5, -1e148),
-        (1, 0.0, 2e154),  # max|d| + 2*max|e| squares to inf, the norm bound does not
+        (1, 0.0, 1.3e154),  # max|d| + 2*max|e| squares to a finite double
     ])
     def test_accepted_while_squared_norm_bound_is_finite(self, size, gamma, h):
         point = FieldPoint(gamma, h)
         ham = build_sector_hamiltonian(size, point)
         with np.errstate(over="ignore"):
             assert math.isfinite(numpy_rows(size, point)[2] ** 2)
-        assert math.isfinite(norm_bound(ham) ** 2)
-        assert summary_bytes(sector_matrix(size, point)) == summary_bytes(ham)
+        matrix = sector_matrix(size, point)
+        assert math.isfinite(matrix.norm ** 2)
         gap = finite_gap_numeric(size, point)
         assert math.isfinite(gap)
-        want = lowest_eigenvalues(ham, 2)
+        want = lowest_eigenvalues(with_summary(ham, matrix.summary()), 2)
         assert struct.pack("d", gap) == struct.pack("d", max(want[1] - want[0], 0.0))
 
 
@@ -302,7 +359,9 @@ class TestWindowedBisection:
         ham = build_sector_hamiltonian(size, point)
         want = whole_matrix_bisection(ham, range(2)).tobytes()
         assert np.asarray(lowest_eigenvalues(ham, 2)).tobytes() == want
-        assert np.asarray(lowest_eigenvalues(sector_matrix(size, point), 2)).tobytes() == want
+        matrix = sector_matrix(size, point)
+        want = whole_matrix_bisection(ham, range(2), matrix.summary()).tobytes()
+        assert np.asarray(lowest_eigenvalues(matrix, 2)).tobytes() == want
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -316,7 +375,9 @@ class TestWindowedBisection:
         ham = build_sector_hamiltonian(size, point)
         want = whole_matrix_bisection(ham, range(k)).tobytes()
         assert np.asarray(lowest_eigenvalues(ham, k)).tobytes() == want
-        assert np.asarray(lowest_eigenvalues(sector_matrix(size, point), k)).tobytes() == want
+        matrix = sector_matrix(size, point)
+        want = whole_matrix_bisection(ham, range(k), matrix.summary()).tobytes()
+        assert np.asarray(lowest_eigenvalues(matrix, k)).tobytes() == want
 
     def test_extended_ground_state_widens_the_window(self, count_lengths):
         # a weakly disordered uniform chain: the low eigenvectors spread over
@@ -330,7 +391,7 @@ class TestWindowedBisection:
         assert max(count_lengths) > 2 * half_width(n) + 1  # the window widened
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         expected = np.linalg.eigvalsh(dense)[:2]
-        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * norm_bound(ham)
+        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * ham.summary()[0]
         assert np.asarray(got).tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
 
     def test_decoupled_row_beyond_the_window(self, count_lengths):
@@ -350,35 +411,36 @@ class TestWindowedBisection:
         got = lowest_eigenvalues(ham, 2)
         expected = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[:2]
         assert expected[1] == pytest.approx(diag[800], abs=1e-12)
-        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * norm_bound(ham)
+        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * ham.summary()[0]
         assert np.asarray(got).tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
         assert max(count_lengths) > 801  # the window widened past the decoupled row
 
     @pytest.mark.parametrize("edge", ["first", "last"])
     def test_level_coupled_across_the_window_edge(self, edge, count_lengths):
         # Rows of diagonal 10 and no couplings, one isolated row at -5 that
-        # fixes the window to rows 194..706, and a three-row chain (diagonal
-        # 0, couplings -1) at the window's first or last rows, coupled by -1
-        # to the diagonal-10 row just outside.  Every outside row passes the
-        # pivot floor; the chain's level, -sqrt(2) inside the window, drops
-        # by about 0.02 through that coupling, which only the entering
-        # (first) or leaving (last) pivot shows.
+        # fixes the window to rows 450 -+ half_width(900), and a three-row
+        # chain (diagonal 0, couplings -1) at the window's first or last
+        # rows, coupled by -1 to the diagonal-10 row just outside.  Every
+        # outside row passes the pivot floor; the chain's level, -sqrt(2)
+        # inside the window, drops by about 0.02 through that coupling,
+        # which only the entering (first) or leaving (last) pivot shows.
         n = 900
+        first, last = 450 - half_width(n), 450 + half_width(n)
         diag = np.full(n + 1, 10.0)
         off = np.zeros(n)
         diag[450] = -5.0
-        chain = [194, 195, 196] if edge == "first" else [704, 705, 706]
+        chain = [first, first + 1, first + 2] if edge == "first" else [last - 2, last - 1, last]
         diag[chain] = 0.0
-        couples = [193, 194, 195] if edge == "first" else [704, 705, 706]
+        couples = [first - 1, first, first + 1] if edge == "first" else [last - 2, last - 1, last]
         off[couples] = -1.0
         ham = SectorHamiltonian(size=n, diag=tuple(diag.tolist()), offdiag=tuple(off.tolist()))
-        assert ham.summary()[1] == 450 and half_width(n) == 256
+        assert ham.summary()[1] == 450 and 0 < first and last < n
         got = lowest_eigenvalues(ham, 2)
         expected = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[:2]
         assert expected[1] < -math.sqrt(2) - 0.02
-        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * norm_bound(ham)
+        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * ham.summary()[0]
         assert np.asarray(got).tobytes() == whole_matrix_bisection(ham, range(2)).tobytes()
-        assert max(count_lengths) > 513  # the window widened
+        assert max(count_lengths) > 2 * half_width(n) + 1  # the window widened
 
     def test_k_beyond_the_window_rows(self):
         size = 400
@@ -389,10 +451,11 @@ class TestWindowedBisection:
         got = lowest_eigenvalues(ham, k)
         dense = np.diag(ham.diag) + np.diag(ham.offdiag, 1) + np.diag(ham.offdiag, -1)
         expected = np.linalg.eigvalsh(dense)[:k]
-        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * norm_bound(ham)
+        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-12 * ham.summary()[0]
         tail = whole_matrix_bisection(ham, range(k - 3, k))
         assert np.asarray(got[-3:]).tobytes() == tail.tobytes()
-        assert lowest_eigenvalues(sector_matrix(size, FieldPoint(0.1, 0.5)), k) == got
+        matrix = sector_matrix(size, FieldPoint(0.1, 0.5))
+        assert lowest_eigenvalues(matrix, k) == lowest_eigenvalues(with_summary(ham, matrix.summary()), k)
 
     def test_large_solve_counts_only_window_rows(self, count_lengths):
         size = 16384
@@ -403,7 +466,7 @@ class TestWindowedBisection:
         assert max(count_lengths) == 2 * half_width(size) + 1
 
     def test_million_row_solve_stays_small(self):
-        # the window holds 16033 rows; every row of the matrix would take
+        # the window holds 8033 rows; every row of the matrix would take
         # over 100 MB as Python floats
         tracemalloc.start()
         try:

@@ -116,6 +116,21 @@ class TestFailuresAreReported:
         assert not res.passed
         assert res.detail.startswith("interval construction failed its own certificate for (")
 
+    def test_exact_vs_numeric_catches_a_wrong_edge_gap(self, monkeypatch):
+        # the edge branch off by 1/(2N): the suite reaches gamma >= 1
+        real = gaplaw.exact_row
+
+        def off(size, p, q):
+            branch, dn, dd, gn, gd = real(size, p, q)
+            return (branch, dn, dd, 2 * gn + 1, 2 * gd) if branch == gaplaw.BRANCH_EDGE else (
+                branch, dn, dd, gn, gd)
+
+        assert verify.check_exact_vs_numeric(8).passed
+        monkeypatch.setattr(gaplaw, "exact_row", off)
+        res = verify.check_exact_vs_numeric(8)
+        assert not res.passed
+        assert res.detail.startswith("N=2, gamma=1: |exact - numeric| = ")
+
     def test_gauge_suite_catches_couplings_on_the_wrong_rows(self, monkeypatch):
         # a solver whose squared couplings sit one row too low sees the same
         # squares whatever their signs, but not the same matrix mirrored
