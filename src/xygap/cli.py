@@ -185,39 +185,44 @@ def cmd_phase_diagram(args) -> int:
 
 FINITE_GAP_EXACT_HEADER = "N,gamma,delta,branch,gap,gap_decimal,gap_numeric"
 FINITE_GAP_NUMERIC_HEADER = "N,gamma,h,gap_numeric"
+DEFAULT_TERMS = 5       # finite-gap --terms, read with --gamma-series only
+DEFAULT_CROSS_MAX = 64  # finite-gap --cross-max, read at h = 0 only
 
 
 def _finite_gap_field(args, budget: int) -> Fraction:
     from .exactnum import gamma_value
 
     if args.gamma_series is None:
+        if args.terms is not None:
+            raise UsageError("--terms applies only with --gamma-series")
         return parse_gamma(args.gamma, budget)
-    if args.terms < 1:
-        raise UsageError(f"--terms must be >= 1, got {args.terms}")
-    return gamma_value(_SEQ_KINDS[args.gamma_series], args.terms, budget)
+    terms = DEFAULT_TERMS if args.terms is None else args.terms
+    if terms < 1:
+        raise UsageError(f"--terms must be >= 1, got {terms}")
+    return gamma_value(_SEQ_KINDS[args.gamma_series], terms, budget)
 
 
-def _numeric_gaps(gamma: Fraction, h: float):
-    """N -> eigensolver gap at (gamma, h); a negative field, or one too large
-    for the eigensolver's doubles, is a usage error."""
+def _numeric_gaps(gamma: Fraction, h: float, sizes) -> dict[int, float]:
+    """size -> eigensolver gap at (gamma >= 0, h).  A field too large for the
+    eigensolver's doubles is a usage error at h != 0; at h = 0, where the
+    gaps are an optional cross-check, such a size only goes without one."""
     from . import sector
-    from .exactnum import format_rational
     from .field import FieldPoint
 
-    if gamma < 0:
-        raise UsageError(f"--gamma must be >= 0, got {format_rational(gamma)}")
     try:
         point = FieldPoint(float(gamma), h)
     except OverflowError:
-        raise UsageError("--gamma is too large for the eigensolver's doubles") from None
-
-    def gap(size: int) -> float:
+        if h:
+            raise UsageError("--gamma is too large for the eigensolver's doubles") from None
+        return {}
+    gaps = {}
+    for size in sizes:
         try:
-            return sector.finite_gap_numeric(size, point)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-
-    return gap
+            gaps[size] = sector.finite_gap_numeric(size, point)
+        except ValueError as exc:  # the squared norm bound overflows a double
+            if h:
+                raise UsageError(str(exc)) from None
+    return gaps
 
 
 def cmd_finite_gap(args, budget: int) -> int:
@@ -225,18 +230,21 @@ def cmd_finite_gap(args, budget: int) -> int:
 
     if not math.isfinite(args.h):
         raise UsageError(f"--h must be finite, got {args.h}")
+    if args.h != 0.0 and args.cross_max is not None:
+        raise UsageError("--cross-max applies only at h = 0")
     sizes = parse_sizes(args.N)
     gamma = _finite_gap_field(args, budget)
     gamma_text = format_rational(gamma)
     if args.h != 0.0:
-        numeric_gap = _numeric_gaps(gamma, args.h)
-        gaps = [numeric_gap(size) for size in sizes]
+        if gamma < 0:
+            raise UsageError(f"--gamma must be >= 0, got {gamma_text}")
+        gaps = _numeric_gaps(gamma, args.h, sizes)
         h_text = format(args.h, ".17g")
 
         def numeric_rows():
             yield FINITE_GAP_NUMERIC_HEADER
-            for size, gap in zip(sizes, gaps):
-                yield f"{size},{gamma_text},{h_text},{format(gap, '.17g')}"
+            for size in sizes:
+                yield f"{size},{gamma_text},{h_text},{format(gaps[size], '.17g')}"
 
         _write_lines(args.output, numeric_rows())
         return EXIT_OK
@@ -244,9 +252,10 @@ def cmd_finite_gap(args, budget: int) -> int:
 
     if gamma < 0:
         raise UsageError(f"the exact h=0 route needs gamma >= 0, got {gamma_text}")
-    checked = [size for size in sizes if size <= args.cross_max]
-    numeric_gap = _numeric_gaps(gamma, 0.0) if checked else None
-    cross = {size: format(numeric_gap(size), ".17g") for size in checked}
+    cross_max = DEFAULT_CROSS_MAX if args.cross_max is None else args.cross_max
+    checked = [size for size in sizes if size <= cross_max]
+    gaps = _numeric_gaps(gamma, 0.0, checked) if checked else {}
+    cross = {size: format(gap, ".17g") for size, gap in gaps.items()}
 
     p, q = gamma.numerator, gamma.denominator
     exact_row, degenerate = gaplaw.exact_row, gaplaw.BRANCH_DEGENERATE
@@ -324,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--gamma-series", choices=sorted(_SEQ_KINDS), default=None,
         help="use the truncated series over this sequence instead of --gamma",
     )
-    p.add_argument("--terms", type=int, default=5, help="series truncation for --gamma-series")
+    p.add_argument("--terms", type=int, default=None, help="series truncation for --gamma-series")
     p.add_argument("--h", type=float, default=0.0, help="longitudinal field (default 0)")
     p.add_argument("--N", required=True, help='sizes: "2:64:even" or "16,64,256"')
     p.add_argument(
-        "--cross-max", type=int, default=64,
+        "--cross-max", type=int, default=None,
         help="largest N given an eigensolver cross-check column at h=0",
     )
     p.add_argument("-o", "--output", default=None)

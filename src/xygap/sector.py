@@ -56,11 +56,11 @@ does not.  max a is a_j at j = (N-1)//2, a_j being the square root of the
 integer (N - j)(j + 1).  The norm bound (max(|dmin|, |dmax|) + max a) +
 max a repeats each row sum's operations on operands at least as large, so
 it is at least every row sum; at h = 0 it is max |d_i|.  The centre, a row
-inside the ground-state well, is where the Gershgorin lower edge g_i =
-(d_i - a_i) - a_(i-1) stops falling, by bisection on the sign of g_(i+1) -
-g_i: g is a convex parabola minus a concave square root.  The certificate
-below makes any centre safe.  A field whose squared norm bound overflows a
-double is rejected (the Sturm counts square the couplings).
+inside the ground-state well, is where the convex Gershgorin lower edge
+g_i = fl(fl(d_i - a_i) - a_(i-1)) (below) stops falling, by bisection on
+the sign of g_(i+1) - g_i; the certificate makes any centre safe.  A field
+whose squared norm bound overflows a double is rejected (the Sturm counts
+square the couplings).
 
 Window and local certificate.  Bisection runs on the 2*(4*isqrt(N) +
 16) + 1 rows centred on the centre row, moved inside the matrix when the
@@ -69,21 +69,39 @@ a well of width ~sqrt(N) around it.  The bracket of each eigenvalue k is
 then certified without the outside rows: count(lo) <= k and count(hi) > k
 over all N+1 rows.
   - Outside rows.  Each row i outside the window must pass the pivot
-    floor: P_i = fl(fl(d_i - x) - fl(fl(a_(i-1)**2)/a_(i-1))) >= max(a_i,
-    pivmin) (the floating-point form of g_i >= x; a term with a_(i-1) = 0
-    is 0).  d_i = fl(A(m) - B(m)) with A(m) = -(S(S+1) - m*m)/N, which
-    each rounding keeps non-decreasing in |m|, and B(m) = gamma*m, and a_j
-    rises to j = (N-1)//2 and mirrors after it.  So on rows p..r the same
-    float operations at the block's ends (and at m = 0, or the largest
-    coupling, when the block holds it) bound every computed d_i and a_i,
-    and P_i >= fl(fl(d_lo - x) - fl(fl(a_hi**2)/a_lo)) at the largest hi
-    (P_i falls as x rises); a block failing that is split, down to 32 rows
-    checked one by one.  By induction, a pivot q_(i-1) >= a_(i-1) makes
-    q_i >= P_i, so rows before the window add no count and hand it a pivot
-    q >= a_(f-1) (f the first window row); and a row entered with a
-    negative pivot has q_i >= fl(d_i - x) >= P_i, so the rows after the
-    window add no count when the window's last pivot is negative or >=
-    a_(t-1) (t - 1 the last window row).
+    floor P_i = fl(fl(d_i - x) - fl(fl(a_(i-1)**2)/a_(i-1))) >= max(a_i,
+    pivmin) (a term with a_(i-1) = 0 is 0).  By induction, a pivot
+    q_(i-1) >= a_(i-1) makes q_i >= P_i, so rows before the window add no
+    count and hand it a pivot q >= a_(f-1) (f the first window row); and a
+    row entered with a negative pivot has q_i >= fl(d_i - x) >= P_i, so the
+    rows after the window add no count when the window's last pivot is
+    negative or >= a_(t-1) (t - 1 the last window row).  P_i falls as x
+    rises, so only the largest bracket end is checked.  An explicit matrix
+    checks each outside row; the sector matrix reads four.
+  - Convex edge.  Starred values are exact for the doubles gamma and h.
+    P_i - a_i is g*_i - x in exact arithmetic, and g*_i = d*_i - a*_i -
+    a*_(i-1) is convex in i, a convex parabola minus two concave roots
+    (a*_j = |h|/2*sqrt((N - j)(j + 1)), 0 at j = -1 and N).  So if g*
+    rises from row f to row f - 1, each row before the window lies at
+    least as high as row f - 1; after it, likewise from rows t - 1 and t.
+    With M = 2**-48*(norm + |x| + 1) + pivmin, a side is clear when
+    fl(g_(f-1) - g_f) >= M and fl(g_(f-1) - x) >= M (mirrored: g_t -
+    g_(t-1) and g_t - x).
+  - Margin.  Let u = 2**-53, r = S(S+1)/N and N < 2**53 (i, N and m
+    exact).  _diag's six roundings leave |d_i - d*_i| <= 4u*r + 2u*|d*_i|,
+    as |gamma*m| <= |d*_i| + r; _couplings' three |a_j - a*_j| <=
+    2.5u*a*_j; fl(fl(a**2)/a) lies within 2u*a + 2**-537 of a; all up to
+    O(u**2) and underflow, below 2**-536 each.  With D = max|d*_i| and A =
+    max a*_j, the rows m = 0 or +-1/2 give r <= D + 1/4, and the closed
+    forms, whose rows hold the exact extremes, D + 2A <= (1 + 10u)*norm +
+    2u.  So |(P_i - a_i) - (g*_i - x)| <= 4u*(D + r) + 2u*|x| + 8u*A <=
+    8u*(norm + |x| + 1) = E and |g_i - g*_i| <= 4u*(D + r) + 8u*A <=
+    8u*(norm + 1) = E', up to O(u**2).  A test fl(y) >= M, M's three
+    roundings included, gives y >= 31u*(norm + |x| + 1) + pivmin, so the
+    slope test leaves g*_(f-1) - g*_f >= y - 2E' > 0 and the border test
+    g*_(f-1) - x >= y - E' >= E + pivmin: every outside P_i - a_i >=
+    pivmin, that is P_i >= max(a_i, pivmin).  E + E' needs 16u, rounded up
+    to the power of two 32u; the 15u left cover the O(u**2) terms.
   - The sandwich.  By the lift's monotonicity, the window entered
     decoupled (q = +inf) ends at or below the true state and entered at q
     = a_(f-1) at or above it; if that end pivot passes the rule above,
@@ -94,17 +112,16 @@ over all N+1 rows.
     bisected again; a window covering every row is whole-matrix bisection
     and needs no certificate.
 
-Sweeps.  Eigenvalues whose brackets still coincide share each count:
-the lowest pair follows one path while the count at the midpoint is 0 or
->= 2 and splits at the first count of 1, with the brackets single-value
+Sweeps.  Eigenvalues whose brackets still coincide share each count: the
+lowest pair follows one path while the count at the midpoint is 0 or >= 2
+and splits at the first count of 1, with the brackets single-value
 bisection would reach.  On the benchmark's fields a lowest pair costs
-82-94 window sweeps plus four for the certificate, where it took 102-104
-window sweeps and four whole-matrix sweeps.  Bisection reads a count only
-through min(count, k): it compares the count with the first index of the
-eigenvalues sharing a bracket and with one past their last, at most k,
-and splits the group at a count between them.  When every squared
-coupling of the window is 0.0 (h = 0, or squares that underflow), each
-pivot differs from fl(d_i - x) at most in the sign of a zero, since
+82-94 window sweeps plus four for the certificate.  Bisection reads a
+count only through min(count, k): it compares the count with the first
+index of the eigenvalues sharing a bracket and with one past their last,
+at most k, and splits the group at a count between them.  When every
+squared coupling of the window is 0.0 (h = 0, or squares that underflow),
+each pivot differs from fl(d_i - x) at most in the sign of a zero, since
 e**2/q = +-0.0 with q never 0, so a row counts iff fl(d_i - x) < pivmin.
 Rounding keeps that test monotone in d_i, so the counting rows are those
 with the smallest diagonal entries, equal entries together: on decoupled
@@ -117,6 +134,7 @@ certificate are unchanged.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import NamedTuple
 
@@ -124,7 +142,6 @@ from .errors import XYGapError
 from .field import FieldPoint
 
 _SAFMIN = 2.2250738585072014e-308
-_LEAF = 32  # outside_rows_clear checks blocks of at most this many rows row by row
 
 
 class SectorHamiltonian(NamedTuple):
@@ -198,25 +215,15 @@ class SectorMatrix(NamedTuple):
         return _rows(self.size, self.point, first, stop)
 
     def outside_rows_clear(self, first: int, stop: int, shift: float, pivmin: float) -> bool:
-        """As SectorHamiltonian.outside_rows_clear, from block enclosures:
-        rows are visited only in blocks whose bound does not pass."""
+        """As SectorHamiltonian.outside_rows_clear, from the convex Gershgorin
+        edge at the four rows around the window's borders (module docstring)."""
         n, point = self.size, self.point
-        blocks = [(p, r) for p, r in ((0, first), (stop, n + 1)) if p < r]
-        while blocks:
-            p, r = blocks.pop()
-            d_lo, below_hi, above_lo, above_hi = _enclose(n, point, p, r)
-            if above_lo:
-                quotient = above_hi * above_hi / above_lo
-            else:
-                quotient = math.inf if above_hi else 0.0
-            if d_lo - shift - quotient >= max(below_hi, pivmin):
-                continue
-            if r - p <= _LEAF:
-                if not _pivot_floor_ok(*_rows(n, point, p, r), shift, pivmin):
+        margin = (self.norm + abs(shift) + 1.0) * 2.0**-48 + pivmin
+        for outside, inside in ((first - 1, first), (stop, stop - 1)):
+            if 0 <= outside <= n:
+                edge = _edge(n, point, outside)
+                if edge - _edge(n, point, inside) < margin or edge - shift < margin:
                     return False
-            else:
-                mid = (p + r) // 2
-                blocks += [(p, mid), (mid, r)]
         return True
 
 
@@ -242,25 +249,10 @@ def _rows(n: int, point: FieldPoint, first: int, stop: int) -> tuple[list[float]
     return _diag(n, point, first, stop), _couplings(n, point, first, stop)
 
 
-def _enclose(n: int, point: FieldPoint, p: int, r: int):
-    """Bounds on rows p..r-1 of the computed d_i, a_i and a_(i-1):
-    (d_lo, below_hi, above_lo, above_hi)."""
-    half = n / 2.0
-    s_sq = n * (n + 2) / 4.0
-    gamma = point.gamma
-    scale = abs(point.h / 2.0)
-    sqrt = math.sqrt
-    m_p, m_r = p - half, (r - 1) - half
-    m_0 = m_p if m_p > 0 else m_r if m_r < 0 else 0.0  # the m nearest 0
-    curv_lo = -(s_sq - m_0 * m_0) / n
-    # a_j at j = p - 1, p, r - 2 and r - 1, and at the peak
-    a_above, a_first = scale * sqrt((n - p + 1) * p), scale * sqrt((n - p) * (p + 1))
-    a_before, a_last = scale * sqrt((n - r + 2) * (r - 1)), scale * sqrt((n - r + 1) * r)
-    peak = (n - 1) // 2
-    top = scale * sqrt((n - peak) * (peak + 1))
-    below_hi = top if p <= peak < r else a_first if peak < p else a_last
-    above_hi = top if p - 1 <= peak < r - 1 else a_above if peak < p - 1 else a_before
-    return curv_lo - gamma * m_r, below_hi, min(a_above, a_before), above_hi
+def _edge(n: int, point: FieldPoint, i: int) -> float:
+    """The computed Gershgorin lower edge g_i = (d_i - a_i) - a_(i-1) of row i."""
+    (d,), (above, below) = _rows(n, point, i, i + 1)
+    return (d - abs(below)) - abs(above)
 
 
 def _pivot_floor_ok(diag, coup, shift: float, pivmin: float) -> bool:
@@ -300,16 +292,10 @@ def sector_matrix(size: int, point: FieldPoint) -> SectorMatrix:
             f"field gamma={point.gamma!r}, h={point.h!r} is too large at N={n}: "
             "the squared norm bound of the sector matrix overflows a double"
         )
-    lo, hi = 0, n  # the first row i < n where g_(i+1) >= g_i, else n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        diag, coup = _rows(n, point, mid, mid + 2)
-        above, here, below = abs(coup[0]), abs(coup[1]), abs(coup[2])
-        if (diag[1] - below) - here >= (diag[0] - here) - above:
-            hi = mid
-        else:
-            lo = mid + 1
-    return SectorMatrix(n, point, norm, lo, offmax, dmin, dmax)
+    # the first row i < n where g_(i+1) >= g_i, else n
+    centre = bisect.bisect_left(
+        range(n), True, key=lambda i: _edge(n, point, i + 1) >= _edge(n, point, i))
+    return SectorMatrix(n, point, norm, centre, offmax, dmin, dmax)
 
 
 def build_sector_hamiltonian(size: int, point: FieldPoint) -> SectorHamiltonian:

@@ -95,7 +95,9 @@ def check_appendix_bounds(bit_budget: int = DEFAULT_BIT_BUDGET) -> CheckResult:
 def check_dense_intervals(
     samples: int = 100, seed: int = DEFAULT_SEED, bit_budget: int = DEFAULT_BIT_BUDGET
 ) -> CheckResult:
-    """Certified membership for random target intervals of width >= 1e-4."""
+    """Membership of random target intervals of width >= 1e-4 by the
+    construction's argument: anchor +- 2^-(k+1) on the chosen branch lies
+    inside (lo, hi), and the series tail from index n is below 2^-(k+1)."""
     rng = random.Random(seed)
     for _ in range(samples):
         width_units = rng.randrange(10, 40000)  # >= 1e-4 on a 1e-5 grid
@@ -106,11 +108,12 @@ def check_dense_intervals(
             spec = scaling.dense_gamma_in_interval(lo, hi, bit_budget)
         except ArithmeticError as exc:
             return CheckResult("dense-intervals", False, str(exc))
-        enc_lo, enc_hi = scaling.construction_enclosure(spec, bit_budget)
-        if not (lo < enc_lo and enc_hi < hi):
+        reach = Fraction(1, 2 ** (spec.scale_exp + 1))
+        far = spec.anchor + reach if spec.positive_branch else spec.anchor - reach
+        if not (lo < min(spec.anchor, far) and max(spec.anchor, far) < hi):
             return CheckResult("dense-intervals", False, f"membership failed for ({lo}, {hi})")
         bound = tail_bound(SequenceKind.DOUBLE_EXP, spec.series_index, bit_budget)
-        if not bound < Fraction(1, 2 ** (spec.scale_exp + 1)):
+        if not bound < reach:
             return CheckResult(
                 "dense-intervals", False, f"tail bound not below 2^-(k+1) for ({lo}, {hi})"
             )

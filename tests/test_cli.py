@@ -187,6 +187,54 @@ class TestPhaseDiagram:
         assert res.returncode == 2, res.stderr
         assert res.stderr == "error: grid step of '-1e308:1e308:3' overflows a double\n"
 
+    @pytest.mark.parametrize("gamma", ["1e200", "1e400"])  # 1e400 is no double at all
+    def test_cross_cell_empty_where_the_eigensolver_rejects_the_field(self, capsys, gamma):
+        # the exact rows exist for every gamma >= 0; the optional cross
+        # column is left empty, the same bytes as with no cross column
+        runs = []
+        for extra in ((), ("--cross-max", "0")):
+            assert main(["finite-gap", "--gamma", gamma, "--N", "4", *extra]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1]
+        assert runs[0].err == ""
+        lines = runs[0].out.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("4,1000") and lines[1].endswith(",")
+        assert lines[1].split(",")[3] == "edge"
+
+    def test_cross_cell_per_size(self, capsys):
+        # gamma*N/2 past about 1.3e154 squares past the largest double at
+        # N = 300, not at N = 200
+        assert main(["finite-gap", "--gamma", "1e152", "--N", "200,300", "--cross-max", "300"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[-1] for row in rows] == ["1.0000000000000166e+152", ""]
+
+    @pytest.mark.parametrize("args,message", [
+        (("--gamma", "1/3", "--N", "4", "--terms", "9"),
+         "--terms applies only with --gamma-series"),
+        (("--gamma", "1/3", "--h", "0", "--N", "4", "--terms", "5"),
+         "--terms applies only with --gamma-series"),
+        (("--gamma", "1/3", "--h", "0.5", "--N", "4", "--cross-max", "9"),
+         "--cross-max applies only at h = 0"),
+        (("--gamma-series", "double-exp", "--h", "0.5", "--N", "4", "--cross-max", "64"),
+         "--cross-max applies only at h = 0"),
+    ])
+    def test_flag_its_mode_does_not_read_is_usage_error(self, capsys, args, message):
+        assert main(["finite-gap", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args,flag", [
+        (("--gamma-series", "double-exp", "--N", "1:16:all"), ("--terms", "5")),
+        (("--gamma", "1/3", "--N", "60:70:all"), ("--cross-max", "64")),
+    ])
+    def test_defaults_where_the_flag_is_read(self, capsys, args, flag):
+        runs = []
+        for extra in ((), flag):
+            assert main(["finite-gap", *args, *extra]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1]
+
     def test_large_field_below_overflow(self, capsys):
         assert main(["phase-diagram", "--gamma", "0:1e150:2", "--h", "0:1e150:2"]) == 0
         out, err = capsys.readouterr()

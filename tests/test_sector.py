@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import struct
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xygap import sector
@@ -351,6 +352,16 @@ class TestOverflow:
         assert struct.pack("d", gap) == struct.pack("d", max(want[1] - want[0], 0.0))
 
 
+@functools.lru_cache(maxsize=None)
+def whole_matrix_pair(size, gamma, h):
+    """The lowest pair of the sector matrix at (gamma, h) by whole-matrix
+    bisection from its closed-form summary, as bytes; shared by the tests
+    that solve the same matrix with different windows."""
+    point = FieldPoint(gamma, h)
+    summary = sector_matrix(size, point).summary()
+    return whole_matrix_bisection(build_sector_hamiltonian(size, point), range(2), summary).tobytes()
+
+
 class TestWindowedBisection:
     @pytest.mark.parametrize("size", [1024, 4096])
     @pytest.mark.parametrize("gamma,h", WINDOW_FIELDS)
@@ -360,7 +371,7 @@ class TestWindowedBisection:
         want = whole_matrix_bisection(ham, range(2)).tobytes()
         assert np.asarray(lowest_eigenvalues(ham, 2)).tobytes() == want
         matrix = sector_matrix(size, point)
-        want = whole_matrix_bisection(ham, range(2), matrix.summary()).tobytes()
+        want = whole_matrix_pair(size, gamma, h)
         assert np.asarray(lowest_eigenvalues(matrix, 2)).tobytes() == want
 
     @settings(max_examples=60, deadline=None)
@@ -476,6 +487,98 @@ class TestWindowedBisection:
             tracemalloc.stop()
         assert 0.0 < gap < 1.0
         assert peak < 4 * 2**20
+
+
+class TestConvexEdgeCertificate:
+    """SectorMatrix.outside_rows_clear reads the Gershgorin lower edge at the
+    four rows around the window's borders; the explicit rows' pivot floor is
+    its oracle."""
+
+    magnitudes = st.floats(-300.0, 100.0).map(lambda e: 10.0**e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gamma=st.sampled_from([0.0, 1.0, 2.0]) | magnitudes,
+        h=st.sampled_from([0.0, 5e-324, 1e-310]) | magnitudes | st.floats(0.0, 2.0),
+        negative=st.booleans(),
+        size=st.integers(1, 60) | st.integers(1, 5000),
+        half=st.integers(1, 40) | st.integers(1, 300),
+        centre=st.none() | st.integers(0, 5000),
+        steps=st.integers(-200, 200) | st.floats(-1e12, 1e12),
+    )
+    # a field where the border row clears the shift by a unit of rounding
+    # and its own pivot floor does not: the margin's rounding terms are needed
+    @example(gamma=0.0, h=0.9709747384579139, negative=True, size=130, half=37,
+             centre=None, steps=1)
+    @example(gamma=0.0, h=1.3587590784885317, negative=False, size=145, half=3,
+             centre=None, steps=1)
+    def test_clear_implies_every_outside_row_passes(
+            self, gamma, h, negative, size, half, centre, steps):
+        # windows from the solver's first one (the half-width at most
+        # _half_width, the matrix's centre or any row) and shifts from well
+        # below the border rows' edge to past it, down to units of rounding
+        point = FieldPoint(gamma, -h if negative else h)
+        try:
+            matrix = sector_matrix(size, point)
+        except ValueError:  # the squared norm bound overflows
+            return
+        half = min(half, half_width(size))
+        centre = matrix.centre if centre is None else min(centre, size)
+        first = max(min(centre - half, size - 2 * half), 0)
+        stop = min(first + 2 * half + 1, size + 1)
+        borders = [i for i in (first - 1, stop) if 0 <= i <= size] or [first]
+        edge = min(sector._edge(size, point, i) for i in borders)
+        shift = edge - steps * (matrix.norm + abs(edge) + 1.0) * 2.0**-53
+        pivmin = sector._SAFMIN * max(1.0, matrix.offmax * matrix.offmax)
+        if matrix.outside_rows_clear(first, stop, shift, pivmin):
+            for p, r in ((0, first), (stop, size + 1)):
+                if p < r:
+                    assert sector._pivot_floor_ok(*matrix.rows(p, r), shift, pivmin), (p, r)
+
+    @pytest.mark.parametrize("size", [1024, 65536])
+    def test_reads_at_most_four_rows(self, size, monkeypatch):
+        point = FieldPoint(0.6, 0.6)
+        matrix = sector_matrix(size, point)
+        read = set()
+        inner = sector._rows
+
+        def recording(n, pt, first, stop):
+            read.update(range(first, stop))
+            return inner(n, pt, first, stop)
+
+        monkeypatch.setattr(sector, "_rows", recording)
+        half = half_width(size)
+        for first, stop in ((0, 2 * half + 1), (size - 2 * half, size + 1),
+                            (matrix.centre - half, matrix.centre + half + 1)):
+            read.clear()
+            matrix.outside_rows_clear(first, stop, matrix.dmin, sector._SAFMIN)
+            assert len(read) <= 4 and read <= {first - 1, first, stop - 1, stop}
+
+    @pytest.mark.parametrize("size", [1024, 4096])
+    @pytest.mark.parametrize("gamma,h", WINDOW_FIELDS)
+    def test_forced_narrow_window_stays_bit_identical(self, size, gamma, h, monkeypatch):
+        # a three-row first window: the outside rows fail, the window doubles
+        # until the certificate holds, and the solve is that of whole-matrix
+        # bisection
+        failures = {"certificate": 0, "outside": 0}
+        certified, clear = sector._certified, sector.SectorMatrix.outside_rows_clear
+
+        def counting_certified(*args):
+            ok = certified(*args)
+            failures["certificate"] += not ok
+            return ok
+
+        def counting_clear(*args):
+            ok = clear(*args)
+            failures["outside"] += not ok
+            return ok
+
+        monkeypatch.setattr(sector, "_half_width", lambda n: 1)
+        monkeypatch.setattr(sector, "_certified", counting_certified)
+        monkeypatch.setattr(sector.SectorMatrix, "outside_rows_clear", counting_clear)
+        got = lowest_eigenvalues(sector_matrix(size, FieldPoint(gamma, h)), 2)
+        assert failures["certificate"] >= failures["outside"] >= 1
+        assert np.asarray(got).tobytes() == whole_matrix_pair(size, gamma, h)
 
 
 def step_ulps(x, steps):

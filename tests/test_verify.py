@@ -116,6 +116,27 @@ class TestFailuresAreReported:
         assert not res.passed
         assert res.detail.startswith("interval construction failed its own certificate for (")
 
+    def test_dense_intervals_catch_a_flipped_branch(self, monkeypatch):
+        # the tail leaves the anchor towards the nearer endpoint, where
+        # anchor -+ 2^-(k+1) falls outside (lo, hi): the construction's
+        # argument no longer holds
+        real = scaling.dense_gamma_in_interval
+        flipped = []
+
+        def flip(lo, hi, budget):
+            spec = real(lo, hi, budget)
+            reach = Fraction(1, 2 ** (spec.scale_exp + 1))
+            far = spec.anchor - reach if spec.positive_branch else spec.anchor + reach
+            flipped.append((lo, hi, lo < far < hi))
+            return spec._replace(positive_branch=not spec.positive_branch)
+
+        monkeypatch.setattr(scaling, "dense_gamma_in_interval", flip)
+        res = verify.check_dense_intervals()
+        assert not res.passed
+        lo, hi, inside = flipped[-1]
+        assert not inside and all(ok for _, _, ok in flipped[:-1])
+        assert res.detail == f"membership failed for ({lo}, {hi})"
+
     def test_exact_vs_numeric_catches_a_wrong_edge_gap(self, monkeypatch):
         # the edge branch off by 1/(2N): the suite reaches gamma >= 1
         real = gaplaw.exact_row
