@@ -8,9 +8,12 @@ parameterized by polar angles, with energy density
 The azimuthal angle is pinned by the sign of the longitudinal field
 (phi0 = 0 for h >= 0, pi for h < 0), leaving a one-dimensional minimization
 over theta in [0, pi].  For gamma >= 0 the minimum lies in [0, pi/2], where
-the slope changes sign once, from <= 0 to > 0.  Each point is solved on its
-own: a Newton guess, then a bisection on the bit patterns of the doubles in
-a bracket galloped out from the guess, down to two adjacent doubles.
+the slope changes sign once, from <= 0 to > 0.  The minimizer is a bisection
+on the bit patterns of the doubles down to two adjacent ones.  In a scan its
+bracket is galloped out from the previous point's theta0 after a few Newton
+steps (continuation); a lone point has no start and bisects all of
+[0, pi/2].  The start changes only the number of slopes computed, never the
+double returned.
 Spin-wave corrections around the minimizer give the thermodynamic-limit
 excitation gap
 
@@ -58,8 +61,12 @@ def _double(bits: int) -> float:
 _HALF_PI = math.pi / 2
 _HALF_PI_BITS = _bits(_HALF_PI)
 _BISECTION_STEPS = _HALF_PI_BITS.bit_length()
-_NEWTON_STEPS = 64   # the guess's Newton iterates in s; most points need under 10
-_POLISH_STEPS = 3    # Newton steps in theta after asin
+_START_STEPS = 4  # Newton steps in theta from a neighbour's theta0
+# The lowest start galloped from.  Where gamma < 1 and |h|/2 underflows to
+# zero (h = 0 or 5e-324), the slope's other term underflows too at theta up
+# to 2**-1021 and reads as rising, a sign change that the whole-range
+# bisection never meets: its first probe, near 1e-154, is falling.
+_START_FLOOR = 2.0**-1020
 
 
 class PhaseRecord(NamedTuple):
@@ -77,36 +84,7 @@ def _slope(theta: float, gamma: float, habs: float) -> float:
     return 0.5 * math.sin(theta) * (gamma - 1.0 + 2.0 * half * half) - 0.5 * habs * math.cos(theta)
 
 
-def _guess(gamma: float, habs: float) -> float | None:
-    """A start in (0, pi/2) near theta0, or None.
-
-    Newton on f(s) = -s - |h| + gamma*s/sqrt(1 - s**2), twice de/ds, starts
-    right of the root, at s/sqrt(1 - s**2) = (1 + |h|)/gamma where f = 1 - s,
-    and falls monotonically onto it because f is convex; it stops once an
-    iterate does not fall.  asin is ill-conditioned near s = 1, so Newton
-    steps on the slope in theta follow.  A zero divisor, a domain error, a
-    non-finite value or a start outside (0, pi/2) gives no guess.
-    """
-    try:
-        r = (1.0 + habs) / gamma
-        s = r / math.sqrt(1.0 + r * r)
-        for _ in range(_NEWTON_STEPS):
-            c = math.sqrt(1.0 - s * s)
-            s_next = s - (-s - habs + gamma * s / c) / (gamma / (c * c * c) - 1.0)
-            if not s_next < s:
-                break
-            s = s_next
-        theta = math.asin(s)
-        for _ in range(_POLISH_STEPS):
-            sin, cos = math.sin(theta), math.cos(theta)
-            curvature = 0.5 * (gamma * cos + habs * sin - (cos - sin) * (cos + sin))
-            theta -= _slope(theta, gamma, habs) / curvature
-    except (ZeroDivisionError, ValueError):
-        return None
-    return theta if 0.0 < theta < _HALF_PI else None
-
-
-def _theta0(gamma: float, habs: float) -> float:
+def _theta0(gamma: float, habs: float, near: float | None = None) -> float:
     """Global minimizer over theta in [0, pi] for gamma >= 0 and |h| = habs.
 
     Since e(pi - theta) - e(theta) = gamma*cos(theta) >= 0 on [0, pi/2], the
@@ -114,19 +92,30 @@ def _theta0(gamma: float, habs: float) -> float:
     de/ds = -s/2 - |h|/2 + gamma*s/(2*sqrt(1 - s**2)) is convex in s and
     <= 0 at s = 0, so it is <= 0 exactly on [0, theta0] and positive after:
     the energy falls, then rises.  The bracket [lo, hi] keeps lo at 0.0 or
-    where the slope is negative and hi at pi/2 or where it is >= 0.  It
-    starts at the guess and gallops outward to the sign change, or is all
-    of [0, pi/2] without a guess; bisection then shrinks it to adjacent
-    doubles and returns lo.  So theta0 is the last double in [0, pi/2) whose
-    slope is negative, or exactly 0.0 wherever the slope is positive on all
-    of (0, pi/2] (h = 0, gamma >= 1), also where it underflows to zero at
-    subnormal theta.  Each loop runs at most 62 times.
+    where the slope is negative and hi at pi/2 or where it is >= 0.  In a
+    scan it starts from ``near``, the previous point's theta0 moved by
+    _START_STEPS Newton steps on the slope, and gallops outward to the sign
+    change.  A lone point has no start; nor has one whose Newton steps
+    overflow or divide by zero or that leaves [_START_FLOOR, pi/2).  Then
+    the bracket is all of [0, pi/2], the plain whole-range bisection.
+    Bisection shrinks the bracket to adjacent doubles and returns lo.  The
+    start only sets how many slopes are computed: theta0 is the last double
+    in [0, pi/2) whose slope is negative, or exactly 0.0 wherever the slope
+    is positive on all of (0, pi/2] (h = 0, gamma >= 1), also where it
+    underflows to zero at subnormal theta.  Each loop runs at most 62 times.
     """
     lo, hi = 0, _HALF_PI_BITS
-    guess = _guess(gamma, habs)
-    if guess is not None:
-        start = _bits(guess)
-        if _slope(guess, gamma, habs) < 0.0:
+    if near is not None:
+        try:
+            for _ in range(_START_STEPS):
+                sin, cos = math.sin(near), math.cos(near)
+                curvature = 0.5 * (gamma * cos + habs * sin - (cos - sin) * (cos + sin))
+                near -= _slope(near, gamma, habs) / curvature
+        except (ZeroDivisionError, ValueError):  # zero curvature; sin of an overflowed step
+            near = None
+    if near is not None and _START_FLOOR <= near < _HALF_PI:
+        start = _bits(near)
+        if _slope(near, gamma, habs) < 0.0:
             lo, stride = start, 1
         else:
             hi, stride = start, -1
@@ -178,14 +167,15 @@ def _gap(theta0: float, point: FieldPoint) -> float:
     return math.sqrt(radicand) if radicand >= RADICAND_CLAMP else 0.0
 
 
-def phase_record(point: FieldPoint) -> PhaseRecord:
-    """Minimizer, magnetization, and gap for a single field point.
+def phase_record(point: FieldPoint, near: float | None = None) -> PhaseRecord:
+    """Minimizer, magnetization, and gap for a single field point; ``near``,
+    a neighbour's theta0, only speeds up the minimizer.
 
     m_x = sin(theta0)*cos(phi0), with phi0 = 0 for h >= 0 and pi otherwise,
     jumps between +-sin(theta0) across h = 0 for gamma < 1; exactly at h = 0
     the positive branch is reported by convention.
     """
-    theta0 = _theta0(point.gamma, abs(point.h))
+    theta0 = _theta0(point.gamma, abs(point.h), near)
     return PhaseRecord(gamma=point.gamma + 0.0, h=point.h + 0.0, theta0=theta0,
                        m_x=_m_x(theta0, point.h), gap=_gap(theta0, point))
 
@@ -193,8 +183,15 @@ def phase_record(point: FieldPoint) -> PhaseRecord:
 def phase_diagram_scan(
     gammas: Sequence[float], hs: Sequence[float]
 ) -> list[PhaseRecord]:
-    """One record per (gamma, h) grid point, gamma-major order."""
-    return [phase_record(FieldPoint(gamma=g, h=h)) for g in gammas for h in hs]
+    """One record per (gamma, h) grid point, gamma-major order, each point's
+    minimizer started from the previous record's theta0."""
+    records: list[PhaseRecord] = []
+    near = None
+    for g in gammas:
+        for h in hs:
+            records.append(phase_record(FieldPoint(gamma=g, h=h), near))
+            near = records[-1].theta0
+    return records
 
 
 SCAN_CSV_HEADER = "gamma,h,theta0,m_x,gap"
@@ -209,14 +206,6 @@ def scan_csv_lines(records: Iterable[PhaseRecord]) -> Iterator[str]:
         yield row % (r.gamma + 0.0, r.h + 0.0, r.theta0 + 0.0, r.m_x + 0.0, r.gap + 0.0)
 
 
-def scan_json(records: Iterable[PhaseRecord]) -> str:
-    import json
-
-    payload = {
-        "schema_version": 1,
-        "records": [
-            {"gamma": r.gamma, "h": r.h, "theta0": r.theta0, "m_x": r.m_x, "gap": r.gap}
-            for r in records
-        ],
-    }
-    return json.dumps(payload, indent=2)
+def scan_payload(records: Iterable[PhaseRecord]) -> dict:
+    """The scan's JSON document: the schema version and one object per record."""
+    return {"schema_version": 1, "records": [r._asdict() for r in records]}

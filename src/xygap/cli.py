@@ -18,7 +18,7 @@ exhaustion.  Identical invocations produce byte-identical output files.
 Every command first computes all that can fail: the parsed sizes and field,
 the scan records, the eigensolver gaps, the scaling report.  Only then does
 it open its output, and :func:`_write_lines` streams the rows to it as they
-are formatted (the scaling JSON goes through :func:`_write_chunks` in the
+are formatted (each JSON document goes through :func:`_write_json` in the
 encoder's chunks).  So a failing command writes no file and prints nothing
 to standard output, and the output text is never held: a size range stays
 a ``range``, and each row is formatted, written and dropped in turn.  What
@@ -165,6 +165,14 @@ def _write_lines(path: str | None, lines: Iterable[str]) -> None:
     _write_chunks(path, itertools.chain.from_iterable(zip(lines, itertools.repeat("\n"))))
 
 
+def _write_json(path: str | None, payload: dict) -> None:
+    """Write ``payload`` as ``json.dumps(payload, indent=2)`` and a newline,
+    in the encoder's chunks, as :func:`_write_chunks`."""
+    import json
+
+    _write_chunks(path, itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"]))
+
+
 def cmd_phase_diagram(args) -> int:
     from . import classical
 
@@ -177,7 +185,7 @@ def cmd_phase_diagram(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.format == "json":
-        _write_lines(args.output, [classical.scan_json(records)])
+        _write_json(args.output, classical.scan_payload(records))
     else:
         _write_lines(args.output, classical.scan_csv_lines(records))
     return EXIT_OK
@@ -287,7 +295,7 @@ def cmd_scaling(args, budget: int) -> int:
         raise UsageError(f"scaling needs --K >= 4 for two rows n = 1..K-2, got {k_trunc}")
     seq = scaling.SizeSequence(kind=kind, rule=args.rule)
     report = scaling.build_scaling_report(seq, k_trunc, budget)
-    _write_chunks(args.output, itertools.chain(scaling.report_json_chunks(report), ["\n"]))
+    _write_json(args.output, scaling.report_to_json_dict(report))
     if args.csv is not None:
         _write_lines(args.csv, scaling.report_csv_lines(report))
     return EXIT_OK

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import gaplaw
 from .errors import BitBudgetError, DegenerateDeltaError, TruncationInsufficientError
@@ -388,15 +388,6 @@ def report_to_json_dict(report: ScalingReport) -> dict:
         "classification": report.classification,
         "certificate": list(report.certificate),
     }
-
-
-def report_json_chunks(report: ScalingReport) -> Iterator[str]:
-    """The report's JSON text (``json.dumps`` of :func:`report_to_json_dict`
-    with indent 2) in the encoder's chunks, so that it can be written
-    without being held whole."""
-    import json
-
-    return json.JSONEncoder(indent=2).iterencode(report_to_json_dict(report))
 
 
 SCALING_CSV_HEADER = "n,N,delta_minus_half,gap,gap_decimal"

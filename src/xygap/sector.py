@@ -136,6 +136,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import XYGapError
@@ -219,12 +220,12 @@ class SectorMatrix(NamedTuple):
         edge at the four rows around the window's borders (module docstring)."""
         n, point = self.size, self.point
         margin = (self.norm + abs(shift) + 1.0) * 2.0**-48 + pivmin
-        for outside, inside in ((first - 1, first), (stop, stop - 1)):
-            if 0 <= outside <= n:
-                edge = _edge(n, point, outside)
-                if edge - _edge(n, point, inside) < margin or edge - shift < margin:
-                    return False
-        return True
+        sides = []  # (outside, inside) edges at each border with rows past it
+        if first > 0:
+            sides.append(_edges(n, point, first - 1))
+        if stop <= n:
+            sides.append(_edges(n, point, stop - 1)[::-1])
+        return not any(edge - inner < margin or edge - shift < margin for edge, inner in sides)
 
 
 def _diag(n: int, point: FieldPoint, first: int, stop: int) -> list[float]:
@@ -249,10 +250,12 @@ def _rows(n: int, point: FieldPoint, first: int, stop: int) -> tuple[list[float]
     return _diag(n, point, first, stop), _couplings(n, point, first, stop)
 
 
-def _edge(n: int, point: FieldPoint, i: int) -> float:
-    """The computed Gershgorin lower edge g_i = (d_i - a_i) - a_(i-1) of row i."""
-    (d,), (above, below) = _rows(n, point, i, i + 1)
-    return (d - abs(below)) - abs(above)
+def _edges(n: int, point: FieldPoint, i: int) -> tuple[float, float]:
+    """The computed Gershgorin lower edges (g_i, g_(i+1)) of rows i and
+    i + 1 <= n, each g_j = (d_j - a_j) - a_(j-1), from one two-row slice."""
+    (d, d_next), (above, a, below) = _rows(n, point, i, i + 2)
+    a = abs(a)
+    return (d - a) - abs(above), (d_next - abs(below)) - a
 
 
 def _pivot_floor_ok(diag, coup, shift: float, pivmin: float) -> bool:
@@ -294,7 +297,7 @@ def sector_matrix(size: int, point: FieldPoint) -> SectorMatrix:
         )
     # the first row i < n where g_(i+1) >= g_i, else n
     centre = bisect.bisect_left(
-        range(n), True, key=lambda i: _edge(n, point, i + 1) >= _edge(n, point, i))
+        range(n), True, key=lambda i: operator.le(*_edges(n, point, i)))
     return SectorMatrix(n, point, norm, centre, offmax, dmin, dmax)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xygap.classical import (
@@ -146,8 +146,8 @@ class TestMinimizerMatchesBisectionOracle:
         _assert_theta0_matches_oracle(_NEAR_CRITICAL)
 
     def test_extreme_magnitudes(self):
-        # Newton's guess divides by zero, leaves its domain or lands on 0.0
-        # at many of these; the bracket must not depend on it
+        # whole-range bisection at subnormal, huge and zero fields; the
+        # starts a scan hands on are tested in TestContinuedScan
         _assert_theta0_matches_oracle([(g, h) for g in _MAGNITUDES for h in _MAGNITUDES])
 
     @given(field=st.one_of(
@@ -158,6 +158,80 @@ class TestMinimizerMatchesBisectionOracle:
     @settings(max_examples=500, deadline=None)
     def test_random_fields(self, field):
         _assert_theta0_matches_oracle([field])
+
+
+def _hex(record):
+    return tuple(map(float.hex, record))
+
+
+_GRID_END = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1.0]),
+    st.floats(min_value=-320.0, max_value=300.0).map(lambda e: 10.0 ** e),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(1, 16)).map(
+        lambda t: 1.0 + t[0] * 10.0 ** -t[1]),
+)
+
+
+_SIGNED_END = st.tuples(st.sampled_from([-1.0, 1.0]), _GRID_END).map(lambda t: t[0] * t[1])
+
+
+def _grids(ends):
+    """Grids as the CLI parses them: lo and hi in either order, 1 to 20 points."""
+    return st.tuples(ends, ends, st.integers(1, 20)).map(
+        lambda t: parse_grid(f"{t[0]!r}:{t[1]!r}:{t[2]}"))
+
+
+class TestContinuedScan:
+    """Each scan point starts its minimizer from the previous record's
+    theta0; the records are still the lone points' records, and theta0 the
+    whole-range bisection's double."""
+
+    def _assert_scan_is_lone_points(self, gammas, hs):
+        points = [(g, h) for g in gammas for h in hs]
+        try:
+            scan = [_hex(r) for r in phase_diagram_scan(gammas, hs)]
+        except ValueError as exc:  # the gap radicand overflows at some point
+            scan = str(exc)
+        lone = []
+        for g, h in points:
+            try:
+                lone.append(_hex(phase_record(FieldPoint(g, h))))
+            except ValueError as exc:
+                assert scan == str(exc)  # the scan stops at the first such point
+                return
+        assert scan == lone
+        want = _oracle_theta0([g for g, _ in points], [abs(h) for _, h in points])
+        assert [r[2] for r in lone] == [t.hex() for t in want]
+
+    @given(gammas=_grids(_GRID_END), hs=_grids(_SIGNED_END))
+    @settings(max_examples=300, deadline=None)
+    # a row ends at theta0 = 5e-324 and the next starts at h = 0, gamma < 1,
+    # where the slope below 2**-1021 underflows and reads as rising
+    @example(gammas=[2.0, 0.5], hs=[0.0, 1e-323])
+    def test_random_grids(self, gammas, hs):
+        self._assert_scan_is_lone_points(gammas, hs)
+
+    @pytest.mark.parametrize("gamma,h", [
+        ("0:2:81", "-1:1:81"),  # the README grid
+        *((f"0:{g}:21", "-1:1:41") for g in ("1.5", "2", "2.5", "3")),  # JSON grids
+    ])
+    def test_benchmark_grids(self, gamma, h):
+        self._assert_scan_is_lone_points(parse_grid(gamma), parse_grid(h))
+
+    @pytest.mark.parametrize("near", [
+        0.0, 5e-324, 2.0**-1025, math.nextafter(math.pi / 2, 0.0), math.pi / 2, 4.0,
+        math.inf, -math.inf, math.nan,
+    ])
+    def test_any_start_gives_the_lone_theta0(self, near):
+        fields = [(g, h) for g in _MAGNITUDES for h in _MAGNITUDES]
+        fields += _NEAR_CRITICAL[::7]
+        # the slope underflows up to 2**-1021 here
+        fields.append((1.0 - 2.0**-53, 0.0))
+        # from 0.0 the first Newton step overflows to inf, where math.sin raises
+        fields.append((1.148199642116987, 1e308))
+        got = [_theta0(g, h, near).hex() for g, h in fields]
+        assert got == [_theta0(g, h).hex() for g, h in fields]
 
 
 class TestGlobalMinimum:

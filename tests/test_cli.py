@@ -160,6 +160,13 @@ class TestPhaseDiagram:
         assert payload["schema_version"] == 1
         assert len(payload["records"]) == 4
 
+    def test_json_is_the_payload_text_streamed(self, tmp_path):
+        out = tmp_path / "pd.json"
+        argv = ["phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41", "--format", "json"]
+        assert main([*argv, "-o", str(out)]) == 0
+        records = classical.phase_diagram_scan(parse_grid("0:2:21"), parse_grid("-1:1:41"))
+        assert out.read_text() == json.dumps(classical.scan_payload(records), indent=2) + "\n"
+
     def test_invalid_grid_is_usage_error(self, cli):
         res = cli("phase-diagram", "--gamma", "0:1", "--h", "0:1:3")
         assert res.returncode == 2
@@ -180,6 +187,19 @@ class TestPhaseDiagram:
         assert res.stdout == ""
         assert res.stderr.startswith("error: field gamma=") and res.stderr.count("\n") == 1, \
             res.stderr
+
+    def test_overflowing_start_leaves_the_radicand_error(self, capsys):
+        # the second point starts from the first one's theta0 = 0.0, whose
+        # first Newton step overflows to inf, where math.sin raises; the
+        # minimizer bisects all of [0, pi/2] and the gap overflows as it does
+        # for the lone point
+        argv = ["phase-diagram", "--gamma", "1.148199642116987:1.148199642116987:1",
+                "--h", "0:1e308:2"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: field gamma=1.148199642116987, h=1e+308 is too large: "
+                       "the gap radicand overflows a double\n")
 
     def test_overflowing_grid_step_is_usage_error(self, cli):
         # the step 2e308 is infinite, so the first grid point is -1e308 + 0*inf = nan
@@ -244,7 +264,8 @@ class TestPhaseDiagram:
 
     def test_wrong_minimizer_branch_is_failure(self, capsys, monkeypatch):
         # at gamma = h = 0, sin(theta)^2 = 2/3 makes A = 0 and the radicand -1/9
-        monkeypatch.setattr(classical, "_theta0", lambda gamma, habs: math.asin(math.sqrt(2 / 3)))
+        monkeypatch.setattr(classical, "_theta0",
+                            lambda gamma, habs, near=None: math.asin(math.sqrt(2 / 3)))
         assert main(["phase-diagram", "--gamma", "0:0:1", "--h", "0:0:1"]) == 1
         out, err = capsys.readouterr()
         assert out == ""

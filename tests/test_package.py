@@ -166,6 +166,8 @@ def test_no_module_imports_dataclasses():
     ("finite-gap", "--gamma", "1/3", "--N", "2:40:even"),  # exact rows, numeric cross column
     ("finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "64,1024"),  # sector route
     ("scaling", "--seq", "double-exp", "--rule", "a_n", "--K", "5"),  # 65k-bit rationals
+    ("phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41"),  # continued minimizer starts
+    ("phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41", "--format", "json"),
 ])
 def test_output_unchanged_under_optimize(args):
     plain = run_cli(*args)

@@ -527,7 +527,8 @@ class TestConvexEdgeCertificate:
         first = max(min(centre - half, size - 2 * half), 0)
         stop = min(first + 2 * half + 1, size + 1)
         borders = [i for i in (first - 1, stop) if 0 <= i <= size] or [first]
-        edge = min(sector._edge(size, point, i) for i in borders)
+        # row i's edge: the first of the pair at i, the second at i - 1 for the last row
+        edge = min(sector._edges(size, point, min(i, size - 1))[i == size] for i in borders)
         shift = edge - steps * (matrix.norm + abs(edge) + 1.0) * 2.0**-53
         pivmin = sector._SAFMIN * max(1.0, matrix.offmax * matrix.offmax)
         if matrix.outside_rows_clear(first, stop, shift, pivmin):
