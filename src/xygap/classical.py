@@ -28,6 +28,35 @@ gap(gamma, h) == gap(gamma, -h) holds to the last bit.
 
 All computations here are ordinary double precision; the closed forms are
 well conditioned away from the critical point.
+
+Overflow.  A point with finite gamma >= 0 and finite h fails only when its
+gap radicand overflows a double (ValueError; a radicand below
+RADICAND_ERROR raises GapBranchError, a wrong minimizer branch that no
+input is known to reach).  No point with gamma + |h| <= SAFE_REACH = 1e154
+overflows, so a scan whose grid stays below that bound (the CLI reads it
+off the grid's extremes) is decided before its first record:
+
+* theta0.  The slope's terms 0.5*sin(theta)*(gamma - 1 + 2*sin(theta/2)**2)
+  and 0.5*|h|*cos(theta) are at most (gamma + 1)/2 and |h|/2, and the
+  Newton curvature at most (gamma + |h| + 1)/2, all finite below the
+  bound, so each slope's sign is that of a finite double.  A Newton
+  quotient may still overflow (a curvature near zero): the start becomes
+  infinite, and the next math.sin raises ValueError, or the range test
+  drops it; a zero curvature raises ZeroDivisionError.  Both are caught and
+  leave the whole-range bisection, which probes only doubles in
+  [0, pi/2].  So _theta0 never raises, returns a double in [0, pi/2], and
+  no inf or nan meets a comparison.
+* The radicand.  With s, c = sin(theta0), cos(theta0) in [0, 1], each of
+  the five roundings in A = 1.5*s*s - 1 + |h|*s + gamma*c has relative
+  error at most 2**-53, so |A| <= (2.5 + gamma + |h|)*(1 + 2**-50), which
+  is below 1.0001e154 even when the bound itself is met only after
+  rounding (gamma + |h| <= 1e154*(1 + 2**-53)).  Then A*A < 1.0003e308 and
+  0 <= s**4/4 <= 1/4, so the radicand is finite: |A| stays a quarter below
+  sqrt(DBL_MAX) ~ 1.34e154.  m_x and the gap are then finite.
+
+Past the bound, check_scan computes the points beyond SAFE_REACH alone, in
+scan order, and raises the first overflow; theta0, and so the radicand,
+does not depend on a scan's start.
 """
 
 from __future__ import annotations
@@ -41,6 +70,7 @@ from .field import FieldPoint
 
 RADICAND_CLAMP = 1e-12   # |radicand| below this is roundoff: gap is exactly 0
 RADICAND_ERROR = -1e-9   # radicand below this means a wrong minimizer branch
+SAFE_REACH = 1e154       # no point with gamma + |h| up to this overflows (module docstring)
 
 _DOUBLE = struct.Struct("<d")
 _INT64 = struct.Struct("<q")
@@ -180,18 +210,31 @@ def phase_record(point: FieldPoint, near: float | None = None) -> PhaseRecord:
                        m_x=_m_x(theta0, point.h), gap=_gap(theta0, point))
 
 
-def phase_diagram_scan(
-    gammas: Sequence[float], hs: Sequence[float]
-) -> list[PhaseRecord]:
-    """One record per (gamma, h) grid point, gamma-major order, each point's
-    minimizer started from the previous record's theta0."""
-    records: list[PhaseRecord] = []
+def check_scan(gammas: Iterable[float], hs: Sequence[float], reach: float) -> None:
+    """Raise the ValueError that phase_diagram_scan(gammas, hs) would raise,
+    if any, with no record kept.  ``reach`` is at least every point's
+    gamma + |h|; at or below SAFE_REACH no point can overflow (module
+    docstring), so nothing is computed.  Otherwise each point past
+    SAFE_REACH is computed alone, in scan order, and the first overflow is
+    raised: theta0 does not depend on the start a scan would hand it."""
+    if reach <= SAFE_REACH:
+        return
+    for g in gammas:
+        for h in hs:
+            if g + abs(h) > SAFE_REACH:
+                phase_record(FieldPoint(gamma=g, h=h))
+
+
+def phase_diagram_scan(gammas: Iterable[float], hs: Sequence[float]) -> Iterator[PhaseRecord]:
+    """One record per (gamma, h) grid point, gamma-major order, each made
+    when it is asked for, its minimizer started from the previous record's
+    theta0."""
     near = None
     for g in gammas:
         for h in hs:
-            records.append(phase_record(FieldPoint(gamma=g, h=h), near))
-            near = records[-1].theta0
-    return records
+            record = phase_record(FieldPoint(gamma=g, h=h), near)
+            near = record.theta0
+            yield record
 
 
 SCAN_CSV_HEADER = "gamma,h,theta0,m_x,gap"
@@ -207,5 +250,6 @@ def scan_csv_lines(records: Iterable[PhaseRecord]) -> Iterator[str]:
 
 
 def scan_payload(records: Iterable[PhaseRecord]) -> dict:
-    """The scan's JSON document: the schema version and one object per record."""
+    """The scan's JSON document: the schema version and one object per
+    record; with no records, the frame the CLI streams the records into."""
     return {"schema_version": 1, "records": [r._asdict() for r in records]}

@@ -12,19 +12,26 @@ Subcommands:
 * ``verify``        - cross-oracle suites; nonzero exit on any failure.
 
 Exit codes: 0 success, 1 verification/runtime failure (also a standard
-output closed early, as by ``| head``), 2 usage error, 3 bit-budget
+output closed early, as by ``| head``, and memory exhausted, reported as
+one ``error: out of memory`` line), 2 usage error, 3 bit-budget
 exhaustion.  Identical invocations produce byte-identical output files.
 
 Every command first computes all that can fail: the parsed sizes and field,
-the scan records, the eigensolver gaps, the scaling report.  Only then does
-it open its output, and :func:`_write_lines` streams the rows to it as they
-are formatted (each JSON document goes through :func:`_write_json` in the
+the eigensolver gaps, the scaling report.  Only then does it open its
+output, and :func:`_write_lines` streams the rows to it as they are
+formatted (each JSON document goes through :func:`_write_json` in the
 encoder's chunks).  So a failing command writes no file and prints nothing
 to standard output, and the output text is never held: a size range stays
-a ``range``, and each row is formatted, written and dropped in turn.  What
-stays in memory is only what can fail, such as one float per size at
-h != 0 and one record per scan point, so the exact h = 0 rows run in memory
-that does not grow with the row count.
+a ``range``, a grid a lazy :class:`Grid`, and each row is formatted,
+written and dropped in turn.  What stays in memory is only what can fail,
+such as one float per size at h != 0, so the exact h = 0 rows and the
+``phase-diagram`` scan run in memory that does not grow with the row count.
+The scan's one input failure, a gap radicand that overflows a double, is
+decided from the grid's extremes (``classical.check_scan``) and its first
+record is computed before the output opens; the records then stream.  A
+wrong minimizer branch (``GapBranchError``) past the first record, which
+no input is known to reach, is the one failure that ends a partly written
+output, with exit 1.
 
 The package needs only the standard library.  A process imports only the
 modules its command runs, because without a bytecode cache each module is
@@ -44,6 +51,7 @@ import itertools
 import math
 import os
 import sys
+from collections.abc import Sequence
 
 from .errors import BitBudgetError, XYGapError
 from .sequences import (
@@ -52,7 +60,7 @@ from .sequences import (
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing for --help
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Sequence
+    from collections.abc import Iterable, Iterator
     from fractions import Fraction
 
 BUDGET_ENV_VAR = "XYGAP_BIT_BUDGET"
@@ -67,8 +75,40 @@ class UsageError(ValueError):
     pass
 
 
-def parse_grid(text: str) -> list[float]:
-    """Inclusive grid "lo:hi:count"; count 1 degenerates to [lo]."""
+class Grid(Sequence):
+    """The points of an inclusive grid, each computed when asked for:
+    ``lo + i*step`` for i < count - 1, then ``hi`` (a lazy sequence, like a
+    ``range``)."""
+
+    __slots__ = ("lo", "step", "hi", "count")
+
+    def __init__(self, lo: float, step: float, hi: float, count: int):
+        self.lo, self.step, self.hi, self.count = lo, step, hi, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i: int) -> float:
+        i = range(self.count)[i]
+        return self.hi if i == self.count - 1 else self.lo + i * self.step
+
+    def __iter__(self) -> Iterator[float]:
+        lo, step = self.lo, self.step
+        for i in range(self.count - 1):
+            yield lo + i * step
+        yield self.hi
+
+    def extremes(self) -> tuple[float, float]:
+        """The smallest and the largest point.  Each rounding in ``lo +
+        i*step`` is monotone, so the points before ``hi`` are monotone in i,
+        and both lie among the first, the last but one and the last point."""
+        ends = (self[0], self[max(self.count - 2, 0)], self[-1])
+        return min(ends), max(ends)
+
+
+def parse_grid(text: str) -> Grid:
+    """Inclusive grid "lo:hi:count" as a lazy :class:`Grid`; count 1
+    degenerates to [lo]."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must look like lo:hi:count, got {text!r}")
@@ -81,11 +121,14 @@ def parse_grid(text: str) -> list[float]:
     if count < 1:
         raise UsageError(f"grid count must be >= 1, got {count}")
     if count == 1:
-        return [lo]
-    step = (hi - lo) / (count - 1)
+        return Grid(lo, 0.0, lo, 1)
+    try:
+        step = (hi - lo) / (count - 1)
+    except OverflowError:  # the count is no double
+        raise UsageError(f"grid count of {text!r} overflows a double") from None
     if not math.isfinite(step):
         raise UsageError(f"grid step of {text!r} overflows a double")
-    return [lo + i * step for i in range(count - 1)] + [hi]
+    return Grid(lo, step, hi, count)
 
 
 def parse_sizes(text: str) -> Sequence[int]:
@@ -165,12 +208,37 @@ def _write_lines(path: str | None, lines: Iterable[str]) -> None:
     _write_chunks(path, itertools.chain.from_iterable(zip(lines, itertools.repeat("\n"))))
 
 
-def _write_json(path: str | None, payload: dict) -> None:
+def _write_json(path: str | None, payload: dict, items: Iterable | None = None) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2)`` and a newline,
-    in the encoder's chunks, as :func:`_write_chunks`."""
+    in the encoder's chunks, as :func:`_write_chunks`.  With ``items``, the
+    payload's last value is an empty list that stands for them: they are
+    drawn and encoded into it a batch at a time, so the list is never held
+    whole."""
     import json
 
-    _write_chunks(path, itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"]))
+    encoder = json.JSONEncoder(indent=2)
+    if items is None:
+        chunks = encoder.iterencode(payload)
+    else:
+        chunks = _json_list_chunks(encoder, payload, items)
+    _write_chunks(path, itertools.chain(chunks, ["\n"]))
+
+
+_JSON_BATCH = 256  # items per encoder call, whose set-up costs about half an item
+
+
+def _json_list_chunks(encoder, payload: dict, items: Iterable) -> Iterator[str]:
+    # The empty list is the last "[]" of the payload's text.  A batch of
+    # items encodes as a list one level above where the items sit, and JSON
+    # text breaks lines only between tokens, so their text there is the
+    # batch's without its brackets, each line break indented 2 more spaces.
+    head, _, tail = encoder.encode(payload).rpartition("[]")
+    yield head + "["
+    items, separator = iter(items), ""
+    while batch := list(itertools.islice(items, _JSON_BATCH)):
+        yield separator + encoder.encode(batch)[1:-2].replace("\n", "\n  ")
+        separator = ","
+    yield ("\n  ]" if separator else "]") + tail
 
 
 def cmd_phase_diagram(args) -> int:
@@ -178,14 +246,23 @@ def cmd_phase_diagram(args) -> int:
 
     gammas = parse_grid(args.gamma)
     hs = parse_grid(args.h)
-    if any(g < 0 for g in gammas):
+    gamma_low, gamma_high = gammas.extremes()
+    if gamma_low < 0:
         raise UsageError("transverse field grid must be nonnegative")
+    h_low, h_high = hs.extremes()
     try:
+        # the overflow verdict, then the first record, before any output: a
+        # wrong minimizer branch past the first record is the one failure
+        # left, and it ends a partly written output with exit 1
+        classical.check_scan(gammas, hs, gamma_high + max(-h_low, h_high))
         records = classical.phase_diagram_scan(gammas, hs)
+        first = next(records)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    records = itertools.chain([first], records)
     if args.format == "json":
-        _write_json(args.output, classical.scan_payload(records))
+        _write_json(args.output, classical.scan_payload(()),
+                    map(classical.PhaseRecord._asdict, records))
     else:
         _write_lines(args.output, classical.scan_csv_lines(records))
     return EXIT_OK
@@ -429,6 +506,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BitBudgetError as exc:
         print(f"bit budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_FAILURE
     except (XYGapError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

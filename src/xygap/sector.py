@@ -137,6 +137,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import sys
 from typing import NamedTuple
 
 from .errors import XYGapError
@@ -279,7 +280,8 @@ def _half_width(size: int) -> int:
 def sector_matrix(size: int, point: FieldPoint) -> SectorMatrix:
     """The sector matrix at ``point`` with rows on demand and its summary
     from closed forms (module docstring); ValueError when its squared norm
-    bound is not a finite double, where the Sturm counts would overflow."""
+    bound is not a finite double, where the Sturm counts would overflow,
+    or when N exceeds sys.maxsize, past which rows cannot be indexed."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     n = size
@@ -294,6 +296,10 @@ def sector_matrix(size: int, point: FieldPoint) -> SectorMatrix:
         raise ValueError(
             f"field gamma={point.gamma!r}, h={point.h!r} is too large at N={n}: "
             "the squared norm bound of the sector matrix overflows a double"
+        )
+    if n > sys.maxsize:  # range lengths and bisect indices are C ssize_t
+        raise ValueError(
+            f"size N={n} is too large: the sector matrix's row indices exceed {sys.maxsize}"
         )
     # the first row i < n where g_(i+1) >= g_i, else n
     centre = bisect.bisect_left(

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from xygap import classical
 from xygap.classical import (
-    FieldPoint, PhaseRecord, _theta0, phase_diagram_scan, phase_record, scan_csv_lines,
+    SAFE_REACH, FieldPoint, PhaseRecord, _theta0, check_scan, phase_diagram_scan, phase_record,
+    scan_csv_lines,
 )
 from xygap.cli import parse_grid
 
@@ -308,9 +310,78 @@ class TestMagnetization:
             assert jump > 0.0
 
 
+_HUGE_END = st.one_of(
+    _GRID_END,
+    st.floats(min_value=150.0, max_value=308.25).map(lambda e: 10.0 ** e),
+    st.sampled_from([SAFE_REACH, math.nextafter(SAFE_REACH, math.inf), 1.2e154, 1.3e154]),
+)
+
+
+def _first_failure(records):
+    try:
+        for _ in records:
+            pass
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestOverflowVerdict:
+    """check_scan raises what the scan would raise, with no record kept, and
+    computes nothing when no point passes SAFE_REACH."""
+
+    @given(gammas=_grids(_HUGE_END), hs=_grids(st.tuples(st.sampled_from([-1.0, 1.0]), _HUGE_END)
+                                              .map(lambda t: t[0] * t[1])))
+    @settings(max_examples=300, deadline=None)
+    @example(gammas=[1e154], hs=[1e154])
+    @example(gammas=[0.0, 5e307, 1e308], hs=[0.0, 1.0])
+    @example(gammas=[1.148199642116987], hs=[0.0, 1e308])
+    @example(gammas=[0.0, 1.35e154], hs=[0.0])  # just past sqrt(DBL_MAX) ~ 1.34e154
+    def test_verdict_is_the_scan_failure(self, gammas, hs):
+        reach = max(gammas) + max(abs(h) for h in hs)
+        try:
+            check_scan(gammas, hs, reach)
+            verdict = None
+        except ValueError as exc:
+            verdict = str(exc)
+        assert verdict == _first_failure(phase_diagram_scan(gammas, hs))
+
+    def test_nothing_computed_up_to_the_bound(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("computed a point")
+
+        monkeypatch.setattr(classical, "phase_record", refuse)
+        check_scan([0.0, SAFE_REACH / 2], [-SAFE_REACH / 2, 0.0], SAFE_REACH)
+
+    @given(share=st.floats(min_value=0.0, max_value=1.0),
+           scale=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+           sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=500, deadline=None)
+    @example(share=1.0, scale=1.0, sign=1.0)
+    @example(share=0.0, scale=1.0, sign=-1.0)
+    @example(share=0.5, scale=1.0, sign=1.0)
+    def test_no_overflow_up_to_the_bound(self, share, scale, sign):
+        gamma = SAFE_REACH * scale * share
+        h = sign * (SAFE_REACH * scale - gamma)
+        assume(gamma + abs(h) <= SAFE_REACH)  # as check_scan tests it
+        self._assert_finite(gamma, h)
+
+    # the bound met only after rounding: 7e137 is below half an ulp of 1e154
+    @pytest.mark.parametrize("gamma,h", [(SAFE_REACH, 7e137), (SAFE_REACH, -7e137),
+                                         (7e137, SAFE_REACH)])
+    def test_no_overflow_where_the_bound_rounds(self, gamma, h):
+        assert gamma + abs(h) == SAFE_REACH
+        self._assert_finite(gamma, h)
+
+    @staticmethod
+    def _assert_finite(gamma, h):
+        record = phase_record(FieldPoint(gamma, h))
+        assert all(math.isfinite(x) for x in record)
+
+
 class TestScan:
     def test_grid_cardinality_and_order(self):
-        records = phase_diagram_scan([0.0, 0.5], [-0.5, 0.0, 0.5])
+        records = list(phase_diagram_scan([0.0, 0.5], [-0.5, 0.0, 0.5]))
         assert len(records) == 6
         assert [(r.gamma, r.h) for r in records[:3]] == [(0.0, -0.5), (0.0, 0.0), (0.0, 0.5)]
 

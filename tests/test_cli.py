@@ -6,16 +6,17 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SRC_DIR
 from xygap import classical
-from xygap.cli import UsageError, main, parse_gamma, parse_grid, parse_sizes
+from xygap.cli import UsageError, _write_json, main, parse_gamma, parse_grid, parse_sizes
 from xygap.errors import BitBudgetError
 from xygap.exactnum import decimal_str, format_rational, gamma_value
 from xygap.gaplaw import gap_record
@@ -24,11 +25,19 @@ from xygap.sequences import SequenceKind
 from xygap.sequences import terms as sequence_terms
 
 
+_GRID_END = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0, 1e154]),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(min_value=-300.0, max_value=300.0)).map(
+        lambda t: t[0] * 10.0 ** t[1]),
+)
+
+
 class TestParsing:
     def test_grid(self):
-        assert parse_grid("0:2:5") == [0.0, 0.5, 1.0, 1.5, 2.0]
-        assert parse_grid("1:9:1") == [1.0]
-        assert parse_grid("-1:1:3") == [-1.0, 0.0, 1.0]
+        assert list(parse_grid("0:2:5")) == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert list(parse_grid("1:9:1")) == [1.0]
+        assert list(parse_grid("-1:1:3")) == [-1.0, 0.0, 1.0]
 
     def test_grid_endpoints_exact(self):
         grid = parse_grid("0:0.99:20")
@@ -38,6 +47,37 @@ class TestParsing:
     def test_grid_rejects(self, bad):
         with pytest.raises(UsageError):
             parse_grid(bad)
+
+    @given(lo=_GRID_END, hi=_GRID_END, count=st.integers(1, 3000))
+    @settings(max_examples=300, deadline=None)
+    @example(lo=1.0, hi=0.0, count=2999)
+    def test_grid_is_the_list_it_stands_for(self, lo, hi, count):
+        grid = parse_grid(f"{lo!r}:{hi!r}:{count}")
+        step = (hi - lo) / max(count - 1, 1)  # the list the grid was before it was lazy
+        points = [lo] if count == 1 else [lo + i * step for i in range(count - 1)] + [hi]
+        assert [x.hex() for x in grid] == [x.hex() for x in points]
+        assert len(grid) == count
+        assert grid[-1].hex() == points[-1].hex() and grid[count // 2].hex() == points[count // 2].hex()
+        assert grid.extremes() == (min(points), max(points))
+
+    def test_huge_grid_is_not_materialised(self):
+        grid = parse_grid("0:2:100000000000")
+        assert grid[0] == 0.0 and grid[1] == 2 / 99999999999 and grid[-1] == 2.0
+        assert grid.extremes() == (0.0, 2.0)
+        tracemalloc.start()
+        try:
+            assert next(iter(parse_grid("0:1:99999999999999999999999"))) == 0.0
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
+
+    def test_count_past_the_largest_double_is_usage_error(self, capsys):
+        count = 10**400  # (hi - lo)/(count - 1) cannot convert the count
+        with pytest.raises(UsageError, match="overflows a double"):
+            parse_grid(f"0:1:{count}")
+        assert main(["phase-diagram", "--gamma", f"0:1:{count}", "--h", "0:1:2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: grid count of '0:1:{count}' overflows a double\n"
 
     def test_sizes(self):
         assert list(parse_sizes("2:8:even")) == [2, 4, 6, 8]
@@ -164,8 +204,16 @@ class TestPhaseDiagram:
         out = tmp_path / "pd.json"
         argv = ["phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41", "--format", "json"]
         assert main([*argv, "-o", str(out)]) == 0
-        records = classical.phase_diagram_scan(parse_grid("0:2:21"), parse_grid("-1:1:41"))
+        records = list(classical.phase_diagram_scan(parse_grid("0:2:21"), parse_grid("-1:1:41")))
         assert out.read_text() == json.dumps(classical.scan_payload(records), indent=2) + "\n"
+
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
+    def test_streamed_json_list_is_the_dumped_text(self, tmp_path, count):
+        # items nested at any depth, in batches of 256 and across their ends
+        items = [{"i": i, "x": [i / 3, {"y": None}, []], "s": "a\nb"} for i in range(count)]
+        out = tmp_path / "f.json"
+        _write_json(str(out), {"v": 1, "items": []}, iter(items))
+        assert out.read_text() == json.dumps({"v": 1, "items": items}, indent=2) + "\n"
 
     def test_invalid_grid_is_usage_error(self, cli):
         res = cli("phase-diagram", "--gamma", "0:1", "--h", "0:1:3")
@@ -261,6 +309,50 @@ class TestPhaseDiagram:
         assert err == ""
         gaps = [float(row.split(",")[4]) for row in out.strip().split("\n")[1:]]
         assert len(gaps) == 4 and all(math.isfinite(g) for g in gaps)
+
+    @pytest.mark.parametrize("gamma,h,code,out,err", [
+        ("1e154:1e154:1", "1e154:1e154:1", 2, "",
+         "error: field gamma=1e+154, h=1e+154 is too large: the gap radicand overflows a double\n"),
+        ("0:1e308:3", "0:1:2", 2, "",
+         "error: field gamma=5e+307, h=0.0 is too large: the gap radicand overflows a double\n"),
+        # past SAFE_REACH, yet no point overflows
+        ("1.2e154:1.2e154:1", "0:0:1", 0,
+         "gamma,h,theta0,m_x,gap\n1.2000000000000001e+154,0,0,0,1.2000000000000001e+154\n", ""),
+        ("0:1.2e154:3", "-1:1:3", 0, "\n".join([
+            "gamma,h,theta0,m_x,gap",
+            "0,-1,1.5707963267948963,-1,1.4142135623730951",
+            "0,0,1.5707963267948963,1,0",
+            "0,1,1.5707963267948963,1,1.4142135623730951",
+            "6.0000000000000004e+153,-1,1.6666666666666663e-154,-1.6666666666666663e-154,"
+            "6.0000000000000004e+153",
+            "6.0000000000000004e+153,0,0,0,6.0000000000000004e+153",
+            "6.0000000000000004e+153,1,1.6666666666666663e-154,1.6666666666666663e-154,"
+            "6.0000000000000004e+153",
+            "1.2000000000000001e+154,-1,8.3333333333333315e-155,-8.3333333333333315e-155,"
+            "1.2000000000000001e+154",
+            "1.2000000000000001e+154,0,0,0,1.2000000000000001e+154",
+            "1.2000000000000001e+154,1,8.3333333333333315e-155,8.3333333333333315e-155,"
+            "1.2000000000000001e+154",
+        ]) + "\n", ""),
+        ("0:0:1", "1.3e154:1.3e154:1", 0,
+         "gamma,h,theta0,m_x,gap\n0,1.2999999999999999e+154,1.5707963267948963,1,"
+         "1.2999999999999999e+154\n", ""),
+    ], ids=["both-1e154", "gamma-to-1e308", "gamma-1.2e154", "gamma-to-1.2e154", "h-1.3e154"])
+    def test_overflow_verdict_before_output(self, capsys, gamma, h, code, out, err):
+        assert main(["phase-diagram", "--gamma", gamma, "--h", h]) == code
+        assert capsys.readouterr() == (out, err)
+
+    def test_wrong_branch_after_the_first_row_keeps_the_rows_before(self, capsys, monkeypatch):
+        # the one failure left once the overflow verdict and the first
+        # record are settled: exit 1, the rows before it already written
+        # (at gamma = h = 0 as below)
+        theta0 = classical._theta0
+        monkeypatch.setattr(classical, "_theta0", lambda gamma, habs, near=None: (
+            math.asin(math.sqrt(2 / 3)) if habs == 0.0 else theta0(gamma, habs, near)))
+        assert main(["phase-diagram", "--gamma", "0:0:1", "--h", "1:0:2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "gamma,h,theta0,m_x,gap\n0,1,1.5707963267948963,1,1.4142135623730951\n"
+        assert err.startswith("error: radicand -1.111e-01 at gamma=0.0, |h|=0.0"), err
 
     def test_wrong_minimizer_branch_is_failure(self, capsys, monkeypatch):
         # at gamma = h = 0, sin(theta)^2 = 2/3 makes A = 0 and the radicand -1/9
@@ -400,6 +492,28 @@ class TestFiniteGap:
         assert runs[0].stdout == runs[1].stdout
         assert len(runs[0].stdout.split("\n")) == 4
 
+    def test_size_past_the_row_index_cap_is_usage_error(self, capsys):
+        size = sys.maxsize + 1
+        assert main(["finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", str(size)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: size N={size} is too large: the sector matrix's row "
+                       f"indices exceed {sys.maxsize}\n")
+
+    def test_out_of_memory_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        from xygap import sector
+
+        def rows(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(sector, "_rows", rows)
+        out = tmp_path / "gaps.csv"
+        argv = ["finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "64"]
+        assert main([*argv, "-o", str(out)]) == 1
+        assert not out.exists()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: out of memory\n" * 2)
+
 
 def fraction_route_rows(gamma: Fraction, sizes) -> str:
     """The exact rows through gap_record, format_rational and decimal_str,
@@ -517,6 +631,50 @@ class TestBoundedMemory:
         small, large = peak("1:4000:all"), peak("1:40000:all")
         assert large < 2 * small, (small, large)
         assert path.read_text().count("\n") == 40001
+
+
+    def test_scan_peak_does_not_grow_with_grid_size(self, tmp_path):
+        # The records stream to the file as they are computed.  Measured
+        # under tracemalloc: 0.062 MB at 10**4 points and 0.065 MB at 10**5;
+        # with one record kept per point, 2.2 MB and 21.7 MB.
+        out = str(tmp_path / "pd.csv")
+        assert main(["phase-diagram", "--gamma", "0:2:3", "--h", "-1:1:3", "-o", out]) == 0
+
+        def peak(gamma: str) -> int:
+            tracemalloc.start()
+            try:
+                assert main(["phase-diagram", "--gamma", gamma, "--h", "-1:1:100", "-o", out]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak("0:2:100"), peak("0:2:1000")
+        assert large < 2 * small, (small, large)
+        assert (tmp_path / "pd.csv").read_text().count("\n") == 100001
+
+    def test_huge_grid_streams_until_the_reader_leaves(self):
+        # 3*10**11 points: the grid is never built and the rows stream as
+        # they are computed, so a reader that stops after a few rows ends
+        # the run at once.  The address-space limit turns a regression that
+        # holds the grid or the records into a prompt failure, not a host
+        # out of memory.
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        argv = ["phase-diagram", "--gamma", "0:2:100000000000", "--h", "0:1:3"]
+        proc = subprocess.Popen([sys.executable, "-m", "xygap", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                preexec_fn=limit_memory)
+        rows = [proc.stdout.readline() for _ in range(4)]
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert rows == [b"gamma,h,theta0,m_x,gap\n", b"0,0,1.5707963267948963,1,0\n",
+                        b"0,0.5,1.5707963267948963,1,0.8660254037844386\n",
+                        b"0,1,1.5707963267948963,1,1.4142135623730951\n"]
+        assert (proc.returncode, stderr) == (1, b"")
 
 
 class TestScaling:
@@ -704,3 +862,119 @@ class TestClosedStdout:
         _, stderr = proc.communicate(timeout=120)
         assert first.startswith(header)
         assert (proc.returncode, stderr) == (1, b"")
+
+
+def _mostly(valid, invalid):
+    """``valid``, and about one time in ten ``invalid`` (drawn at 5: the
+    generator favours the ends of a range)."""
+    return st.integers(0, 9).flatmap(lambda i: invalid if i == 5 else valid)
+
+
+_CONTRACT_GRID_END = _mostly(
+    st.one_of(st.floats(min_value=0.0, max_value=3.0).map(repr),
+              st.sampled_from(["0", "1", "2", "0.5", "5e-324", "1e-300", "1e154", "1.2e154"])),
+    st.sampled_from(["-0", "-1", "1e200", "1e308", "-1e308", "nan", "inf", "x"]))
+_CONTRACT_GRID = _mostly(
+    st.tuples(_CONTRACT_GRID_END, _CONTRACT_GRID_END, st.integers(1, 50)).map(
+        lambda t: f"{t[0]}:{t[1]}:{t[2]}"),
+    st.sampled_from(["0:1", "a:b:c", "0:1:1e3", "0:1:0", "0:1:-1", f"0:1:{10**400}", ""]))
+_CONTRACT_FIELD = _mostly(
+    st.tuples(st.integers(0, 20), st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["1/3", "0.25", "0", "1", "3/2", "-1/3", "1e-5", "1e200", "1e400", "1/0",
+                     "2/4", "abc", "", "1e-2000000", "0.6"]))
+_CONTRACT_H = _mostly(
+    st.one_of(st.just("0"), st.floats(min_value=-2.0, max_value=2.0).map(repr)),
+    st.sampled_from(["-0.0", "-1e-3", "5e-324", "1e152", "1e200", "nan", "inf", "x"]))
+_CONTRACT_SIZE = _mostly(st.one_of(st.integers(1, 80), st.integers(81, 4096)),
+                         st.integers(-2, 0))
+_CONTRACT_SIZES = _mostly(
+    st.one_of(
+        st.lists(_CONTRACT_SIZE, min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns))),
+        st.tuples(_CONTRACT_SIZE, st.integers(-1, 16),
+                  st.sampled_from(["even", "odd", "all"])).map(
+            lambda t: f"{t[0]}:{t[0] + t[1]}:{t[2]}")),
+    st.sampled_from(["", "3,,4", "4,", "a", "1:2", "2:1:x", str(sys.maxsize + 1)]))
+
+
+def _count(low, high):
+    return _mostly(st.integers(low, high), st.sampled_from(["-1", "x", "99999999999999999999"]))
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def _contract_groups(command):
+    """The option groups of one command line, each a list of tokens."""
+    if command == "phase-diagram":
+        return st.tuples(
+            _CONTRACT_GRID.map(lambda g: ["--gamma", g]), _CONTRACT_GRID.map(lambda g: ["--h", g]),
+            _optional("--format", _mostly(st.sampled_from(["csv", "json"]), st.just("xml"))))
+    if command == "finite-gap":
+        return st.tuples(
+            _mostly(_CONTRACT_FIELD.map(lambda f: ["--gamma", f]),
+                    st.sampled_from(["double-exp", "factorial", "x"]).map(
+                        lambda k: ["--gamma-series", k])),
+            _optional("--h", _CONTRACT_H), _CONTRACT_SIZES.map(lambda n: ["--N", n]),
+            _mostly(st.just([]), st.tuples(st.sampled_from(["--terms", "--cross-max"]),
+                                          _count(0, 128)).map(lambda t: [t[0], str(t[1])])))
+    if command == "scaling":
+        return st.tuples(
+            _mostly(st.sampled_from(["double-exp", "factorial"]), st.just("x")).map(
+                lambda k: ["--seq", k]),
+            _optional("--rule", _mostly(st.sampled_from(["a_n", "2a_n"]), st.just("x"))),
+            _optional("--K", _count(2, 7)), _optional("--csv", st.just("CSV")))
+    # no huge --max-N: verify checks every even size up to it
+    return st.tuples(_optional("--max-N", _mostly(st.integers(0, 64), st.sampled_from(["-1", "x"]))),
+                     _optional("--seed", st.integers(0, 9)))
+
+
+@st.composite
+def _contract_argv(draw):
+    command = draw(st.sampled_from(["phase-diagram", "finite-gap", "scaling", "verify"]))
+    groups = list(draw(_contract_groups(command)))
+    if command != "verify":
+        groups.append(["-o", draw(st.sampled_from(["OUT", "OUT", "-"]))])
+    if groups and draw(st.integers(0, 9)) == 5:  # a missing flag, required or not
+        del groups[draw(st.integers(0, len(groups) - 1))]
+    if draw(st.integers(0, 9)) == 5:  # an extra flag, unknown or another mode's
+        groups.append(draw(st.sampled_from(
+            [["--bogus"], ["extra"], ["--terms", "3"], ["--cross-max", "8"], ["--format", "json"],
+             ["--h", "0.5"], ["--gamma", "1/3"], ["--seed", "1"]])))
+    budget = draw(_mostly(st.just([]), st.sampled_from(
+        [["--bit-budget", "32"], ["--bit-budget", "100"], ["--bit-budget", "4096"],
+         ["--bit-budget", "x"]])))
+    env = draw(_mostly(st.none(), st.sampled_from(["100", "x"])))
+    return [*budget, command, *(tok for group in groups for tok in group)], env
+
+
+class TestExitCodeContract:
+    """Generated command lines for every command, run in-process: the exit
+    code is a documented one, no exception escapes, and a nonzero exit
+    leaves no output file."""
+
+    @given(case=_contract_argv())
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # tracebacks before the grid count and the sector size were checked
+    @example(case=(["phase-diagram", "--gamma", f"0:1:{10**400}", "--h", "0:1:2", "-o", "OUT"], None))
+    @example(case=(["finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", str(sys.maxsize + 1),
+                    "-o", "OUT"], None))
+    def test_generated_argv(self, tmp_path, case):
+        argv, env = case
+        out, csv = tmp_path / "out", tmp_path / "out.csv"
+        argv = [str(out) if tok == "OUT" else str(csv) if tok == "CSV" else tok for tok in argv]
+        environ = {k: v for k, v in os.environ.items() if k != "XYGAP_BIT_BUDGET"}
+        if env is not None:
+            environ["XYGAP_BIT_BUDGET"] = env
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, environ, clear=True), \
+                redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        written = [path for path in (out, csv) if path.exists()]
+        for path in written:
+            path.unlink()
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code != 0:
+            assert written == [], (argv, code, stderr.getvalue())

@@ -177,6 +177,20 @@ def test_output_unchanged_under_optimize(args):
     assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)
 
 
+# The overflow verdict before the first byte: one grid past SAFE_REACH
+# that overflows nowhere, and one that overflows.
+@pytest.mark.parametrize("args, code", [
+    (("phase-diagram", "--gamma", "0:1.2e154:3", "--h", "-1:1:3"), 0),
+    (("phase-diagram", "--gamma", "0:1e308:3", "--h", "0:1:2"), 2),
+])
+def test_overflow_verdict_unchanged_under_optimize(args, code):
+    plain = run_cli(*args)
+    optimized = run_cli(*args, python_flags=("-O",))
+    assert plain.returncode == code, plain.stderr
+    assert (optimized.stdout, optimized.stderr, optimized.returncode) == \
+        (plain.stdout, plain.stderr, plain.returncode)
+
+
 def _records():
     """One record of each of the 9 result types, and one field name of it."""
     point = FieldPoint(0.5, 0.25)
