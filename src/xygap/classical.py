@@ -15,48 +15,61 @@ steps (continuation); a lone point has no start and bisects all of
 [0, pi/2].  The start changes only the number of slopes computed, never the
 double returned.
 Spin-wave corrections around the minimizer give the thermodynamic-limit
-excitation gap
+excitation gap.  With s, c = sin(theta0), cos(theta0) and B = s**2 +
+gamma*c + |h|*s it is sqrt((B - 1)*(B - c**2)) = sqrt(x)*sqrt(x + s**2),
+x = B - 1.  That radicand cancels near its zeros; stationarity, gamma*s =
+c*(s + |h|), makes x = |h|/s = gamma/c - 1, and x is taken in a form that
+does not cancel: |h|/s (its square root as sqrt(|h|)/sqrt(s) where the
+quotient is subnormal); B - 1 = c*(gamma - c) + |h|*s where |h|/s >= 1 and
+gamma >= 1, two nonnegative terms that move with theta0 by s*c per radian
+where |h|/s moves by x*cot(theta0); and gamma - 1 where s is 0 or
+subnormal, where c = 1.0 and s*s = 0.0, so the gap is x itself.
 
-    gap(gamma, h) = sqrt(A**2 - sin(theta0)**4/4),
-    A = (3/2)*sin(theta0)**2 - 1 + |h|*sin(theta0) + gamma*cos(theta0).
+On the segment h = 0, 0 <= gamma < 1 the gap vanishes identically (x =
+0/s, with no clamp) and the x magnetization sin(theta0)*cos(phi0) flips
+sign with h: a line of first-order transitions ending in a critical point
+at gamma = 1.  Negative h is handled by the exact reflection symmetry
+(h -> -h, x -> -x), so gap(gamma, h) == gap(gamma, -h) holds to the last bit.
 
-On the segment h = 0, 0 <= gamma < 1 the gap vanishes identically and the
-x magnetization sin(theta0)*cos(phi0) flips sign with h: a line of
-first-order transitions ending in a critical point at gamma = 1.  Negative h
-is handled by the exact reflection symmetry (h -> -h, x -> -x), so
-gap(gamma, h) == gap(gamma, -h) holds to the last bit.
+Error bound.  With u = 2**-53 and G(theta) the gap formula in exact
+arithmetic at the double theta (x in the form chosen there), the gap is
+G(theta0) within a relative 12u: at most eight roundings of u, and sin and
+cos, within an ulp (2u), weighed at most 1.5 times; x >= 1 >= c**2 bounds
+what c's error costs gamma - c, and a subnormal |h|/s or s*s errs by
+2**-1075, below u times the sum it enters.  theta0 within k doubles of the
+exact minimizer theta* adds at most 3k*u (|h|/s carries theta0's relative
+error times theta0*cot(theta0) <= 1).  Where h = 0 or |h| >= 2**-1021 the
+slope's terms are normal doubles and k <= 4 (tested against an mpmath
+root), so the gap is within (12 + 3k)u of G(theta*).  A subnormal |h| is
+computed in subnormal steps and theta0 can stray: at gamma = 1, h = 5e-324
+the field term rounds to zero, theta0 = 0 where theta* ~ 2.1e-108, and the
+gap is 0 for 4e-216.
 
-All computations here are ordinary double precision; the closed forms are
-well conditioned away from the critical point.
+Input rule and overflow.  A point is accepted when gamma + |h| <=
+SAFE_REACH = 1e308 as computed (<= 1e308*(1 + u)): phase_record raises
+ValueError past it, and the CLI applies the rule to a grid's extremes
+before it computes a point.  Up to it nothing overflows:
 
-Overflow.  A point with finite gamma >= 0 and finite h fails only when its
-gap radicand overflows a double (ValueError; a radicand below
-RADICAND_ERROR raises GapBranchError, a wrong minimizer branch that no
-input is known to reach).  No point with gamma + |h| <= SAFE_REACH = 1e154
-overflows, so a scan whose grid stays below that bound (the CLI reads it
-off the grid's extremes) is decided before its first record:
-
-* theta0.  The slope's terms 0.5*sin(theta)*(gamma - 1 + 2*sin(theta/2)**2)
-  and 0.5*|h|*cos(theta) are at most (gamma + 1)/2 and |h|/2, and the
-  Newton curvature at most (gamma + |h| + 1)/2, all finite below the
-  bound, so each slope's sign is that of a finite double.  A Newton
-  quotient may still overflow (a curvature near zero): the start becomes
-  infinite, and the next math.sin raises ValueError, or the range test
-  drops it; a zero curvature raises ZeroDivisionError.  Both are caught and
-  leave the whole-range bisection, which probes only doubles in
-  [0, pi/2].  So _theta0 never raises, returns a double in [0, pi/2], and
-  no inf or nan meets a comparison.
-* The radicand.  With s, c = sin(theta0), cos(theta0) in [0, 1], each of
-  the five roundings in A = 1.5*s*s - 1 + |h|*s + gamma*c has relative
-  error at most 2**-53, so |A| <= (2.5 + gamma + |h|)*(1 + 2**-50), which
-  is below 1.0001e154 even when the bound itself is met only after
-  rounding (gamma + |h| <= 1e154*(1 + 2**-53)).  Then A*A < 1.0003e308 and
-  0 <= s**4/4 <= 1/4, so the radicand is finite: |A| stays a quarter below
-  sqrt(DBL_MAX) ~ 1.34e154.  m_x and the gap are then finite.
-
-Past the bound, check_scan computes the points beyond SAFE_REACH alone, in
-scan order, and raises the first overflow; theta0, and so the radicand,
-does not depend on a scan's start.
+* theta0.  The slope's terms are at most (gamma + 1)/2 and |h|/2, and the
+  Newton curvature 0.5*(gamma*c + |h|*s - (c - s)*(c + s)) about (gamma +
+  |h| + 1)/2, all far below DBL_MAX ~ 1.797e308.  A Newton quotient may
+  overflow (a curvature near zero): the next math.sin of the infinite
+  start raises ValueError, or the range test drops it; a zero curvature
+  raises ZeroDivisionError.  Both leave the whole-range bisection, which
+  probes only doubles in [0, pi/2].  So _theta0 never raises, and no inf
+  or nan meets a comparison.
+* The gap.  x = |h|/s is below 1 but where gamma < 1; there, with theta1
+  the double after theta0, either theta1 = fl(pi/2), so s = 1.0 and x = |h|,
+  or theta1's computed slope is not negative, and its factor fl(gamma - 1)
+  + 2*sin(theta1/2)**2 is at most 1, so |h|*cos(theta1) <= sin(theta1)*(1
+  + 6u), and x <= sqrt(2)*|h|*(1 + u) where s >= 1/sqrt(2), x < 1.5 where
+  not.  B - 1 holds two nonnegative terms, at most gamma and |h|, so x <=
+  (gamma + |h|)*(1 + 4u).  s < 2**-1022 only where theta0 < 2**-1022, and
+  then gamma >= 1: for gamma < 1 the whole-range bisection's first probe,
+  1.33e-154, has a negative slope (|gamma - 1| >= 2**-53), and a scan's
+  start never changes the double returned.  So 0 <= x < 1.42e308 and the
+  gap is at most x + 1.  (The exact gap is at most hypot(gamma, |h|) +
+  1/2.)
 """
 
 from __future__ import annotations
@@ -65,12 +78,10 @@ import math
 import struct
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import GapBranchError
 from .field import FieldPoint
 
-RADICAND_CLAMP = 1e-12   # |radicand| below this is roundoff: gap is exactly 0
-RADICAND_ERROR = -1e-9   # radicand below this means a wrong minimizer branch
-SAFE_REACH = 1e154       # no point with gamma + |h| up to this overflows (module docstring)
+SAFE_REACH = 1e308  # the largest gamma + |h| accepted (module docstring)
+_TINY = 2.2250738585072014e-308  # the smallest normal double
 
 _DOUBLE = struct.Struct("<d")
 _INT64 = struct.Struct("<q")
@@ -177,52 +188,36 @@ def _m_x(theta0: float, h: float) -> float:
     return (s if h >= 0 else -s) + 0.0
 
 
-def _gap(theta0: float, point: FieldPoint) -> float:
-    """Spin-wave gap at the minimizer; a radicand within RADICAND_CLAMP of
-    zero gives an exact 0.0, one below RADICAND_ERROR raises GapBranchError,
-    and one that is not finite raises ValueError."""
-    gamma, habs = point.gamma, abs(point.h)
-    s, c = math.sin(theta0), math.cos(theta0)
-    a = 1.5 * s * s - 1.0 + habs * s + gamma * c
-    radicand = a * a - 0.25 * s**4
-    if not math.isfinite(radicand):
-        raise ValueError(
-            f"field gamma={point.gamma!r}, h={point.h!r} is too large: "
-            "the gap radicand overflows a double"
-        )
-    if radicand < RADICAND_ERROR:
-        raise GapBranchError(
-            f"radicand {radicand:.3e} at gamma={gamma}, |h|={habs}: not the global minimum"
-        )
-    return math.sqrt(radicand) if radicand >= RADICAND_CLAMP else 0.0
+def _gap(theta0: float, gamma: float, habs: float) -> float:
+    """Spin-wave gap sqrt(x)*sqrt(x + s**2) at the minimizer, x in the form
+    that does not cancel there (module docstring)."""
+    s = math.sin(theta0)
+    if s < _TINY:  # cos(theta0) = 1.0 and s*s = 0.0: sqrt(x)*sqrt(x) is x
+        return gamma - 1.0
+    x = habs / s
+    if x >= 1.0 and gamma >= 1.0:  # B - 1 itself (module docstring)
+        c = math.cos(theta0)
+        x = c * (gamma - c) + habs * s
+    root_x = math.sqrt(x) if x >= _TINY else math.sqrt(habs) / math.sqrt(s)
+    return root_x * math.sqrt(x + s * s)
 
 
 def phase_record(point: FieldPoint, near: float | None = None) -> PhaseRecord:
     """Minimizer, magnetization, and gap for a single field point; ``near``,
-    a neighbour's theta0, only speeds up the minimizer.
+    a neighbour's theta0, only speeds up the minimizer.  ValueError where
+    gamma + |h| exceeds SAFE_REACH (module docstring).
 
     m_x = sin(theta0)*cos(phi0), with phi0 = 0 for h >= 0 and pi otherwise,
     jumps between +-sin(theta0) across h = 0 for gamma < 1; exactly at h = 0
     the positive branch is reported by convention.
     """
-    theta0 = _theta0(point.gamma, abs(point.h), near)
-    return PhaseRecord(gamma=point.gamma + 0.0, h=point.h + 0.0, theta0=theta0,
-                       m_x=_m_x(theta0, point.h), gap=_gap(theta0, point))
-
-
-def check_scan(gammas: Iterable[float], hs: Sequence[float], reach: float) -> None:
-    """Raise the ValueError that phase_diagram_scan(gammas, hs) would raise,
-    if any, with no record kept.  ``reach`` is at least every point's
-    gamma + |h|; at or below SAFE_REACH no point can overflow (module
-    docstring), so nothing is computed.  Otherwise each point past
-    SAFE_REACH is computed alone, in scan order, and the first overflow is
-    raised: theta0 does not depend on the start a scan would hand it."""
-    if reach <= SAFE_REACH:
-        return
-    for g in gammas:
-        for h in hs:
-            if g + abs(h) > SAFE_REACH:
-                phase_record(FieldPoint(gamma=g, h=h))
+    gamma, habs = point.gamma, abs(point.h)
+    if gamma + habs > SAFE_REACH:
+        raise ValueError(f"field gamma={gamma!r}, h={point.h!r} is too large: "
+                         f"gamma + |h| exceeds {SAFE_REACH!r}")
+    theta0 = _theta0(gamma, habs, near)
+    return PhaseRecord(gamma=gamma + 0.0, h=point.h + 0.0, theta0=theta0,
+                       m_x=_m_x(theta0, point.h), gap=_gap(theta0, gamma, habs))
 
 
 def phase_diagram_scan(gammas: Iterable[float], hs: Sequence[float]) -> Iterator[PhaseRecord]:

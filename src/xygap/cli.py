@@ -26,12 +26,9 @@ a ``range``, a grid a lazy :class:`Grid`, and each row is formatted,
 written and dropped in turn.  What stays in memory is only what can fail,
 such as one float per size at h != 0, so the exact h = 0 rows and the
 ``phase-diagram`` scan run in memory that does not grow with the row count.
-The scan's one input failure, a gap radicand that overflows a double, is
-decided from the grid's extremes (``classical.check_scan``) and its first
-record is computed before the output opens; the records then stream.  A
-wrong minimizer branch (``GapBranchError``) past the first record, which
-no input is known to reach, is the one failure that ends a partly written
-output, with exit 1.
+The scan's one input rule, ``gamma + |h| <= classical.SAFE_REACH``, is
+checked at the grid's extremes before any point is computed; a grid that
+passes it cannot fail, so its records stream as they are computed.
 
 The package needs only the standard library.  A process imports only the
 modules its command runs, because without a bytecode cache each module is
@@ -250,16 +247,10 @@ def cmd_phase_diagram(args) -> int:
     if gamma_low < 0:
         raise UsageError("transverse field grid must be nonnegative")
     h_low, h_high = hs.extremes()
-    try:
-        # the overflow verdict, then the first record, before any output: a
-        # wrong minimizer branch past the first record is the one failure
-        # left, and it ends a partly written output with exit 1
-        classical.check_scan(gammas, hs, gamma_high + max(-h_low, h_high))
-        records = classical.phase_diagram_scan(gammas, hs)
-        first = next(records)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    records = itertools.chain([first], records)
+    reach = gamma_high + max(-h_low, h_high)
+    if reach > classical.SAFE_REACH:  # phase_record's input rule, at the grid's extremes
+        raise UsageError(f"grid reaches gamma + |h| = {reach!r}, past {classical.SAFE_REACH!r}")
+    records = classical.phase_diagram_scan(gammas, hs)
     if args.format == "json":
         _write_json(args.output, classical.scan_payload(()),
                     map(classical.PhaseRecord._asdict, records))

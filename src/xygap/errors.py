@@ -29,14 +29,6 @@ class DegenerateDeltaError(XYGapError):
         self.gamma = gamma
 
 
-class GapBranchError(XYGapError):
-    """The spin-wave gap radicand is negative beyond roundoff tolerance.
-
-    A radicand this negative means the stationary point fed into the gap
-    formula was not the global minimum.
-    """
-
-
 class TruncationInsufficientError(XYGapError):
     """The certified truncation tail straddles a decision boundary.
 

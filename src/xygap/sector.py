@@ -140,7 +140,6 @@ import operator
 import sys
 from typing import NamedTuple
 
-from .errors import XYGapError
 from .field import FieldPoint
 
 _SAFMIN = 2.2250738585072014e-308
@@ -272,6 +271,11 @@ def _pivot_floor_ok(diag, coup, shift: float, pivmin: float) -> bool:
     return True
 
 
+# The largest first window sector_matrix accepts, about 25 MB of Python
+# floats: every N up to 1073479695 (N = 65536 needs 2081 rows).
+WINDOW_ROW_BUDGET = 2**18
+
+
 def _half_width(size: int) -> int:
     """Half the width of the first bisection window (module docstring)."""
     return 4 * math.isqrt(size) + 16
@@ -281,7 +285,8 @@ def sector_matrix(size: int, point: FieldPoint) -> SectorMatrix:
     """The sector matrix at ``point`` with rows on demand and its summary
     from closed forms (module docstring); ValueError when its squared norm
     bound is not a finite double, where the Sturm counts would overflow,
-    or when N exceeds sys.maxsize, past which rows cannot be indexed."""
+    when N exceeds sys.maxsize, past which rows cannot be indexed, or when
+    the first bisection window exceeds WINDOW_ROW_BUDGET rows."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     n = size
@@ -301,6 +306,10 @@ def sector_matrix(size: int, point: FieldPoint) -> SectorMatrix:
         raise ValueError(
             f"size N={n} is too large: the sector matrix's row indices exceed {sys.maxsize}"
         )
+    window = 2 * _half_width(n) + 1
+    if window > WINDOW_ROW_BUDGET:
+        raise ValueError(f"size N={n} is too large: the eigensolver's first window of "
+                         f"{window} rows exceeds {WINDOW_ROW_BUDGET}")
     # the first row i < n where g_(i+1) >= g_i, else n
     centre = bisect.bisect_left(
         range(n), True, key=lambda i: operator.le(*_edges(n, point, i)))
@@ -402,6 +411,14 @@ def lowest_eigenvalues(ham, k: int) -> list[float]:
     norm bound whose ends carry certified whole-matrix Sturm counts
     (module docstring), comfortably below the 1e-13 relative / 1e-14 * norm
     absolute accuracy contract.
+
+    The values never descend, and no difference of two is -0.0: _bisect
+    splits one bracket tree, a group's lower indices taking the lower part,
+    so for i < j lo_i <= lo_j and hi_i <= hi_j.  Rounding is monotone, so
+    the sums lo + hi (finite: within 3.01 times max(norm bound, 1)) and the
+    midpoints keep that order, and a later value minus an earlier is >= 0.
+    It is -0.0 only for -0.0 minus +0.0, but a midpoint is -0.0 only where
+    its sum is -0.0 or -2**-1074, and an earlier sum then gives no +0.0.
     """
     n = ham.size
     if not 1 <= k <= n + 1:
@@ -427,14 +444,11 @@ def lowest_eigenvalues(ham, k: int) -> list[float]:
                 or _certified(ham, first, stop, diag, off_sq, coup, brackets, pivmin)):
             break
         half *= 2
-    values = [0.5 * (lo + hi) for lo, hi in brackets]
-    for below, above in zip(values, values[1:]):
-        if above - below < -1e-13 * span:
-            raise XYGapError(f"eigenvalue ordering violated: step {above - below:.3e}")
-    return values
+    return [0.5 * (lo + hi) for lo, hi in brackets]
 
 
 def finite_gap_numeric(size: int, point: FieldPoint) -> float:
-    """E1 - E0 for the finite system; the numerical route used when h != 0."""
+    """E1 - E0 for the finite system; the numerical route used when h != 0.
+    It is >= +0.0, never -0.0 (lowest_eigenvalues)."""
     e0, e1 = lowest_eigenvalues(sector_matrix(size, point), 2)
-    return max(e1 - e0, 0.0)
+    return e1 - e0

@@ -109,7 +109,7 @@ _FIRST_ORDER_GAMMAS = [0.99 * i / 19 for i in range(20)]
 def test_criterion_4_first_order_gap_line():
     worst = max(phase_record(FieldPoint(g, 0.0)).gap for g in _FIRST_ORDER_GAMMAS)
     ok = worst <= 1e-14
-    _line(4, ok, f"gap at h=0 is zero after clamp for 20 fields in [0, 0.99] (max {worst:.1e})")
+    _line(4, ok, f"gap at h=0 is zero from the stationarity identity for 20 fields in [0, 0.99] (max {worst:.1e})")
     assert worst <= 1e-14
 
 

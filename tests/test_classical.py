@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,10 +9,9 @@ from hypothesis import strategies as st
 
 from xygap import classical
 from xygap.classical import (
-    SAFE_REACH, FieldPoint, PhaseRecord, _theta0, check_scan, phase_diagram_scan, phase_record,
-    scan_csv_lines,
+    SAFE_REACH, FieldPoint, PhaseRecord, _theta0, phase_diagram_scan, phase_record, scan_csv_lines,
 )
-from xygap.cli import parse_grid
+from xygap.cli import UsageError, main, parse_grid
 
 
 def classical_energy(theta: float, phi: float, point: FieldPoint) -> float:
@@ -43,8 +44,8 @@ def _oracle_theta0(gammas, habs):
 
 
 def _assert_theta0_matches_oracle(points):
-    # the minimizer itself: at the extreme magnitudes phase_record's gap
-    # overflows a double, which is its own error and not the minimizer's
+    # the minimizer itself: at the extreme magnitudes gamma + |h| passes
+    # SAFE_REACH, where phase_record refuses the point
     got = [_theta0(g, abs(h)) for g, h in points]
     want = _oracle_theta0([g for g, _ in points], [abs(h) for _, h in points])
     wrong = [(p, a, b) for p, a, b in zip(points, got, want) if a.hex() != b.hex()]
@@ -178,10 +179,17 @@ _GRID_END = st.one_of(
 _SIGNED_END = st.tuples(st.sampled_from([-1.0, 1.0]), _GRID_END).map(lambda t: t[0] * t[1])
 
 
+def _grid_or_none(lo, hi, count):
+    try:
+        return parse_grid(f"{lo!r}:{hi!r}:{count}")
+    except UsageError:  # a step past the largest double, as -1e308:1e308:2
+        return None
+
+
 def _grids(ends):
     """Grids as the CLI parses them: lo and hi in either order, 1 to 20 points."""
     return st.tuples(ends, ends, st.integers(1, 20)).map(
-        lambda t: parse_grid(f"{t[0]!r}:{t[1]!r}:{t[2]}"))
+        lambda t: _grid_or_none(*t)).filter(lambda grid: grid is not None)
 
 
 class TestContinuedScan:
@@ -193,7 +201,7 @@ class TestContinuedScan:
         points = [(g, h) for g in gammas for h in hs]
         try:
             scan = [_hex(r) for r in phase_diagram_scan(gammas, hs)]
-        except ValueError as exc:  # the gap radicand overflows at some point
+        except ValueError as exc:  # a point past SAFE_REACH
             scan = str(exc)
         lone = []
         for g, h in points:
@@ -280,6 +288,134 @@ class TestThermoGap:
                 assert phase_record(FieldPoint(gamma, eps)).gap < 3.0 * math.sqrt(eps)
 
 
+_U = 2.0**-53
+_TINY = sys.float_info.min
+_LOG_UNIFORM = st.floats(min_value=-320.0, max_value=308.0).map(lambda e: 10.0 ** e)
+_ACCURACY_FIELDS = st.one_of(
+    # h = 0: the first-order line, the critical point, the polarized axis
+    st.tuples(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e308]), st.floats(0.0, 3.0)),
+              st.sampled_from([0.0, -0.0])),
+    # subnormal |h|
+    st.tuples(st.one_of(st.just(1.0), st.floats(0.0, 3.0), _LOG_UNIFORM),
+              st.floats(min_value=5e-324, max_value=_TINY, exclude_max=True)),
+    # gamma within 1e-16..1e-1 of the critical point
+    st.tuples(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1.0, 16.0)).map(
+        lambda t: 1.0 + t[0] * 10.0 ** -t[1]), st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e)),
+    st.tuples(_LOG_UNIFORM, _LOG_UNIFORM),
+    st.tuples(st.floats(0.0, 3.0), st.floats(-2.0, 2.0)),
+)
+
+
+def _mp_minimizer(gamma, habs):
+    """theta*, the exact minimizer, to the working precision: 0 where the
+    slope is positive on all of (0, pi/2] (h = 0, gamma >= 1), else the
+    root of sin(t)*(gamma - 1 + 2*sin(t/2)**2) = |h|*cos(t), bisected at
+    geometric midpoints in a bracket [lo, hi] that steps of 2**-64 find."""
+    g, h = mpmath.mpf(gamma), mpmath.mpf(habs)
+    if h == 0:
+        return mpmath.mpf(0) if g >= 1 else mpmath.acos(g)
+
+    def slope(t):
+        return mpmath.sin(t) * (g - 1 + 2 * mpmath.sin(t / 2) ** 2) - h * mpmath.cos(t)
+
+    hi = mpmath.pi / 2
+    if slope(hi) <= 0:
+        return hi
+    lo = hi * mpmath.ldexp(1, -64)
+    while slope(lo) >= 0:
+        hi, lo = lo, lo * mpmath.ldexp(1, -64)
+    for _ in range(240):
+        mid = mpmath.sqrt(lo * hi)
+        if slope(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _mp_gap(theta, x):
+    s = mpmath.sin(theta)
+    return mpmath.sqrt(x) * mpmath.sqrt(x + s * s)
+
+
+def _mp_exact_gap(gamma, habs):
+    """The gap at theta*: x = |h|/sin(theta*), or gamma - 1 and 0 on h = 0."""
+    theta = _mp_minimizer(gamma, habs)
+    if habs == 0:
+        return max(mpmath.mpf(gamma) - 1, mpmath.mpf(0)), theta
+    return _mp_gap(theta, mpmath.mpf(habs) / mpmath.sin(theta)), theta
+
+
+def _mp_gap_at(theta0, gamma, habs):
+    """G(theta0) of the classical docstring: the gap formula in exact
+    arithmetic at the double theta0, x in the form _gap chooses there."""
+    t, g, h = mpmath.mpf(theta0), mpmath.mpf(gamma), mpmath.mpf(habs)
+    if theta0 < _TINY:
+        return _mp_gap(t, g / mpmath.cos(t) - 1)
+    if habs / math.sin(theta0) >= 1.0 and gamma >= 1.0:
+        c = mpmath.cos(t)
+        return _mp_gap(t, c * (g - c) + h * mpmath.sin(t))
+    return _mp_gap(t, h / mpmath.sin(t))
+
+
+class TestGapAccuracy:
+    """The gap against an mpmath root of the stationarity equation, within
+    the classical docstring's bound: 12u of rounding about G(theta0), and
+    where theta0 lies within k = 4 doubles of theta*, (12 + 3k)u in all."""
+
+    @given(field=_ACCURACY_FIELDS)
+    @settings(max_examples=300, deadline=None)
+    @example(field=(0.0, 1e-300))  # the radicand's clamp printed 0
+    @example(field=(1e200, 0.0))
+    @example(field=(1.0, 5e-324))  # theta0 = 0 where theta* ~ 2.1e-108 (docstring)
+    @example(field=(1.0, 1e-323))
+    @example(field=(0.5179196165576492, 1e-323))  # |h|/s is subnormal
+    @example(field=(3.0, 0.3500000000000001))  # theta0 2.3 doubles from theta*
+    @example(field=(1.0000000000000004, 1e-323))  # theta0 near 2**-1022
+    @example(field=(1.0, 1e-300))
+    @example(field=(1e308, 0.0))
+    @example(field=(0.0, 1e308))
+    def test_relative_error_within_the_docstring_bound(self, field):
+        gamma, h = field
+        assume(gamma + abs(h) <= SAFE_REACH)
+        habs = abs(h)
+        record = phase_record(FieldPoint(gamma, h))
+        theta0, gap = record.theta0, record.gap
+        with mpmath.workprec(256):
+            at_theta0 = _mp_gap_at(theta0, gamma, habs)
+            assert abs(gap - at_theta0) <= 12 * _U * at_theta0
+            exact, theta_star = _mp_exact_gap(gamma, habs)
+            if h == 0 or habs >= 2.0**-1021:
+                assert abs(theta0 - theta_star) <= 4 * math.ulp(float(theta_star))
+                assert abs(gap - exact) <= (12 + 3 * 4) * _U * exact
+        if h == 0 and gamma <= 1.0:
+            assert gap == 0.0 and math.copysign(1.0, gap) == 1.0
+
+    def test_recorded_values(self):
+        # 1e-150 was printed as 0 while the radicand was clamped below 1e-12
+        gap = phase_record(FieldPoint(0.0, 1e-300)).gap
+        assert abs(gap - 1e-150) <= 24 * _U * 1e-150
+        assert phase_record(FieldPoint(1e200, 0.0)).gap == 1e200
+        assert [phase_record(FieldPoint(g, 0.0)).gap for g in (0.0, 0.5, 0.999999, 1.0)] == [0.0] * 4
+
+    @given(field=st.tuples(st.floats(0.0, 3.0), st.floats(-2.0, 2.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_radicand_route_where_it_does_not_cancel(self, field):
+        # The radicand A**2 - s**4/4, A = 1.5*s**2 - 1 + |h|*s + gamma*c, is
+        # the second route.  Where A keeps a quarter of its terms' sum and the
+        # radicand a quarter of A**2 it is within about 10u of the gap (9.3u
+        # over 40k fields); 64u leaves room for both routes' rounding and
+        # their different sensitivity to theta0's error.
+        gamma, h = field
+        record = phase_record(FieldPoint(gamma, h))
+        s, c = math.sin(record.theta0), math.cos(record.theta0)
+        a = 1.5 * s * s - 1.0 + abs(h) * s + gamma * c
+        radicand = a * a - 0.25 * s**4
+        assume(abs(a) >= 0.25 * (1.5 * s * s + 1.0 + abs(h) * s + gamma * c))
+        assume(radicand >= 0.25 * a * a)
+        assert abs(record.gap - math.sqrt(radicand)) <= 64 * _U * record.gap
+
+
 class TestMagnetization:
     def test_jump_at_moderate_field(self):
         up = phase_record(FieldPoint(0.5, 1e-6)).m_x
@@ -327,8 +463,9 @@ def _first_failure(records):
 
 
 class TestOverflowVerdict:
-    """check_scan raises what the scan would raise, with no record kept, and
-    computes nothing when no point passes SAFE_REACH."""
+    """One input rule: a point is accepted when gamma + |h| <= SAFE_REACH.
+    Up to it the record is finite; past it phase_record raises, and the CLI
+    refuses a grid from its extremes without computing a point."""
 
     @given(gammas=_grids(_HUGE_END), hs=_grids(st.tuples(st.sampled_from([-1.0, 1.0]), _HUGE_END)
                                               .map(lambda t: t[0] * t[1])))
@@ -336,22 +473,30 @@ class TestOverflowVerdict:
     @example(gammas=[1e154], hs=[1e154])
     @example(gammas=[0.0, 5e307, 1e308], hs=[0.0, 1.0])
     @example(gammas=[1.148199642116987], hs=[0.0, 1e308])
-    @example(gammas=[0.0, 1.35e154], hs=[0.0])  # just past sqrt(DBL_MAX) ~ 1.34e154
+    @example(gammas=[0.0, 1e308], hs=[0.0, 1e300])  # only the last point is past the bound
     def test_verdict_is_the_scan_failure(self, gammas, hs):
+        # the CLI's verdict from the extremes fails exactly the grids whose
+        # scan fails, and the scan fails only at a point past SAFE_REACH
         reach = max(gammas) + max(abs(h) for h in hs)
-        try:
-            check_scan(gammas, hs, reach)
-            verdict = None
-        except ValueError as exc:
-            verdict = str(exc)
-        assert verdict == _first_failure(phase_diagram_scan(gammas, hs))
+        failure = _first_failure(phase_diagram_scan(gammas, hs))
+        assert (reach > SAFE_REACH) == (failure is not None)
+        past = [(g, h) for g in gammas for h in hs if g + abs(h) > SAFE_REACH]
+        if past:
+            g, h = past[0]
+            assert failure == (f"field gamma={g!r}, h={h!r} is too large: "
+                               f"gamma + |h| exceeds {SAFE_REACH!r}")
 
-    def test_nothing_computed_up_to_the_bound(self, monkeypatch):
+    def test_nothing_computed_up_to_the_bound(self, monkeypatch, capsys):
+        # the CLI's verdict reads the grid's extremes only: no point is
+        # computed, before or past the bound
         def refuse(*args):
             raise AssertionError("computed a point")
 
         monkeypatch.setattr(classical, "phase_record", refuse)
-        check_scan([0.0, SAFE_REACH / 2], [-SAFE_REACH / 2, 0.0], SAFE_REACH)
+        monkeypatch.setattr(classical, "_theta0", refuse)
+        assert main(["phase-diagram", "--gamma", "0:1e308:1000001", "--h", "-1e300:1:3"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: grid reaches gamma + |h| = 1.00000001e+308, past 1e+308\n")
 
     @given(share=st.floats(min_value=0.0, max_value=1.0),
            scale=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
@@ -363,20 +508,35 @@ class TestOverflowVerdict:
     def test_no_overflow_up_to_the_bound(self, share, scale, sign):
         gamma = SAFE_REACH * scale * share
         h = sign * (SAFE_REACH * scale - gamma)
-        assume(gamma + abs(h) <= SAFE_REACH)  # as check_scan tests it
+        assume(gamma + abs(h) <= SAFE_REACH)  # as phase_record tests it
         self._assert_finite(gamma, h)
 
-    # the bound met only after rounding: 7e137 is below half an ulp of 1e154
-    @pytest.mark.parametrize("gamma,h", [(SAFE_REACH, 7e137), (SAFE_REACH, -7e137),
-                                         (7e137, SAFE_REACH)])
+    # the sum rounds to its larger term: 7e137 is below half an ulp of 1e154
+    # (the bound before the gap came from the stationarity identity), 7e291
+    # below half an ulp of SAFE_REACH
+    @pytest.mark.parametrize("gamma,h", [(1e154, 7e137), (1e154, -7e137), (7e137, 1e154),
+                                         (SAFE_REACH, 7e291), (SAFE_REACH, -7e291),
+                                         (7e291, SAFE_REACH)])
     def test_no_overflow_where_the_bound_rounds(self, gamma, h):
-        assert gamma + abs(h) == SAFE_REACH
+        assert gamma + abs(h) == max(gamma, abs(h)) <= SAFE_REACH
         self._assert_finite(gamma, h)
+
+    @pytest.mark.parametrize("gamma,h", [
+        (math.nextafter(SAFE_REACH, math.inf), 0.0), (0.0, -math.nextafter(SAFE_REACH, math.inf)),
+        (SAFE_REACH, 1e300), (1e308, 1e308), (sys.float_info.max, sys.float_info.max),
+    ])
+    def test_past_the_bound_raises(self, gamma, h):
+        with pytest.raises(ValueError) as caught:
+            phase_record(FieldPoint(gamma, h))
+        assert str(caught.value) == (f"field gamma={gamma!r}, h={h!r} is too large: "
+                                     f"gamma + |h| exceeds {SAFE_REACH!r}")
 
     @staticmethod
     def _assert_finite(gamma, h):
         record = phase_record(FieldPoint(gamma, h))
         assert all(math.isfinite(x) for x in record)
+        # the gap is about x, at most about sqrt(2)*max(gamma, |h|) (module docstring)
+        assert 0.0 <= record.gap <= 1.5 * max(gamma, abs(h)) + 1.0
 
 
 class TestScan:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -224,30 +225,38 @@ class TestPhaseDiagram:
         res = cli("phase-diagram", "--gamma", gamma, "--h", "0:1:3")
         assert res.returncode == 2, res.stderr
 
-    @pytest.mark.parametrize("gamma,h", [
-        ("0:1e308:3", "0:1e308:2"),  # five of the six radicands overflow
-        ("1e200:1e200:1", "0:0:1"),  # gamma*cos(theta0) squared overflows
-        ("0:0:1", "1e160:1e160:1"),  # |h|*sin(theta0) squared overflows
-    ])
-    def test_overflowing_field_is_usage_error(self, cli, gamma, h):
+    @pytest.mark.parametrize("gamma,h,gap", [
+        ("0:1e308:3", "0:1e308:2", None),  # gamma + |h| reaches 2e308, past SAFE_REACH
+        # these two overflowed the gap radicand; the identity gives their gap
+        ("1e200:1e200:1", "0:0:1", "9.9999999999999997e+199"),
+        ("0:0:1", "1e160:1e160:1", "1e+160"),
+    ], ids=["0:1e308:3-0:1e308:2", "1e200:1e200:1-0:0:1", "0:0:1-1e160:1e160:1"])
+    def test_overflowing_field_is_usage_error(self, cli, gamma, h, gap):
         res = cli("phase-diagram", "--gamma", gamma, "--h", h)
-        assert res.returncode == 2, res.stderr
-        assert res.stdout == ""
-        assert res.stderr.startswith("error: field gamma=") and res.stderr.count("\n") == 1, \
-            res.stderr
+        if gap is None:
+            assert res.returncode == 2, res.stderr
+            assert res.stdout == ""
+            assert res.stderr == "error: grid reaches gamma + |h| = inf, past 1e+308\n"
+        else:
+            assert res.returncode == 0, res.stderr
+            assert res.stderr == ""
+            rows = res.stdout.splitlines()
+            assert len(rows) == 2 and rows[1].split(",")[4] == gap
 
     def test_overflowing_start_leaves_the_radicand_error(self, capsys):
         # the second point starts from the first one's theta0 = 0.0, whose
         # first Newton step overflows to inf, where math.sin raises; the
-        # minimizer bisects all of [0, pi/2] and the gap overflows as it does
-        # for the lone point
+        # minimizer bisects all of [0, pi/2], and the gap, whose radicand
+        # overflowed a double, is |h| as for the lone point
         argv = ["phase-diagram", "--gamma", "1.148199642116987:1.148199642116987:1",
                 "--h", "0:1e308:2"]
-        assert main(argv) == 2
+        assert main(argv) == 0
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err == ("error: field gamma=1.148199642116987, h=1e+308 is too large: "
-                       "the gap radicand overflows a double\n")
+        assert err == ""
+        assert out == ("gamma,h,theta0,m_x,gap\n"
+                       "1.1481996421169871,0,0,0,0.14819964211698711\n"
+                       "1.1481996421169871,1e+308,1.5707963267948963,1,1e+308\n")
+        assert classical.phase_record(classical.FieldPoint(1.148199642116987, 1e308)).gap == 1e308
 
     def test_overflowing_grid_step_is_usage_error(self, cli):
         # the step 2e308 is infinite, so the first grid point is -1e308 + 0*inf = nan
@@ -304,18 +313,28 @@ class TestPhaseDiagram:
         assert runs[0] == runs[1]
 
     def test_large_field_below_overflow(self, capsys):
-        assert main(["phase-diagram", "--gamma", "0:1e150:2", "--h", "0:1e150:2"]) == 0
+        # gamma + |h| reaches SAFE_REACH = 1e308 at the last point
+        assert main(["phase-diagram", "--gamma", "0:5e307:2", "--h", "0:5e307:2"]) == 0
         out, err = capsys.readouterr()
         assert err == ""
         gaps = [float(row.split(",")[4]) for row in out.strip().split("\n")[1:]]
-        assert len(gaps) == 4 and all(math.isfinite(g) for g in gaps)
+        assert gaps == [0.0, 5e307, 5e307, 7.0710678118654747e+307]
 
     @pytest.mark.parametrize("gamma,h,code,out,err", [
-        ("1e154:1e154:1", "1e154:1e154:1", 2, "",
-         "error: field gamma=1e+154, h=1e+154 is too large: the gap radicand overflows a double\n"),
-        ("0:1e308:3", "0:1:2", 2, "",
-         "error: field gamma=5e+307, h=0.0 is too large: the gap radicand overflows a double\n"),
-        # past SAFE_REACH, yet no point overflows
+        # the gap radicand overflowed here; the identity gives the gap
+        ("1e154:1e154:1", "1e154:1e154:1", 0,
+         "gamma,h,theta0,m_x,gap\n1e+154,1e+154,0.78539816339744828,0.70710678118654746,"
+         "1.4142135623730953e+154\n", ""),
+        ("0:1e308:3", "0:1:2", 0, "\n".join([
+            "gamma,h,theta0,m_x,gap",
+            "0,0,1.5707963267948963,1,0",
+            "0,1,1.5707963267948963,1,1.4142135623730951",
+            "5.0000000000000001e+307,0,0,0,5.0000000000000001e+307",
+            "5.0000000000000001e+307,1,2.0000000000000003e-308,2.0000000000000003e-308,"
+            "5.0000000000000001e+307",
+            "1e+308,0,0,0,1e+308",
+            "1e+308,1,9.9999999999999991e-309,9.9999999999999991e-309,1e+308",
+        ]) + "\n", ""),
         ("1.2e154:1.2e154:1", "0:0:1", 0,
          "gamma,h,theta0,m_x,gap\n1.2000000000000001e+154,0,0,0,1.2000000000000001e+154\n", ""),
         ("0:1.2e154:3", "-1:1:3", 0, "\n".join([
@@ -329,39 +348,25 @@ class TestPhaseDiagram:
             "6.0000000000000004e+153,1,1.6666666666666663e-154,1.6666666666666663e-154,"
             "6.0000000000000004e+153",
             "1.2000000000000001e+154,-1,8.3333333333333315e-155,-8.3333333333333315e-155,"
-            "1.2000000000000001e+154",
+            "1.1999999999999999e+154",
             "1.2000000000000001e+154,0,0,0,1.2000000000000001e+154",
             "1.2000000000000001e+154,1,8.3333333333333315e-155,8.3333333333333315e-155,"
-            "1.2000000000000001e+154",
+            "1.1999999999999999e+154",
         ]) + "\n", ""),
         ("0:0:1", "1.3e154:1.3e154:1", 0,
          "gamma,h,theta0,m_x,gap\n0,1.2999999999999999e+154,1.5707963267948963,1,"
-         "1.2999999999999999e+154\n", ""),
-    ], ids=["both-1e154", "gamma-to-1e308", "gamma-1.2e154", "gamma-to-1.2e154", "h-1.3e154"])
+         "1.3000000000000001e+154\n", ""),
+        # past SAFE_REACH: decided from the grid's extremes, nothing computed
+        ("0:1e308:3", "0:1e300:2", 2, "",
+         "error: grid reaches gamma + |h| = 1.00000001e+308, past 1e+308\n"),
+        ("1e308:1e308:1", "-1e300:0:2", 2, "",
+         "error: grid reaches gamma + |h| = 1.00000001e+308, past 1e+308\n"),
+        ("0:1e308:2", "-1e308:0:2", 2, "", "error: grid reaches gamma + |h| = inf, past 1e+308\n"),
+    ], ids=["both-1e154", "gamma-to-1e308", "gamma-1.2e154", "gamma-to-1.2e154", "h-1.3e154",
+            "past-1e308", "past-1e308-negative-h", "past-to-inf"])
     def test_overflow_verdict_before_output(self, capsys, gamma, h, code, out, err):
         assert main(["phase-diagram", "--gamma", gamma, "--h", h]) == code
         assert capsys.readouterr() == (out, err)
-
-    def test_wrong_branch_after_the_first_row_keeps_the_rows_before(self, capsys, monkeypatch):
-        # the one failure left once the overflow verdict and the first
-        # record are settled: exit 1, the rows before it already written
-        # (at gamma = h = 0 as below)
-        theta0 = classical._theta0
-        monkeypatch.setattr(classical, "_theta0", lambda gamma, habs, near=None: (
-            math.asin(math.sqrt(2 / 3)) if habs == 0.0 else theta0(gamma, habs, near)))
-        assert main(["phase-diagram", "--gamma", "0:0:1", "--h", "1:0:2"]) == 1
-        out, err = capsys.readouterr()
-        assert out == "gamma,h,theta0,m_x,gap\n0,1,1.5707963267948963,1,1.4142135623730951\n"
-        assert err.startswith("error: radicand -1.111e-01 at gamma=0.0, |h|=0.0"), err
-
-    def test_wrong_minimizer_branch_is_failure(self, capsys, monkeypatch):
-        # at gamma = h = 0, sin(theta)^2 = 2/3 makes A = 0 and the radicand -1/9
-        monkeypatch.setattr(classical, "_theta0",
-                            lambda gamma, habs, near=None: math.asin(math.sqrt(2 / 3)))
-        assert main(["phase-diagram", "--gamma", "0:0:1", "--h", "0:0:1"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: radicand -1.111e-01 at gamma=0.0, |h|=0.0"), err
 
 
 class TestFiniteGap:
@@ -500,6 +505,30 @@ class TestFiniteGap:
         assert err == (f"error: size N={size} is too large: the sector matrix's row "
                        f"indices exceed {sys.maxsize}\n")
 
+    def test_size_past_the_window_budget_is_usage_error(self, capsys, tmp_path):
+        # a first window of about 2.5e9 rows, refused before any row is built
+        from xygap import sector
+
+        size = 10**17
+        window = 2 * sector._half_width(size) + 1
+        out = tmp_path / "gaps.csv"
+        start = time.perf_counter()
+        code = main(["finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", str(size),
+                     "-o", str(out)])
+        elapsed = time.perf_counter() - start
+        assert code == 2 and not out.exists()
+        assert elapsed < 1.0, elapsed
+        assert capsys.readouterr() == ("", (
+            f"error: size N={size} is too large: the eigensolver's first window of {window} "
+            f"rows exceeds {sector.WINDOW_ROW_BUDGET}\n"))
+        # at h = 0 the exact row stands and the cross cell stays empty
+        assert main(["finite-gap", "--gamma", "0.6", "--N", str(size),
+                     "--cross-max", str(size)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[1] == (f"{size},3/5,0/1,delta<1/2,1/{size},"
+                                       "1.0000000000000000e-17,")
+
     def test_out_of_memory_is_one_error_line(self, capsys, tmp_path, monkeypatch):
         from xygap import sector
 
@@ -582,9 +611,9 @@ class TestNothingWrittenOnFailure:
     COMMANDS = [
         # N = 4 solves; at N = 10**9 the sector matrix's squared norm overflows
         ("finite-gap", "--gamma", "1/3", "--h", "1e152", "--N", "4,1000000000"),
-        # the grid's last point, gamma = 1e200, overflows the gap radicand
-        ("phase-diagram", "--gamma", "0:1e200:2", "--h", "0:0:1"),
-        ("phase-diagram", "--gamma", "0:1e200:2", "--h", "0:0:1", "--format", "json"),
+        # the grid's last point, gamma + |h| = 1e308 + 1e300, is past SAFE_REACH
+        ("phase-diagram", "--gamma", "0:1e308:2", "--h", "0:1e300:2"),
+        ("phase-diagram", "--gamma", "0:1e308:2", "--h", "0:1e300:2", "--format", "json"),
     ]
     COMMAND_IDS = ["finite-gap", "phase-diagram-csv", "phase-diagram-json"]
 

@@ -72,7 +72,7 @@ def test_import_and_formatting_keep_decimal_context():
 # process imports is also compiled, so a CLI process imports only the layers
 # its command runs: --help needs the parser alone, phase-diagram none of the
 # exact layers, finite-gap at h != 0 neither the gap law nor the scaling layer.
-NEVER_LOADED = {"numpy", "scipy", "dataclasses"}
+NEVER_LOADED = {"numpy", "scipy", "mpmath", "dataclasses"}
 HELP_PACKAGE_MODULES = {"xygap", "xygap.cli", "xygap.errors", "xygap.sequences"}
 HELP_NOT_LOADED = {"fractions", "decimal", "json"}
 EXACT_LAYERS = {"xygap.gaplaw", "xygap.exactnum", "xygap.scaling", "fractions", "decimal"}
@@ -81,13 +81,14 @@ EXACT_LAYERS = {"xygap.gaplaw", "xygap.exactnum", "xygap.scaling", "fractions", 
 def test_cli_import_loads_no_scipy(tmp_path):
     # importing scipy.linalg roughly doubles a CLI process's peak RSS, and
     # numpy alone costs a process about 0.2 s; every command, phase-diagram,
-    # the eigensolver's and verify's included, runs without either
+    # the eigensolver's and verify's included, runs without either, and
+    # without mpmath, the tests' high-precision oracle
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR)
     script = (
         "import sys\n"
-        "import xygap.cli, xygap.sector, xygap.verify\n"
-        "loaded = {'numpy', 'scipy'} & set(sys.modules)\n"
+        "import xygap.cli, xygap.classical, xygap.sector, xygap.verify\n"
+        "loaded = {'numpy', 'scipy', 'mpmath'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
@@ -177,11 +178,11 @@ def test_output_unchanged_under_optimize(args):
     assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)
 
 
-# The overflow verdict before the first byte: one grid past SAFE_REACH
-# that overflows nowhere, and one that overflows.
+# The input rule gamma + |h| <= SAFE_REACH = 1e308: one grid well past the
+# radicand's old overflow at 1.34e154 that passes, and one past the rule.
 @pytest.mark.parametrize("args, code", [
-    (("phase-diagram", "--gamma", "0:1.2e154:3", "--h", "-1:1:3"), 0),
-    (("phase-diagram", "--gamma", "0:1e308:3", "--h", "0:1:2"), 2),
+    (("phase-diagram", "--gamma", "0:1e200:3", "--h", "-1e150:1e150:3"), 0),
+    (("phase-diagram", "--gamma", "0:1e308:3", "--h", "0:1e300:2"), 2),
 ])
 def test_overflow_verdict_unchanged_under_optimize(args, code):
     plain = run_cli(*args)

@@ -352,6 +352,31 @@ class TestOverflow:
         assert struct.pack("d", gap) == struct.pack("d", max(want[1] - want[0], 0.0))
 
 
+class TestWindowCap:
+    """sector_matrix refuses a size whose first bisection window exceeds
+    WINDOW_ROW_BUDGET rows, before any row is built."""
+
+    # the largest N with 2*(4*isqrt(N) + 16) + 1 <= WINDOW_ROW_BUDGET
+    LARGEST = ((sector.WINDOW_ROW_BUDGET - 33) // 8 + 1) ** 2 - 1
+
+    def test_largest_size_under_the_cap_builds(self):
+        assert 2 * half_width(self.LARGEST) + 1 <= sector.WINDOW_ROW_BUDGET
+        assert 2 * half_width(self.LARGEST + 1) + 1 > sector.WINDOW_ROW_BUDGET
+        for size in (65536, self.LARGEST):  # the benchmark's largest N, and the cap's
+            for h in (0.6, 0.0):
+                assert sector_matrix(size, FieldPoint(0.6, h)).size == size
+
+    @pytest.mark.parametrize("size", [LARGEST + 1, 10**17, 2**62])
+    def test_size_past_the_cap_is_rejected(self, size):
+        window = 2 * half_width(size) + 1
+        message = (f"size N={size} is too large: the eigensolver's first window of "
+                   f"{window} rows exceeds {sector.WINDOW_ROW_BUDGET}")
+        for build in (sector_matrix, finite_gap_numeric):
+            with pytest.raises(ValueError) as caught:
+                build(size, FieldPoint(0.6, 0.6))
+            assert str(caught.value) == message
+
+
 @functools.lru_cache(maxsize=None)
 def whole_matrix_pair(size, gamma, h):
     """The lowest pair of the sector matrix at (gamma, h) by whole-matrix
@@ -669,6 +694,25 @@ class TestFiniteGap:
         for size in (2, 3, 10, 33):
             for h in (0.0, 0.2, -0.7):
                 assert finite_gap_numeric(size, FieldPoint(0.5, h)) >= 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gamma=st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        h=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e-8])),
+        size=st.one_of(st.integers(1, 4096), st.sampled_from([1, 2, 112, 113, 4096])),
+        k=st.integers(2, 4),
+    )
+    @example(gamma=0.5, h=0.0, size=2, k=2)  # offset exactly 1/2: the pair ties
+    @example(gamma=0.5, h=-0.0, size=2, k=3)
+    def test_values_ascend_and_gap_is_never_negative_zero(self, gamma, h, size, k):
+        # lowest_eigenvalues has no ordering check and finite_gap_numeric no
+        # max(., 0.0): its docstring argues both cannot fire
+        point = FieldPoint(gamma, h)
+        values = lowest_eigenvalues(sector_matrix(size, point), min(k, size + 1))
+        assert all(below <= above for below, above in zip(values, values[1:])), values
+        gap = finite_gap_numeric(size, point)
+        assert gap == values[1] - values[0]
+        assert gap >= 0.0 and math.copysign(1.0, gap) == 1.0, gap
 
     def test_continuity_at_small_longitudinal_field(self):
         for size in (8, 21):
