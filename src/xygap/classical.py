@@ -36,7 +36,13 @@ arithmetic at the double theta (x in the form chosen there), the gap is
 G(theta0) within a relative 12u: at most eight roundings of u, and sin and
 cos, within an ulp (2u), weighed at most 1.5 times; x >= 1 >= c**2 bounds
 what c's error costs gamma - c, and a subnormal |h|/s or s*s errs by
-2**-1075, below u times the sum it enters.  theta0 within k doubles of the
+2**-1075, below u times the sum it enters.  Where fl(s*s) < x*2**-53 the
+gap is x itself, the double nearest x*sqrt(1 + s**2/x): x*2**-53 is exact
+where it is normal, and below that doubles are 2**-1074 apart and each
+rounding moves by at most half that, so s**2 <= u*x, and the product lies
+in [x, x*(1 + u/2)], nearer x than the next double up, more than u*x
+away.  (The two square roots round twice: at gamma = 0, h = 1.3e154 they
+give the double after 1.3e154.)  theta0 within k doubles of the
 exact minimizer theta* adds at most 3k*u (|h|/s carries theta0's relative
 error times theta0*cot(theta0) <= 1).  Where h = 0 or |h| >= 2**-1021 the
 slope's terms are normal doubles and k <= 4 (tested against an mpmath
@@ -198,6 +204,8 @@ def _gap(theta0: float, gamma: float, habs: float) -> float:
     if x >= 1.0 and gamma >= 1.0:  # B - 1 itself (module docstring)
         c = math.cos(theta0)
         x = c * (gamma - c) + habs * s
+    if s * s < x * 2.0**-53:  # the gap rounds to x (module docstring)
+        return x
     root_x = math.sqrt(x) if x >= _TINY else math.sqrt(habs) / math.sqrt(s)
     return root_x * math.sqrt(x + s * s)
 

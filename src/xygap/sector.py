@@ -45,11 +45,10 @@ rows is entered with, where q = +inf (L = 0, first pivot exactly
 fl(d - x)) means entered decoupled.
 
 Rows on demand.  Each row is the same expression of the same doubles
-whether built alone or in the whole matrix.  An explicit matrix
-(SectorHamiltonian) takes its summary from one pass over its rows, the
-sector matrix from closed forms.  d is a convex parabola in m with its
-vertex at m* = gamma*N/2: dmin is the smaller d of the at most two rows
-next to m*, clamped to the grid, and dmax the larger of the two end rows.
+whether built alone or in the whole matrix, and the summary comes from
+closed forms.  d is a convex parabola in m with its vertex at m* =
+gamma*N/2: dmin is the smaller d of the at most two rows next to m*,
+clamped to the grid, and dmax the larger of the two end rows.
 Rounding could reorder only rows whose exact d agree to a few ulps, far
 inside the bracket's s/1000, and at the extremes of every tested field it
 does not.  max a is a_j at j = (N-1)//2, a_j being the square root of the
@@ -76,8 +75,7 @@ over all N+1 rows.
     row entered with a negative pivot has q_i >= fl(d_i - x) >= P_i, so the
     rows after the window add no count when the window's last pivot is
     negative or >= a_(t-1) (t - 1 the last window row).  P_i falls as x
-    rises, so only the largest bracket end is checked.  An explicit matrix
-    checks each outside row; the sector matrix reads four.
+    rises, so only the largest bracket end is checked, from four rows.
   - Convex edge.  Starred values are exact for the doubles gamma and h.
     P_i - a_i is g*_i - x in exact arithmetic, and g*_i = d*_i - a*_i -
     a*_(i-1) is convex in i, a convex parabola minus two concave roots
@@ -145,57 +143,6 @@ from .field import FieldPoint
 _SAFMIN = 2.2250738585072014e-308
 
 
-class SectorHamiltonian(NamedTuple):
-    """Every row of a symmetric tridiagonal matrix: the sector matrix from
-    build_sector_hamiltonian, the oracle for the rows computed on demand, or
-    any other matrix lowest_eigenvalues should solve."""
-
-    size: int
-    diag: tuple[float, ...]      # length N+1, entry per m = -N/2 .. N/2
-    offdiag: tuple[float, ...]   # length N, couples m and m+1
-
-    def summary(self) -> tuple[float, int, float, float, float]:
-        """One pass over the rows: the norm bound, the centre row, max |e|,
-        min d and max d (module docstring)."""
-        diag = self.diag
-        norm = off_max = 0.0
-        lowest = math.inf
-        centre = 0
-        prev = 0.0  # |e_(i-1)|, nothing above the first row
-        for i, e in enumerate(self.offdiag):
-            a = abs(e)
-            d = diag[i]
-            row = (abs(d) + a) + prev
-            if row > norm:
-                norm = row
-            edge = (d - a) - prev
-            if edge < lowest:
-                lowest, centre = edge, i
-            if a > off_max:
-                off_max = a
-            prev = a
-        d = diag[-1]  # the last row has no coupling below it
-        norm = max(norm, abs(d) + prev)
-        if d - prev < lowest:
-            centre = len(diag) - 1
-        return norm, centre, off_max, min(diag), max(diag)
-
-    def rows(self, first: int, stop: int) -> tuple[list[float], list[float]]:
-        """Rows first..stop-1: their diagonal, and the couplings e_(first-1)
-        .. e_(stop-1), 0.0 beyond the matrix."""
-        off = self.offdiag
-        inner = off[first:stop - 1]
-        return list(self.diag[first:stop]), [
-            off[first - 1] if first else 0.0, *inner, off[stop - 1] if stop <= self.size else 0.0
-        ]
-
-    def outside_rows_clear(self, first: int, stop: int, shift: float, pivmin: float) -> bool:
-        """Whether every row outside first..stop-1 passes the pivot floor at
-        ``shift`` (module docstring)."""
-        return all(_pivot_floor_ok(*self.rows(p, r), shift, pivmin)
-                   for p, r in ((0, first), (stop, self.size + 1)) if p < r)
-
-
 class SectorMatrix(NamedTuple):
     """The sector matrix at ``point``, each row computed when asked for, with
     the whole-row quantities bisection needs; made by sector_matrix."""
@@ -212,12 +159,14 @@ class SectorMatrix(NamedTuple):
         return self.norm, self.centre, self.offmax, self.dmin, self.dmax
 
     def rows(self, first: int, stop: int) -> tuple[list[float], list[float]]:
-        """As SectorHamiltonian.rows, each entry the same double."""
+        """Rows first..stop-1: their diagonal, and the couplings e_(first-1)
+        .. e_(stop-1), 0.0 beyond the matrix."""
         return _rows(self.size, self.point, first, stop)
 
     def outside_rows_clear(self, first: int, stop: int, shift: float, pivmin: float) -> bool:
-        """As SectorHamiltonian.outside_rows_clear, from the convex Gershgorin
-        edge at the four rows around the window's borders (module docstring)."""
+        """Whether every row outside first..stop-1 passes the pivot floor at
+        ``shift``, from the convex Gershgorin edge at the four rows around the
+        window's borders (module docstring)."""
         n, point = self.size, self.point
         margin = (self.norm + abs(shift) + 1.0) * 2.0**-48 + pivmin
         sides = []  # (outside, inside) edges at each border with rows past it
@@ -256,19 +205,6 @@ def _edges(n: int, point: FieldPoint, i: int) -> tuple[float, float]:
     (d, d_next), (above, a, below) = _rows(n, point, i, i + 2)
     a = abs(a)
     return (d - a) - abs(above), (d_next - abs(below)) - a
-
-
-def _pivot_floor_ok(diag, coup, shift: float, pivmin: float) -> bool:
-    """Whether each row i of ``diag``, entered with pivot a_(i-1), hands on
-    a pivot of at least max(a_i, pivmin); ``coup`` as the rows methods."""
-    above = abs(coup[0])
-    for i, d in enumerate(diag, 1):
-        below = abs(coup[i])
-        quotient = above * above / above if above else 0.0
-        if d - shift - quotient < max(below, pivmin):
-            return False
-        above = below
-    return True
 
 
 # The largest first window sector_matrix accepts, about 25 MB of Python
@@ -314,13 +250,6 @@ def sector_matrix(size: int, point: FieldPoint) -> SectorMatrix:
     centre = bisect.bisect_left(
         range(n), True, key=lambda i: operator.le(*_edges(n, point, i)))
     return SectorMatrix(n, point, norm, centre, offmax, dmin, dmax)
-
-
-def build_sector_hamiltonian(size: int, point: FieldPoint) -> SectorHamiltonian:
-    """Every row of the sector matrix at ``point``; ValueError as
-    sector_matrix."""
-    diag, coup = sector_matrix(size, point).rows(0, size + 1)
-    return SectorHamiltonian(size=size, diag=tuple(diag), offdiag=tuple(coup[1:-1]))
 
 
 def _sturm_count(diag, off_sq, shift: float, pivmin: float, q: float = 1.0) -> tuple[int, float]:
@@ -404,13 +333,15 @@ def _certified(ham, first: int, stop: int, diag, off_sq, coup, brackets, pivmin:
 
 
 def lowest_eigenvalues(ham, k: int) -> list[float]:
-    """The k smallest eigenvalues of ``ham`` (a SectorMatrix or a
-    SectorHamiltonian) by windowed Sturm-count bisection, ascending.
+    """The k smallest eigenvalues of ``ham`` (a SectorMatrix, or any matrix
+    with its size, summary, rows and outside_rows_clear) by windowed
+    Sturm-count bisection, ascending.
 
     Each eigenvalue is the midpoint of a bracket of width <= 1e-15 times the
     norm bound whose ends carry certified whole-matrix Sturm counts
     (module docstring), comfortably below the 1e-13 relative / 1e-14 * norm
-    absolute accuracy contract.
+    absolute accuracy contract.  verify's sector-exact-counts suite checks
+    that contract with Sturm counts of the matrix built in exact rationals.
 
     The values never descend, and no difference of two is -0.0: _bisect
     splits one bracket tree, a group's lower indices taking the lower part,

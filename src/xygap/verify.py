@@ -4,8 +4,8 @@ Every suite pits two independent computations of the same quantity against
 each other: the exact h = 0 gap law against the tridiagonal eigensolver,
 the closed-form offset against the direct fractional split, the certified
 tail bounds against explicit partial sums, the interval construction
-against exact membership checks, and the eigensolver against itself on the
-mirrored matrix.
+against exact membership checks, and the eigensolver at h != 0 against
+exact Sturm counts of the sector matrix built in rationals.
 """
 
 from __future__ import annotations
@@ -163,22 +163,49 @@ def check_injection_injective(bit_budget: int = DEFAULT_BIT_BUDGET) -> CheckResu
     )
 
 
-def check_gauge_invariance(size: int = 32, gamma: float = 0.3, h: float = 0.7) -> CheckResult:
-    """Reversing the rows (the reflection m -> -m) and flipping one
-    off-diagonal sign is a signed permutation similarity, so it must leave
-    the spectrum untouched.  The sign flip alone could not fail, as the
-    Sturm counts read only squared couplings; the reversal shows a solver
-    that pairs a coupling with the wrong row a different matrix."""
-    ham = sector.build_sector_hamiltonian(size, FieldPoint(gamma, h))
-    mirrored_off = list(reversed(ham.offdiag))
-    mirrored_off[size // 2] *= -1.0
-    mirrored = sector.SectorHamiltonian(
-        size=ham.size, diag=ham.diag[::-1], offdiag=tuple(mirrored_off))
-    ref = sector.lowest_eigenvalues(ham, 3)
-    alt = sector.lowest_eigenvalues(mirrored, 3)
-    worst = max(abs(a - b) for a, b in zip(ref, alt))
-    ok = worst < 1e-11 * max(ham.summary()[0], 1.0)
-    return CheckResult("gauge-invariance", ok, f"spectra differ by at most {worst:.3e}")
+def _exact_count(diag, off_sq, shift: Fraction) -> int | None:
+    """The number of eigenvalues below ``shift`` of the symmetric
+    tridiagonal matrix with these rows, from the pivots q_i = d_i - x -
+    e_(i-1)**2/q_(i-1) in exact rationals; None at a zero pivot."""
+    count, q = 0, Fraction(1)  # off_sq[0] is 0: nothing above the first row
+    for d, e2 in zip(diag, off_sq):
+        q = d - shift - e2 / q
+        if not q:
+            return None
+        count += q < 0
+    return count
+
+
+def check_sector_exact_counts(sizes=(32, 33), gamma: float = 0.3, h: float = 0.7) -> CheckResult:
+    """The eigensolver's three lowest values against exact Sturm counts.
+
+    The rows are built in rationals from the formula, with gamma and h the
+    exact values of the doubles: d_i = -(S(S+1) - m**2)/N - gamma*m, m = i -
+    N/2, and e_j**2 = (h**2/4)*(N - j)*(j + 1).  Each value E_k lies within
+    the solver's contract t = 1e-14*max(norm bound, 1) of the exact
+    eigenvalue k when count(E_k - t) <= k < count(E_k + t); a zero pivot
+    settles nothing and fails the suite."""
+    g, field = Fraction(gamma), Fraction(h)
+    for n in sizes:
+        matrix = sector.sector_matrix(n, FieldPoint(gamma, h))
+        s_sq = Fraction(n * (n + 2), 4)
+        diag = [-(s_sq - m * m) / n - g * m for m in (Fraction(2 * i - n, 2) for i in range(n + 1))]
+        off_sq = [0, *(field * field / 4 * ((n - j) * (j + 1)) for j in range(n))]
+        tol = Fraction(1e-14 * max(matrix.norm, 1.0))
+        for k, value in enumerate(sector.lowest_eigenvalues(matrix, 3)):
+            for shift, above in ((Fraction(value) - tol, False), (Fraction(value) + tol, True)):
+                count = _exact_count(diag, off_sq, shift)
+                if count is None:
+                    return CheckResult("sector-exact-counts", False,
+                                       f"N={n}: zero pivot at shift {float(shift)!r}")
+                if (count > k) != above:
+                    return CheckResult(
+                        "sector-exact-counts", False,
+                        f"N={n}: E_{k} = {value!r} is not within {float(tol):.3e} of "
+                        f"eigenvalue {k}: {count} eigenvalues below {float(shift)!r}")
+    return CheckResult(
+        "sector-exact-counts", True,
+        f"3 lowest eigenvalues at N={', '.join(map(str, sizes))} within 1e-14*norm of exact Sturm counts")
 
 
 def run_all(
@@ -190,5 +217,5 @@ def run_all(
         check_appendix_bounds(bit_budget),
         check_dense_intervals(seed=seed, bit_budget=bit_budget),
         check_injection_injective(bit_budget),
-        check_gauge_invariance(),
+        check_sector_exact_counts(),
     ]

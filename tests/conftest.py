@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
+from xygap.field import FieldPoint
 from xygap.gaplaw import gap_record
+from xygap.sector import sector_matrix
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,3 +61,74 @@ def gap_times_size_values(gamma: Fraction, sizes) -> set[Fraction]:
     has at most q members however many sizes are probed.
     """
     return {size * gap for size in sizes if (gap := gap_record(size, gamma).gap) is not None}
+
+
+class SectorHamiltonian(NamedTuple):
+    """Every row of a symmetric tridiagonal matrix: the sector matrix from
+    build_sector_hamiltonian, the oracle for the rows computed on demand, or
+    any other matrix lowest_eigenvalues should solve."""
+
+    size: int
+    diag: tuple[float, ...]      # length N+1, entry per m = -N/2 .. N/2
+    offdiag: tuple[float, ...]   # length N, couples m and m+1
+
+    def summary(self) -> tuple[float, int, float, float, float]:
+        """One pass over the rows: the norm bound, the centre row, max |e|,
+        min d and max d (xygap.sector's module docstring)."""
+        diag = self.diag
+        norm = off_max = 0.0
+        lowest = math.inf
+        centre = 0
+        prev = 0.0  # |e_(i-1)|, nothing above the first row
+        for i, e in enumerate(self.offdiag):
+            a = abs(e)
+            d = diag[i]
+            row = (abs(d) + a) + prev
+            if row > norm:
+                norm = row
+            edge = (d - a) - prev
+            if edge < lowest:
+                lowest, centre = edge, i
+            if a > off_max:
+                off_max = a
+            prev = a
+        d = diag[-1]  # the last row has no coupling below it
+        norm = max(norm, abs(d) + prev)
+        if d - prev < lowest:
+            centre = len(diag) - 1
+        return norm, centre, off_max, min(diag), max(diag)
+
+    def rows(self, first: int, stop: int) -> tuple[list[float], list[float]]:
+        """Rows first..stop-1: their diagonal, and the couplings e_(first-1)
+        .. e_(stop-1), 0.0 beyond the matrix."""
+        off = self.offdiag
+        inner = off[first:stop - 1]
+        return list(self.diag[first:stop]), [
+            off[first - 1] if first else 0.0, *inner, off[stop - 1] if stop <= self.size else 0.0
+        ]
+
+    def outside_rows_clear(self, first: int, stop: int, shift: float, pivmin: float) -> bool:
+        """Whether every row outside first..stop-1 passes the pivot floor at
+        ``shift`` (xygap.sector's module docstring)."""
+        return all(_pivot_floor_ok(*self.rows(p, r), shift, pivmin)
+                   for p, r in ((0, first), (stop, self.size + 1)) if p < r)
+
+
+def _pivot_floor_ok(diag, coup, shift: float, pivmin: float) -> bool:
+    """Whether each row i of ``diag``, entered with pivot a_(i-1), hands on
+    a pivot of at least max(a_i, pivmin); ``coup`` as the rows methods."""
+    above = abs(coup[0])
+    for i, d in enumerate(diag, 1):
+        below = abs(coup[i])
+        quotient = above * above / above if above else 0.0
+        if d - shift - quotient < max(below, pivmin):
+            return False
+        above = below
+    return True
+
+
+def build_sector_hamiltonian(size: int, point: FieldPoint) -> SectorHamiltonian:
+    """Every row of the sector matrix at ``point``; ValueError as
+    sector_matrix."""
+    diag, coup = sector_matrix(size, point).rows(0, size + 1)
+    return SectorHamiltonian(size=size, diag=tuple(diag), offdiag=tuple(coup[1:-1]))

@@ -396,6 +396,9 @@ class TestGapAccuracy:
         gap = phase_record(FieldPoint(0.0, 1e-300)).gap
         assert abs(gap - 1e-150) <= 24 * _U * 1e-150
         assert phase_record(FieldPoint(1e200, 0.0)).gap == 1e200
+        # where s**2 < 2**-53*x the gap is x, not two square roots rounded twice
+        fields = [(0.0, 1.3e154), (1.0, 1.2e154), (5.0, 1e100)]
+        assert [phase_record(FieldPoint(g, h)).gap for g, h in fields] == [1.3e154, 1.2e154, 1e100]
         assert [phase_record(FieldPoint(g, 0.0)).gap for g in (0.0, 0.5, 0.999999, 1.0)] == [0.0] * 4
 
     @given(field=st.tuples(st.floats(0.0, 3.0), st.floats(-2.0, 2.0)))

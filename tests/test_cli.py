@@ -348,14 +348,14 @@ class TestPhaseDiagram:
             "6.0000000000000004e+153,1,1.6666666666666663e-154,1.6666666666666663e-154,"
             "6.0000000000000004e+153",
             "1.2000000000000001e+154,-1,8.3333333333333315e-155,-8.3333333333333315e-155,"
-            "1.1999999999999999e+154",
+            "1.2000000000000001e+154",
             "1.2000000000000001e+154,0,0,0,1.2000000000000001e+154",
             "1.2000000000000001e+154,1,8.3333333333333315e-155,8.3333333333333315e-155,"
-            "1.1999999999999999e+154",
+            "1.2000000000000001e+154",
         ]) + "\n", ""),
         ("0:0:1", "1.3e154:1.3e154:1", 0,
          "gamma,h,theta0,m_x,gap\n0,1.2999999999999999e+154,1.5707963267948963,1,"
-         "1.3000000000000001e+154\n", ""),
+         "1.2999999999999999e+154\n", ""),
         # past SAFE_REACH: decided from the grid's extremes, nothing computed
         ("0:1e308:3", "0:1e300:2", 2, "",
          "error: grid reaches gamma + |h| = 1.00000001e+308, past 1e+308\n"),

@@ -169,6 +169,7 @@ def test_no_module_imports_dataclasses():
     ("scaling", "--seq", "double-exp", "--rule", "a_n", "--K", "5"),  # 65k-bit rationals
     ("phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41"),  # continued minimizer starts
     ("phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41", "--format", "json"),
+    ("verify", "--max-N", "32"),  # every suite's checks are raised, none asserted
 ])
 def test_output_unchanged_under_optimize(args):
     plain = run_cli(*args)
@@ -205,7 +206,7 @@ def _records():
         (scaling.scaling_row(seq, 1, 4), "delta"),
         (scaling.build_scaling_report(seq, 4), "rows"),
         (classical.phase_record(point), "gap"),
-        (sector.build_sector_hamiltonian(4, point), "diag"),
+        (sector.sector_matrix(4, point), "norm"),
         (verify.CheckResult("name", True, "detail"), "passed"),
     ]
 

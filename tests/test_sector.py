@@ -11,16 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import SectorHamiltonian, _pivot_floor_ok, build_sector_hamiltonian
 from xygap import sector
 from xygap.classical import FieldPoint
 from xygap.gaplaw import gap_record
-from xygap.sector import (
-    SectorHamiltonian,
-    build_sector_hamiltonian,
-    finite_gap_numeric,
-    lowest_eigenvalues,
-    sector_matrix,
-)
+from xygap.sector import finite_gap_numeric, lowest_eigenvalues, sector_matrix
 
 
 class TestBuild:
@@ -559,7 +554,7 @@ class TestConvexEdgeCertificate:
         if matrix.outside_rows_clear(first, stop, shift, pivmin):
             for p, r in ((0, first), (stop, size + 1)):
                 if p < r:
-                    assert sector._pivot_floor_ok(*matrix.rows(p, r), shift, pivmin), (p, r)
+                    assert _pivot_floor_ok(*matrix.rows(p, r), shift, pivmin), (p, r)
 
     @pytest.mark.parametrize("size", [1024, 65536])
     def test_reads_at_most_four_rows(self, size, monkeypatch):

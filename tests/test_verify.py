@@ -152,16 +152,76 @@ class TestFailuresAreReported:
         assert not res.passed
         assert res.detail.startswith("N=2, gamma=1: |exact - numeric| = ")
 
-    def test_gauge_suite_catches_couplings_on_the_wrong_rows(self, monkeypatch):
-        # a solver whose squared couplings sit one row too low sees the same
-        # squares whatever their signs, but not the same matrix mirrored
+    def test_exact_counts_catch_couplings_on_the_wrong_rows(self, monkeypatch):
+        # a solver whose squared couplings sit one row too low solves another
+        # matrix; the exact rows are built apart from the solver's
         real = sector._bisect
 
         def shifted(diag, off_sq, *rest):
             return real(diag, [0.0, *off_sq[:-1]], *rest)
 
-        assert verify.check_gauge_invariance().passed
+        assert verify.check_sector_exact_counts().passed
         monkeypatch.setattr(sector, "_bisect", shifted)
-        res = verify.check_gauge_invariance()
+        res = verify.check_sector_exact_counts()
         assert not res.passed
-        assert float(res.detail.rpartition(" ")[2]) > 0.2
+        assert res.detail.startswith("N=32: E_0 = ")
+
+
+class TestSectorExactCounts:
+    """The eigensolver's lowest values against exact Sturm counts of the
+    sector matrix built in rationals from its formula."""
+
+    def test_passes_with_recorded_detail(self):
+        assert verify.check_sector_exact_counts() == CheckResult(
+            "sector-exact-counts", True,
+            "3 lowest eigenvalues at N=32, 33 within 1e-14*norm of exact Sturm counts",
+        )
+
+    def test_fixed_inputs_meet_no_zero_pivot(self, monkeypatch):
+        real = verify._exact_count
+        counts = []
+
+        def record(*args):
+            counts.append(real(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(verify, "_exact_count", record)
+        assert verify.check_sector_exact_counts().passed
+        # two shifts around each of three values at each of two sizes
+        assert len(counts) == 12 and None not in counts
+
+    def test_zero_pivot_fails(self, monkeypatch):
+        monkeypatch.setattr(verify, "_exact_count", lambda *args: None)
+        res = verify.check_sector_exact_counts()
+        assert not res.passed
+        assert res.detail.startswith("N=32: zero pivot at shift ")
+
+    def test_exact_count(self):
+        # [[1, 1], [1, 1]] has eigenvalues 0 and 2: there the last pivot is
+        # exactly 0, and at shift 1 the first
+        diag, off_sq = [Fraction(1), Fraction(1)], [0, Fraction(1)]
+        shifts = (-1, 0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3)
+        assert [verify._exact_count(diag, off_sq, Fraction(x)) for x in shifts] \
+            == [0, None, 1, None, 1, None, 2]
+
+    def test_catches_swapped_couplings(self, monkeypatch):
+        # e_10 and e_20 trade places; the window solved covers every row
+        real = sector._couplings
+        swap = {10: 20, 20: 10}
+
+        def swapped(n, point, first, stop):
+            return [real(n, point, j + 1, j + 1)[0]
+                    for j in (swap.get(j, j) for j in range(first - 1, stop))]
+
+        monkeypatch.setattr(sector, "_couplings", swapped)
+        res = verify.check_sector_exact_counts()
+        assert not res.passed
+        assert res.detail.startswith("N=32: E_")
+
+    def test_catches_a_diagonal_off_by_1e13(self, monkeypatch):
+        real = sector._diag
+        monkeypatch.setattr(
+            sector, "_diag", lambda *args: [d * (1 + 1e-13) for d in real(*args)])
+        res = verify.check_sector_exact_counts()
+        assert not res.passed
+        assert res.detail.startswith("N=32: E_0 = ")
