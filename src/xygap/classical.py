@@ -13,7 +13,17 @@ on the bit patterns of the doubles down to two adjacent ones.  In a scan its
 bracket is galloped out from the previous point's theta0 after a few Newton
 steps (continuation); a lone point has no start and bisects all of
 [0, pi/2].  The start changes only the number of slopes computed, never the
-double returned.
+double returned.  The slope is written without the cancellation of
+-sin*cos/2 + gamma*sin/2 near theta = 0, gamma = 1, as
+
+    s*(gamma - 1 + 2*sin(theta/2)**2)/2 - |h|*c/2,    s, c = sin(theta), cos(theta).
+
+Where 0 < |h| < 2**-1021 both terms can underflow (at gamma = 1, h =
+5e-324, theta* = 2.1e-108 and each is 2.5e-324), so there the factor 0.5
+becomes a = 2**63, and |h|/2 becomes a*|h|, both products exact; the
+curvature is scaled alike.  The field term is then at least 2**-1012*c and
+the other at most a*gamma < 2**1023 for gamma < 2**960.  For larger gamma,
+a = 1: theta* < 2**-1980 and the slope at 5e-324 is positive, theta0 = 0.
 Spin-wave corrections around the minimizer give the thermodynamic-limit
 excitation gap.  With s, c = sin(theta0), cos(theta0) and B = s**2 +
 gamma*c + |h|*s it is sqrt((B - 1)*(B - c**2)) = sqrt(x)*sqrt(x + s**2),
@@ -44,24 +54,21 @@ in [x, x*(1 + u/2)], nearer x than the next double up, more than u*x
 away.  (The two square roots round twice: at gamma = 0, h = 1.3e154 they
 give the double after 1.3e154.)  theta0 within k doubles of the
 exact minimizer theta* adds at most 3k*u (|h|/s carries theta0's relative
-error times theta0*cot(theta0) <= 1).  Where h = 0 or |h| >= 2**-1021 the
-slope's terms are normal doubles and k <= 4 (tested against an mpmath
-root), so the gap is within (12 + 3k)u of G(theta*).  A subnormal |h| is
-computed in subnormal steps and theta0 can stray: at gamma = 1, h = 5e-324
-the field term rounds to zero, theta0 = 0 where theta* ~ 2.1e-108, and the
-gap is 0 for 4e-216.
+error times theta0*cot(theta0) <= 1).  The slope's terms are normal
+doubles near theta*, and k <= 4 (tested against an mpmath root, subnormal
+|h| included), so the gap is within (12 + 3k)u of G(theta*).
 
 Input rule and overflow.  A point is accepted when gamma + |h| <=
-SAFE_REACH = 1e308 as computed (<= 1e308*(1 + u)): phase_record raises
-ValueError past it, and the CLI applies the rule to a grid's extremes
-before it computes a point.  Up to it nothing overflows:
+SAFE_REACH = 1e308 as computed (<= 1e308*(1 + u)).  The scan does not test
+it: the CLI applies the rule to a grid's extremes before it computes a
+point.  Up to it nothing overflows:
 
-* theta0.  The slope's terms are at most (gamma + 1)/2 and |h|/2, and the
-  Newton curvature 0.5*(gamma*c + |h|*s - (c - s)*(c + s)) about (gamma +
-  |h| + 1)/2, all far below DBL_MAX ~ 1.797e308.  A Newton quotient may
-  overflow (a curvature near zero): the next math.sin of the infinite
-  start raises ValueError, or the range test drops it; a zero curvature
-  raises ZeroDivisionError.  Both leave the whole-range bisection, which
+* theta0.  The slope's terms are at most a*gamma and a*|h|, and the Newton
+  curvature a*(gamma*c + |h|*s - (c - s)*(c + s)) about a*(gamma + |h| +
+  1), all below DBL_MAX ~ 1.797e308.  A Newton quotient may overflow (a
+  curvature near zero): the next math.sin of the infinite start raises
+  ValueError, or the range test drops it; a zero curvature raises
+  ZeroDivisionError.  Both leave the whole-range bisection, which
   probes only doubles in [0, pi/2].  So _theta0 never raises, and no inf
   or nan meets a comparison.
 * The gap.  x = |h|/s is below 1 but where gamma < 1; there, with theta1
@@ -76,18 +83,28 @@ before it computes a point.  Up to it nothing overflows:
   start never changes the double returned.  So 0 <= x < 1.42e308 and the
   gap is at most x + 1.  (The exact gap is at most hypot(gamma, |h|) +
   1/2.)
+
+Scan and text.  scan_rows, the scan's one kernel, yields plain (gamma, h,
+theta0, m_x, gap) tuples of floats, gamma, h and m_x + 0.0 (theta0 is a
+nonnegative bit pattern, and the gap's forms never make -0.0).  A point
+costs one _theta0 and one _gap call; a Newton step shares its sines, three
+calls where the slope and the curvature apart took five.  scan_csv and
+scan_json fill fixed % templates, gamma's text once per gamma (its tuples
+share one float): the CSV prints %.17g, the JSON is json.dumps(document,
+indent=2) of {"schema_version": 1, "records": [...]}, one object per
+tuple, as json prints a finite float by float.__repr__, which %r is.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import Iterable, Iterator, NamedTuple, Sequence
-
-from .field import FieldPoint
+from collections.abc import Iterable, Iterator
 
 SAFE_REACH = 1e308  # the largest gamma + |h| accepted (module docstring)
 _TINY = 2.2250738585072014e-308  # the smallest normal double
+_HALF_EXACT = 2.0**-1021  # the smallest |h| whose half is exact
+_SCALED_REACH = 2.0**960  # gamma below which a subnormal |h|'s slope scales by 2**64
 
 _DOUBLE = struct.Struct("<d")
 _INT64 = struct.Struct("<q")
@@ -95,10 +112,6 @@ _INT64 = struct.Struct("<q")
 
 def _bits(x: float) -> int:
     return _INT64.unpack(_DOUBLE.pack(x))[0]
-
-
-def _double(bits: int) -> float:
-    return _DOUBLE.unpack(_INT64.pack(bits))[0]
 
 
 # Positive doubles order like their int64 bit patterns, so bisecting the
@@ -109,26 +122,11 @@ _HALF_PI = math.pi / 2
 _HALF_PI_BITS = _bits(_HALF_PI)
 _BISECTION_STEPS = _HALF_PI_BITS.bit_length()
 _START_STEPS = 4  # Newton steps in theta from a neighbour's theta0
-# The lowest start galloped from.  Where gamma < 1 and |h|/2 underflows to
-# zero (h = 0 or 5e-324), the slope's other term underflows too at theta up
-# to 2**-1021 and reads as rising, a sign change that the whole-range
-# bisection never meets: its first probe, near 1e-154, is falling.
+# The lowest start galloped from.  Where gamma < 1 and h = 0, the slope's
+# one term underflows at theta up to 2**-1021 and reads as rising, a sign
+# change that the whole-range bisection never meets: its first probe, near
+# 1e-154, is falling.
 _START_FLOOR = 2.0**-1020
-
-
-class PhaseRecord(NamedTuple):
-    gamma: float
-    h: float
-    theta0: float
-    m_x: float
-    gap: float
-
-
-def _slope(theta: float, gamma: float, habs: float) -> float:
-    """de/dtheta at phi0, written without the cancellation of
-    -sin*cos/2 + gamma*sin/2 near theta = 0, gamma = 1."""
-    half = math.sin(0.5 * theta)
-    return 0.5 * math.sin(theta) * (gamma - 1.0 + 2.0 * half * half) - 0.5 * habs * math.cos(theta)
 
 
 def _theta0(gamma: float, habs: float, near: float | None = None) -> float:
@@ -150,19 +148,28 @@ def _theta0(gamma: float, habs: float, near: float | None = None) -> float:
     in [0, pi/2) whose slope is negative, or exactly 0.0 wherever the slope
     is positive on all of (0, pi/2] (h = 0, gamma >= 1), also where it
     underflows to zero at subnormal theta.  Each loop runs at most 62 times.
+    Each slope is written out, a*s*(gamma - 1 + 2*half**2) - b*c, b = a*|h|
+    (module docstring).
     """
+    sin, cos = math.sin, math.cos
+    pack, unpack = _INT64.pack, _DOUBLE.unpack
+    gm1 = gamma - 1.0
+    # the factor of the slope's terms, other than 0.5 where |h| is subnormal
+    a = 0.5 if not 0.0 < habs < _HALF_EXACT else 2.0**63 if gamma < _SCALED_REACH else 1.0
+    b = a * habs
     lo, hi = 0, _HALF_PI_BITS
     if near is not None:
         try:
             for _ in range(_START_STEPS):
-                sin, cos = math.sin(near), math.cos(near)
-                curvature = 0.5 * (gamma * cos + habs * sin - (cos - sin) * (cos + sin))
-                near -= _slope(near, gamma, habs) / curvature
+                s, c, half = sin(near), cos(near), sin(0.5 * near)
+                near -= ((a * s * (gm1 + 2.0 * half * half) - b * c)
+                         / (a * (gamma * c + habs * s - (c - s) * (c + s))))
         except (ZeroDivisionError, ValueError):  # zero curvature; sin of an overflowed step
             near = None
     if near is not None and _START_FLOOR <= near < _HALF_PI:
         start = _bits(near)
-        if _slope(near, gamma, habs) < 0.0:
+        half = sin(0.5 * near)
+        if a * sin(near) * (gm1 + 2.0 * half * half) - b * cos(near) < 0.0:
             lo, stride = start, 1
         else:
             hi, stride = start, -1
@@ -170,7 +177,9 @@ def _theta0(gamma: float, habs: float, near: float | None = None) -> float:
             probe = start + stride
             if not lo < probe < hi:
                 break
-            falling = _slope(_double(probe), gamma, habs) < 0.0
+            theta = unpack(pack(probe))[0]
+            half = sin(0.5 * theta)
+            falling = a * sin(theta) * (gm1 + 2.0 * half * half) - b * cos(theta) < 0.0
             if falling:
                 lo = probe
             else:
@@ -182,22 +191,19 @@ def _theta0(gamma: float, habs: float, near: float | None = None) -> float:
         if hi - lo < 2:
             break
         mid = (lo + hi) // 2
-        if _slope(_double(mid), gamma, habs) < 0.0:
+        theta = unpack(pack(mid))[0]
+        half = sin(0.5 * theta)
+        if a * sin(theta) * (gm1 + 2.0 * half * half) - b * cos(theta) < 0.0:
             lo = mid
         else:
             hi = mid
-    return _double(lo)
+    return unpack(pack(lo))[0]
 
 
-def _m_x(theta0: float, h: float) -> float:
-    s = math.sin(theta0)
-    return (s if h >= 0 else -s) + 0.0
-
-
-def _gap(theta0: float, gamma: float, habs: float) -> float:
-    """Spin-wave gap sqrt(x)*sqrt(x + s**2) at the minimizer, x in the form
-    that does not cancel there (module docstring)."""
-    s = math.sin(theta0)
+def _gap(theta0: float, s: float, gamma: float, habs: float) -> float:
+    """Spin-wave gap sqrt(x)*sqrt(x + s**2) at the minimizer, s =
+    sin(theta0), x in the form that does not cancel there (module
+    docstring)."""
     if s < _TINY:  # cos(theta0) = 1.0 and s*s = 0.0: sqrt(x)*sqrt(x) is x
         return gamma - 1.0
     x = habs / s
@@ -210,49 +216,52 @@ def _gap(theta0: float, gamma: float, habs: float) -> float:
     return root_x * math.sqrt(x + s * s)
 
 
-def phase_record(point: FieldPoint, near: float | None = None) -> PhaseRecord:
-    """Minimizer, magnetization, and gap for a single field point; ``near``,
-    a neighbour's theta0, only speeds up the minimizer.  ValueError where
-    gamma + |h| exceeds SAFE_REACH (module docstring).
+def scan_rows(gammas: Iterable[float], hs: Iterable[float]) -> Iterator[tuple]:
+    """(gamma, h, theta0, m_x, gap) per (gamma, h) grid point, gamma-major,
+    each made when it is asked for, its minimizer started from the previous
+    point's theta0 (module docstring).  The caller keeps every gamma >= 0
+    and gamma + |h| <= SAFE_REACH.
 
     m_x = sin(theta0)*cos(phi0), with phi0 = 0 for h >= 0 and pi otherwise,
     jumps between +-sin(theta0) across h = 0 for gamma < 1; exactly at h = 0
     the positive branch is reported by convention.
     """
-    gamma, habs = point.gamma, abs(point.h)
-    if gamma + habs > SAFE_REACH:
-        raise ValueError(f"field gamma={gamma!r}, h={point.h!r} is too large: "
-                         f"gamma + |h| exceeds {SAFE_REACH!r}")
-    theta0 = _theta0(gamma, habs, near)
-    return PhaseRecord(gamma=gamma + 0.0, h=point.h + 0.0, theta0=theta0,
-                       m_x=_m_x(theta0, point.h), gap=_gap(theta0, gamma, habs))
-
-
-def phase_diagram_scan(gammas: Iterable[float], hs: Sequence[float]) -> Iterator[PhaseRecord]:
-    """One record per (gamma, h) grid point, gamma-major order, each made
-    when it is asked for, its minimizer started from the previous record's
-    theta0."""
-    near = None
+    theta0 = None
     for g in gammas:
+        gamma = g + 0.0
         for h in hs:
-            record = phase_record(FieldPoint(gamma=g, h=h), near)
-            near = record.theta0
-            yield record
+            habs = abs(h)
+            theta0 = _theta0(g, habs, theta0)
+            s = math.sin(theta0)
+            yield gamma, h + 0.0, theta0, (s if h >= 0 else -s) + 0.0, _gap(theta0, s, g, habs)
 
 
+# The text templates, gamma's text filled in first (module docstring).
 SCAN_CSV_HEADER = "gamma,h,theta0,m_x,gap"
+_CSV_ROW = "%.17g,%%.17g,%%.17g,%%.17g,%%.17g\n"
+_JSON_HEAD = '{\n  "schema_version": 1,\n  "records": ['
+_JSON_RECORD = ('\n    {\n      "gamma": %r,\n      "h": %%r,\n      "theta0": %%r,'
+                '\n      "m_x": %%r,\n      "gap": %%r\n    }')
 
 
-def scan_csv_lines(records: Iterable[PhaseRecord]) -> Iterator[str]:
-    """The header, then one row per record as the caller asks for it, each
-    value as format(x, ".17g") after ``+ 0.0``, which prints -0.0 as 0."""
-    row = "%.17g,%.17g,%.17g,%.17g,%.17g"
-    yield SCAN_CSV_HEADER
-    for r in records:
-        yield row % (r.gamma + 0.0, r.h + 0.0, r.theta0 + 0.0, r.m_x + 0.0, r.gap + 0.0)
+def scan_csv(rows: Iterable[tuple]) -> Iterator[str]:
+    """The scan's CSV text, the header and then one line per row, each
+    value as %.17g (module docstring)."""
+    yield SCAN_CSV_HEADER + "\n"
+    gamma = None
+    for g, h, theta0, m_x, gap in rows:
+        if g is not gamma:
+            gamma, template = g, _CSV_ROW % g
+        yield template % (h, theta0, m_x, gap)
 
 
-def scan_payload(records: Iterable[PhaseRecord]) -> dict:
-    """The scan's JSON document: the schema version and one object per
-    record; with no records, the frame the CLI streams the records into."""
-    return {"schema_version": 1, "records": [r._asdict() for r in records]}
+def scan_json(rows: Iterable[tuple]) -> Iterator[str]:
+    """The scan's JSON text and a newline, one record at a time (module
+    docstring)."""
+    gamma, before = None, _JSON_HEAD
+    for g, h, theta0, m_x, gap in rows:
+        if g is not gamma:
+            gamma, template = g, _JSON_RECORD % g
+        yield before + template % (h, theta0, m_x, gap)
+        before = ","
+    yield "\n  ]\n}\n" if before == "," else before + "]\n}\n"

@@ -5,9 +5,9 @@ Subcommands:
 * ``phase-diagram`` - thermodynamic-limit scan over a (gamma, h) grid.
 * ``finite-gap``    - finite-size gaps; exact rationals on the h = 0 line,
   eigensolver values elsewhere, with a cross-check column when both apply.
-  The exact rows are computed in integers (``gaplaw.exact_row``) and
-  printed by ``exactnum``'s ``(num, den)`` text helpers, with no Fraction
-  built per row.
+  The field is read as the integers (num, den) of a rational, and the exact
+  rows are computed in integers (``gaplaw.exact_row``) and printed from
+  them, with no Fraction built per row.
 * ``scaling``       - certified scaling report for an engineered sequence.
 * ``verify``        - cross-oracle suites; nonzero exit on any failure.
 
@@ -18,27 +18,30 @@ exhaustion.  Identical invocations produce byte-identical output files.
 
 Every command first computes all that can fail: the parsed sizes and field,
 the eigensolver gaps, the scaling report.  Only then does it open its
-output, and :func:`_write_lines` streams the rows to it as they are
-formatted (each JSON document goes through :func:`_write_json` in the
-encoder's chunks).  So a failing command writes no file and prints nothing
-to standard output, and the output text is never held: a size range stays
-a ``range``, a grid a lazy :class:`Grid`, and each row is formatted,
-written and dropped in turn.  What stays in memory is only what can fail,
-such as one float per size at h != 0, so the exact h = 0 rows and the
-``phase-diagram`` scan run in memory that does not grow with the row count.
-The scan's one input rule, ``gamma + |h| <= classical.SAFE_REACH``, is
-checked at the grid's extremes before any point is computed; a grid that
-passes it cannot fail, so its records stream as they are computed.
+output, and :func:`_write_chunks` streams the text to it as it is
+formatted (``scaling``'s JSON in the encoder's chunks, the scan's from
+``classical``'s templates).  So a failing command writes no file and prints
+nothing to standard output, and the output text is never held: a size
+range stays a ``range``, a grid a lazy :class:`Grid`, and each row is
+formatted, written and dropped in turn.  What stays in memory is only what
+can fail, such as one float per size at h != 0, so the exact h = 0 rows
+and the ``phase-diagram`` scan run in memory that does not grow with the
+row count.  The scan's one input rule, ``gamma + |h| <=
+classical.SAFE_REACH``, is checked at the grid's extremes before any point
+is computed; a grid that passes it cannot fail, so its rows stream as they
+are computed.
 
 The package needs only the standard library.  A process imports only the
 modules its command runs, because without a bytecode cache each module is
 also compiled.  At the top this module imports ``argparse`` and, of xygap,
 only ``errors`` and ``sequences``: all that ``--help`` needs.  Each
 ``cmd_*`` imports its layers when it runs.  ``phase-diagram`` loads
-``classical`` and none of the exact layers.  ``finite-gap`` loads
-``exactnum`` (and with it ``fractions`` and ``decimal``), ``gaplaw`` at
-h = 0, and ``sector`` where it solves.  ``scaling`` and ``verify`` load
-their own modules.
+``classical`` alone, and not ``json`` either: its JSON comes from a
+template.  ``finite-gap`` reads its field with ``literal``, loads ``sector``
+where it solves, and at h = 0 ``gaplaw`` and ``exactnum`` (with
+``fractions`` and ``decimal``).  At h != 0 it loads ``exactnum`` only for
+``--gamma-series`` or a field past 2048 bits.  ``scaling`` and ``verify``
+load their own modules.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from .sequences import (
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing for --help
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
-    from fractions import Fraction
 
 BUDGET_ENV_VAR = "XYGAP_BIT_BUDGET"
 
@@ -159,10 +161,10 @@ def parse_sizes(text: str) -> Sequence[int]:
     return out
 
 
-def parse_gamma(text: str, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
-    """Exact field value from "p/q" or a decimal literal like "0.25", within the
-    bit budget (BitBudgetError otherwise)."""
-    from .exactnum import parse_field_literal
+def parse_gamma(text: str, bit_budget: int = DEFAULT_BIT_BUDGET) -> tuple[int, int]:
+    """Exact field value (num, den) in lowest terms from "p/q" or a decimal
+    literal like "0.25", within the bit budget (BitBudgetError otherwise)."""
+    from .literal import parse_field_literal
 
     try:
         return parse_field_literal(text, bit_budget)
@@ -205,37 +207,12 @@ def _write_lines(path: str | None, lines: Iterable[str]) -> None:
     _write_chunks(path, itertools.chain.from_iterable(zip(lines, itertools.repeat("\n"))))
 
 
-def _write_json(path: str | None, payload: dict, items: Iterable | None = None) -> None:
+def _write_json(path: str | None, payload: dict) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2)`` and a newline,
-    in the encoder's chunks, as :func:`_write_chunks`.  With ``items``, the
-    payload's last value is an empty list that stands for them: they are
-    drawn and encoded into it a batch at a time, so the list is never held
-    whole."""
+    in the encoder's chunks, as :func:`_write_chunks`."""
     import json
 
-    encoder = json.JSONEncoder(indent=2)
-    if items is None:
-        chunks = encoder.iterencode(payload)
-    else:
-        chunks = _json_list_chunks(encoder, payload, items)
-    _write_chunks(path, itertools.chain(chunks, ["\n"]))
-
-
-_JSON_BATCH = 256  # items per encoder call, whose set-up costs about half an item
-
-
-def _json_list_chunks(encoder, payload: dict, items: Iterable) -> Iterator[str]:
-    # The empty list is the last "[]" of the payload's text.  A batch of
-    # items encodes as a list one level above where the items sit, and JSON
-    # text breaks lines only between tokens, so their text there is the
-    # batch's without its brackets, each line break indented 2 more spaces.
-    head, _, tail = encoder.encode(payload).rpartition("[]")
-    yield head + "["
-    items, separator = iter(items), ""
-    while batch := list(itertools.islice(items, _JSON_BATCH)):
-        yield separator + encoder.encode(batch)[1:-2].replace("\n", "\n  ")
-        separator = ","
-    yield ("\n  ]" if separator else "]") + tail
+    _write_chunks(path, itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"]))
 
 
 def cmd_phase_diagram(args) -> int:
@@ -248,14 +225,10 @@ def cmd_phase_diagram(args) -> int:
         raise UsageError("transverse field grid must be nonnegative")
     h_low, h_high = hs.extremes()
     reach = gamma_high + max(-h_low, h_high)
-    if reach > classical.SAFE_REACH:  # phase_record's input rule, at the grid's extremes
+    if reach > classical.SAFE_REACH:  # the scan's input rule, at the grid's extremes
         raise UsageError(f"grid reaches gamma + |h| = {reach!r}, past {classical.SAFE_REACH!r}")
-    records = classical.phase_diagram_scan(gammas, hs)
-    if args.format == "json":
-        _write_json(args.output, classical.scan_payload(()),
-                    map(classical.PhaseRecord._asdict, records))
-    else:
-        _write_lines(args.output, classical.scan_csv_lines(records))
+    text = classical.scan_json if args.format == "json" else classical.scan_csv
+    _write_chunks(args.output, text(classical.scan_rows(gammas, hs)))
     return EXIT_OK
 
 
@@ -265,28 +238,30 @@ DEFAULT_TERMS = 5       # finite-gap --terms, read with --gamma-series only
 DEFAULT_CROSS_MAX = 64  # finite-gap --cross-max, read at h = 0 only
 
 
-def _finite_gap_field(args, budget: int) -> Fraction:
-    from .exactnum import gamma_value
-
+def _finite_gap_field(args, budget: int) -> tuple[int, int]:
     if args.gamma_series is None:
         if args.terms is not None:
             raise UsageError("--terms applies only with --gamma-series")
         return parse_gamma(args.gamma, budget)
+    from .exactnum import gamma_value
+
     terms = DEFAULT_TERMS if args.terms is None else args.terms
     if terms < 1:
         raise UsageError(f"--terms must be >= 1, got {terms}")
-    return gamma_value(_SEQ_KINDS[args.gamma_series], terms, budget)
+    gamma = gamma_value(_SEQ_KINDS[args.gamma_series], terms, budget)
+    return gamma.numerator, gamma.denominator
 
 
-def _numeric_gaps(gamma: Fraction, h: float, sizes) -> dict[int, float]:
-    """size -> eigensolver gap at (gamma >= 0, h).  A field too large for the
-    eigensolver's doubles is a usage error at h != 0; at h = 0, where the
-    gaps are an optional cross-check, such a size only goes without one."""
+def _numeric_gaps(num: int, den: int, h: float, sizes) -> dict[int, float]:
+    """size -> eigensolver gap at (gamma = num/den >= 0, h), gamma rounded
+    once, as float(Fraction).  A field too large for the eigensolver's
+    doubles is a usage error at h != 0; at h = 0, where the gaps are an
+    optional cross-check, such a size only goes without one."""
     from . import sector
     from .field import FieldPoint
 
     try:
-        point = FieldPoint(float(gamma), h)
+        point = FieldPoint(num / den, h)
     except OverflowError:
         if h:
             raise UsageError("--gamma is too large for the eigensolver's doubles") from None
@@ -302,19 +277,19 @@ def _numeric_gaps(gamma: Fraction, h: float, sizes) -> dict[int, float]:
 
 
 def cmd_finite_gap(args, budget: int) -> int:
-    from .exactnum import decimal_text, format_rational, ratio_text
+    from .literal import ratio_text
 
     if not math.isfinite(args.h):
         raise UsageError(f"--h must be finite, got {args.h}")
     if args.h != 0.0 and args.cross_max is not None:
         raise UsageError("--cross-max applies only at h = 0")
     sizes = parse_sizes(args.N)
-    gamma = _finite_gap_field(args, budget)
-    gamma_text = format_rational(gamma)
+    p, q = _finite_gap_field(args, budget)
+    gamma_text = ratio_text(p, q)
     if args.h != 0.0:
-        if gamma < 0:
+        if p < 0:
             raise UsageError(f"--gamma must be >= 0, got {gamma_text}")
-        gaps = _numeric_gaps(gamma, args.h, sizes)
+        gaps = _numeric_gaps(p, q, args.h, sizes)
         h_text = format(args.h, ".17g")
 
         def numeric_rows():
@@ -325,15 +300,15 @@ def cmd_finite_gap(args, budget: int) -> int:
         _write_lines(args.output, numeric_rows())
         return EXIT_OK
     from . import gaplaw
+    from .exactnum import decimal_text
 
-    if gamma < 0:
+    if p < 0:
         raise UsageError(f"the exact h=0 route needs gamma >= 0, got {gamma_text}")
     cross_max = DEFAULT_CROSS_MAX if args.cross_max is None else args.cross_max
     checked = [size for size in sizes if size <= cross_max]
-    gaps = _numeric_gaps(gamma, 0.0, checked) if checked else {}
+    gaps = _numeric_gaps(p, q, 0.0, checked) if checked else {}
     cross = {size: format(gap, ".17g") for size, gap in gaps.items()}
 
-    p, q = gamma.numerator, gamma.denominator
     exact_row, degenerate = gaplaw.exact_row, gaplaw.BRANCH_DEGENERATE
 
     def exact_rows():

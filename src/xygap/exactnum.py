@@ -6,7 +6,7 @@ of 2**-65533 in the fractional offset decides the closing rate.  Everything
 here is a ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms, positive denominator).
 
-Besides a plain p/q (a ``Fraction``, see :func:`parse_field_literal`), a
+Besides a plain p/q (parsed into integers by :mod:`xygap.literal`), a
 field value comes from one of two recipes here:
 
 * :func:`gamma_value` - the first K terms of sum(1/a_n) over one of the
@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import decimal
 import functools
-import re
 from decimal import Decimal
 from fractions import Fraction
 from typing import Tuple
 
 from .errors import BitBudgetError
+from .literal import ratio_text
 from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, doubling_holds, terms
 
 # First sequence index used by the digit-injection map.  Consecutive
@@ -49,30 +49,23 @@ _INJECTION_MIN_RATIO = 21
 # ---------------------------------------------------------------------------
 # serialization
 #
-# Integers of up to _STR_BITS bits print with str(): 2048 bits is at most 617
-# digits, below 640, the smallest int<->str digit limit the interpreter can
-# be set to, so no setting of that limit can refuse them.  Larger integers
-# cross the text boundary through decimal.Decimal: denominators near 2**65536
-# have ~19.7k digits, past the default limit of 4300.  Decimal(int) is
-# quadratic in the digit count, so an integer of more than _SPLIT_BITS bits is
-# split in halves at a power 2**w and reassembled with libmpdec's
-# subquadratic multiplication (Brent & Zimmermann, Modern Computer
-# Arithmetic, section 1.7).  The last 64 such integers stay cached, so the p/q
-# text, the rounded decimal and every later print of the same value share one
-# conversion.  The exact arithmetic goes through _EXACT; an operator like
-# -d or d + e would round to the caller's context (28 digits by default)
-# without a word.  Parsing runs the split the other way: a digit string is
-# cut at powers 10**w and its halves are joined with int multiplication.
-
-_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+# Integers of up to 2048 bits print with str() (xygap.literal, which also
+# parses).  Larger integers cross the text boundary through decimal.Decimal:
+# denominators near 2**65536 have ~19.7k digits, past the default limit of
+# 4300.  Decimal(int) is quadratic in the digit count, so an integer of more
+# than _SPLIT_BITS bits is split in halves at a power 2**w and reassembled
+# with libmpdec's subquadratic multiplication (Brent & Zimmermann, Modern
+# Computer Arithmetic, section 1.7).  The last 64 such integers stay cached,
+# so the p/q text, the rounded decimal and every later print of the same
+# value share one conversion.  The exact arithmetic goes through _EXACT; an
+# operator like -d or d + e would round to the caller's context (28 digits
+# by default) without a word.
 
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
     traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Inexact],
 )
 _SPLIT_BITS = 4096  # up to this size Decimal(int) is as fast as splitting
-_STR_BITS = 2048  # str(int) up to this size is within every digit limit
-_STR_DIGITS = 600  # and so is int(text) of up to this many digits
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,93 +117,10 @@ def _rounding_context(digits: int) -> decimal.Context:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _pow10(width: int) -> int:
-    """10**width; the widths in use are _STR_DIGITS times powers of two."""
-    return 10**width
-
-
-def _join_digits(digits: str, width: int) -> int:
-    """int(digits) for a string of at most 2*width decimal digits, by cutting
-    off its last `width` digits."""
-    if len(digits) <= _STR_DIGITS:
-        return int(digits)
-    while len(digits) <= width:
-        width >>= 1
-    return (_join_digits(digits[:-width], width) * _pow10(width)
-            + _join_digits(digits[-width:], width >> 1))
-
-
-def _parse_int(text: str) -> int:
-    """The integer spelled by an optionally signed run of decimal digits."""
-    digits = text.lstrip("+-")
-    width = _STR_DIGITS
-    while 2 * width < len(digits):
-        width *= 2
-    value = _join_digits(digits, width)
-    return -value if text.startswith("-") else value
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or a bare integer "p") into a Fraction in lowest terms."""
-    match = _RATIONAL.fullmatch(text)
-    if match is None:
-        raise ValueError(f"not a rational p/q: {text!r}")
-    num, den = match.groups()
-    return Fraction(_parse_int(num), _parse_int(den or "1"))
-
-
-# Fraction's decimal-literal grammar; the groups are the sign, the integer
-# digits, the fraction digits and the exponent.
-_DIGITS = r"\d+(?:_\d+)*"
-_DECIMAL_LITERAL = re.compile(
-    rf"\s*([+-]?)(?=\d|\.\d)(\d*|{_DIGITS})(?:\.(\d*|{_DIGITS}))?(?:[eE]([+-]?{_DIGITS}))?\s*"
-)
-_LOG10_2_ABOVE = 0.30103  # slightly above log10(2)
-
-
-def _check_spelled(digit_counts, bit_budget: int) -> None:
-    if any(count - 1 > bit_budget * _LOG10_2_ABOVE for count in digit_counts):
-        raise BitBudgetError(f"field value spells out an integer of more than {bit_budget} bits")
-
-
-def parse_field_literal(text: str, bit_budget: int = DEFAULT_BIT_BUDGET) -> Fraction:
-    """Parse "p/q" or a decimal literal ("0.25", "1e-30") within the bit budget.
-
-    Decimal literals follow ``Fraction``'s grammar, but their digits become
-    integers through Decimal, past the interpreter's int<->str digit limit.
-    Every integer the literal spells out (p and q, or a decimal's digits and
-    the power of ten its point and exponent name) must fit the budget.  That
-    is judged from digit counts before anything is built (a D-digit integer
-    exceeds 2**budget once D - 1 > budget*log10(2)), so "1e-999999999" is
-    refused without computing 10**999999999.  The value in lowest terms must
-    then fit as well.  Raises BitBudgetError otherwise, ValueError or
-    ZeroDivisionError on malformed text.
-    """
-    if "/" in text:
-        match = _RATIONAL.fullmatch(text)
-        if match is not None:
-            _check_spelled([len(g.lstrip("+-0")) for g in match.groups() if g], bit_budget)
-        value = parse_rational(text)
-    else:
-        match = _DECIMAL_LITERAL.fullmatch(text)
-        if match is None:
-            raise ValueError(f"Invalid literal for Fraction: {text!r}")
-        sign, whole, frac, exp = (g.replace("_", "") for g in match.groups(""))
-        digits = whole + frac
-        power = _parse_int(exp or "0") - len(frac)
-        _check_spelled([len(digits.lstrip("0")), abs(power) + 1], bit_budget)
-        value = _parse_int(sign + digits) * Fraction(10) ** power
-    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-    if bits > bit_budget:
-        raise BitBudgetError(f"field value needs {bits} bits (budget {bit_budget})")
-    return value
-
-
-def ratio_text(num: int, den: int) -> str:
-    """"num/den" for the integers of a rational in lowest terms, den > 0."""
-    if num.bit_length() <= _STR_BITS and den.bit_length() <= _STR_BITS:
-        return f"{num}/{den}"
+def decimal_ratio_text(num: int, den: int) -> str:
+    """"num/den" through exact Decimal conversions, for integers past every
+    int<->str digit limit (:func:`xygap.literal.ratio_text` prints smaller
+    ones)."""
     return f"{_exact_decimal(num)}/{_exact_decimal(den)}"
 
 

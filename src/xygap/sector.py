@@ -115,19 +115,23 @@ lowest pair follows one path while the count at the midpoint is 0 or >= 2
 and splits at the first count of 1, with the brackets single-value
 bisection would reach.  On the benchmark's fields a lowest pair costs
 82-94 window sweeps plus four for the certificate.  Bisection reads a
-count only through min(count, k): it compares the count with the first
-index of the eigenvalues sharing a bracket and with one past their last,
-at most k, and splits the group at a count between them.  When every
-squared coupling of the window is 0.0 (h = 0, or squares that underflow),
-each pivot differs from fl(d_i - x) at most in the sign of a zero, since
-e**2/q = +-0.0 with q never 0, so a row counts iff fl(d_i - x) < pivmin.
-Rounding keeps that test monotone in d_i, so the counting rows are those
-with the smallest diagonal entries, equal entries together: on decoupled
-rows the Sturm count is a rank of the diagonal (Kahan 1966; Barth, Martin
-& Wilkinson 1967).  min(count, k) is then the number of the k smallest
-entries that count, O(k) per step instead of a sweep; it equals the
-sweep's min(count, k) exactly, so the path, the brackets and the
-certificate are unchanged.
+count only through min(count, stop): it compares the count with the first
+index of the eigenvalues sharing a bracket and with stop, one past their
+last (at most k), and splits the group at a count between them.  So a
+bisection sweep ends once its count reaches stop, where the step is
+decided (about 80% of the window's rows are swept); the test sits where a
+negative pivot is counted, so positive pivots cost nothing more.  The
+certificate's counts read the count and the last pivot: whole sweeps.
+When every squared coupling of the window is 0.0 (h = 0, or squares that
+underflow), each pivot differs from fl(d_i - x) at most in the sign of a
+zero, since e**2/q = +-0.0 with q never 0, so a row counts iff fl(d_i - x)
+< pivmin.  Rounding keeps that test monotone in d_i, so the counting rows
+are those with the smallest diagonal entries, equal entries together: on
+decoupled rows the Sturm count is a rank of the diagonal (Kahan 1966;
+Barth, Martin & Wilkinson 1967).  min(count, stop) is then the number of
+the stop smallest entries that count, O(k) per step instead of a sweep; it
+equals the sweep's min(count, stop) exactly, so the path, the brackets and
+the certificate are unchanged.
 """
 
 from __future__ import annotations
@@ -252,16 +256,20 @@ def sector_matrix(size: int, point: FieldPoint) -> SectorMatrix:
     return SectorMatrix(n, point, norm, centre, offmax, dmin, dmax)
 
 
-def _sturm_count(diag, off_sq, shift: float, pivmin: float, q: float = 1.0) -> tuple[int, float]:
+def _sturm_count(diag, off_sq, shift: float, pivmin: float, q: float = 1.0,
+                 limit: int = 0) -> tuple[int, float]:
     """The number of pivots below ``pivmin`` and the last pivot (module
     docstring): with ``off_sq[0]`` = 0.0 the count of eigenvalues of these
     rows strictly below ``shift``; with the squared coupling into the first
-    row there and its entering pivot ``q``, their count entered at ``q``."""
+    row there and its entering pivot ``q``, their count entered at ``q``.
+    A positive ``limit`` ends the sweep once the count reaches it."""
     count = 0
     for d, e2 in zip(diag, off_sq):
         q = d - shift - e2 / q
         if q < pivmin:
             count += 1
+            if count == limit:
+                break
             if q > -pivmin:
                 q = -pivmin
     return count, q
@@ -272,17 +280,18 @@ def _bisect(diag, off_sq, k: int, lo: float, hi: float,
     """Shrink [lo, hi] around eigenvalues 0..k-1 to width <= tol each, every
     bracket the one bisecting that eigenvalue alone reaches: eigenvalues
     whose brackets coincide share each count, and part where it falls
-    between them.  The bisection reads only min(count, k); on decoupled
-    rows the k smallest diagonal entries give it (module docstring)."""
+    between them.  The bisection reads only min(count, stop), stop <= k the
+    group's end, so each count ends once it reaches stop; on decoupled rows
+    the stop smallest diagonal entries give it (module docstring)."""
     if any(off_sq):
-        def count_below(shift: float) -> int:
-            return _sturm_count(diag, off_sq, shift, pivmin)[0]
+        def count_below(shift: float, stop: int) -> int:
+            return _sturm_count(diag, off_sq, shift, pivmin, 1.0, stop)[0]
     else:
         smallest = sorted(diag)[:k]
 
-        def count_below(shift: float) -> int:
+        def count_below(shift: float, stop: int) -> int:
             count = 0
-            for d in smallest:
+            for d in smallest[:stop]:
                 if d - shift >= pivmin:
                     break
                 count += 1
@@ -294,7 +303,7 @@ def _bisect(diag, off_sq, k: int, lo: float, hi: float,
         first, stop, lo, hi = groups.pop()
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            count = count_below(mid)
+            count = count_below(mid, stop)
             if count <= first:
                 lo = mid
             elif count >= stop:

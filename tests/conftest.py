@@ -10,8 +10,10 @@ from typing import NamedTuple
 
 import pytest
 
+from xygap import classical
 from xygap.field import FieldPoint
 from xygap.gaplaw import gap_record
+from xygap.literal import parse_ratio
 from xygap.sector import sector_matrix
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -29,6 +31,59 @@ def run_cli(*args: str, cwd=None, python_flags=(), timeout=None) -> subprocess.C
 @pytest.fixture
 def cli():
     return run_cli
+
+
+def parse_rational(text: str) -> Fraction:
+    """The Fraction a "p/q" text names, its integers parsed past the
+    interpreter's int<->str digit limit."""
+    return Fraction(*parse_ratio(text))
+
+
+class PhaseRecord(NamedTuple):
+    gamma: float
+    h: float
+    theta0: float
+    m_x: float
+    gap: float
+
+
+def phase_record(point: FieldPoint, near: float | None = None) -> PhaseRecord:
+    """The thermodynamic-limit record of one field point, one point at a
+    time as the scan once made it: the oracle for classical.scan_rows and
+    its text.  ValueError past classical.SAFE_REACH."""
+    gamma, habs = point.gamma, abs(point.h)
+    if gamma + habs > classical.SAFE_REACH:
+        raise ValueError(f"field gamma={gamma!r}, h={point.h!r} is too large: "
+                         f"gamma + |h| exceeds {classical.SAFE_REACH!r}")
+    theta0 = classical._theta0(gamma, habs, near)
+    s = math.sin(theta0)
+    return PhaseRecord(gamma=gamma + 0.0, h=point.h + 0.0, theta0=theta0,
+                       m_x=(s if point.h >= 0 else -s) + 0.0,
+                       gap=classical._gap(theta0, s, gamma, habs))
+
+
+def phase_diagram_scan(gammas, hs):
+    """One record per (gamma, h) grid point, gamma-major, each minimizer
+    started from the previous record's theta0."""
+    near = None
+    for g in gammas:
+        for h in hs:
+            record = phase_record(FieldPoint(g, h), near)
+            near = record.theta0
+            yield record
+
+
+def scan_csv_lines(records):
+    """The header, then one row per record, each value as format(x, ".17g")
+    after + 0.0, which prints -0.0 as 0."""
+    yield classical.SCAN_CSV_HEADER
+    for r in records:
+        yield ",".join(format(v + 0.0, ".17g") for v in r)
+
+
+def scan_payload(records) -> dict:
+    """The scan's JSON document: the schema version and one object per record."""
+    return {"schema_version": 1, "records": [r._asdict() for r in records]}
 
 
 def min_excitation_brute(size: int, gamma: Fraction) -> Fraction | None:

@@ -12,9 +12,9 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import gap_times_size_values, min_excitation_brute
-from xygap.classical import FieldPoint, phase_record
+from conftest import gap_times_size_values, min_excitation_brute, phase_record
 from xygap.exactnum import injection_value, series_enclosure, tail_bound
+from xygap.field import FieldPoint
 from xygap.gaplaw import BRANCH_DEGENERATE, gap_record
 from xygap.scaling import (
     CLASS_EXPONENTIAL,

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import PhaseRecord, phase_diagram_scan, phase_record
 from xygap import classical
-from xygap.classical import (
-    SAFE_REACH, FieldPoint, PhaseRecord, _theta0, phase_diagram_scan, phase_record, scan_csv_lines,
-)
+from xygap.classical import SAFE_REACH, _theta0, scan_csv, scan_rows
 from xygap.cli import UsageError, main, parse_grid
+from xygap.field import FieldPoint
 
 
 def classical_energy(theta: float, phi: float, point: FieldPoint) -> float:
@@ -21,8 +21,12 @@ def classical_energy(theta: float, phi: float, point: FieldPoint) -> float:
 
 
 def _oracle_slope(theta, gamma, habs):
+    """The slope the classical docstring writes down, both terms scaled by
+    a/0.5 where 0 < |h| < 2**-1021."""
+    subnormal = (habs > 0.0) & (habs < 2.0**-1021)
+    a = np.where(subnormal, np.where(gamma < 2.0**960, 2.0**63, 1.0), 0.5)
     half = np.sin(0.5 * theta)
-    return 0.5 * np.sin(theta) * (gamma - 1.0 + 2.0 * half * half) - 0.5 * habs * np.cos(theta)
+    return a * np.sin(theta) * (gamma - 1.0 + 2.0 * half * half) - a * habs * np.cos(theta)
 
 
 def _oracle_theta0(gammas, habs):
@@ -193,23 +197,15 @@ def _grids(ends):
 
 
 class TestContinuedScan:
-    """Each scan point starts its minimizer from the previous record's
-    theta0; the records are still the lone points' records, and theta0 the
-    whole-range bisection's double."""
+    """Each scan point starts its minimizer from the previous point's
+    theta0; the kernel's rows are still the lone points' records, and theta0
+    the whole-range bisection's double."""
 
     def _assert_scan_is_lone_points(self, gammas, hs):
+        # every grid here keeps gamma + |h| <= 2e300, inside SAFE_REACH
         points = [(g, h) for g in gammas for h in hs]
-        try:
-            scan = [_hex(r) for r in phase_diagram_scan(gammas, hs)]
-        except ValueError as exc:  # a point past SAFE_REACH
-            scan = str(exc)
-        lone = []
-        for g, h in points:
-            try:
-                lone.append(_hex(phase_record(FieldPoint(g, h))))
-            except ValueError as exc:
-                assert scan == str(exc)  # the scan stops at the first such point
-                return
+        scan = [_hex(r) for r in scan_rows(gammas, hs)]
+        lone = [_hex(phase_record(FieldPoint(g, h))) for g, h in points]
         assert scan == lone
         want = _oracle_theta0([g for g, _ in points], [abs(h) for _, h in points])
         assert [r[2] for r in lone] == [t.hex() for t in want]
@@ -367,8 +363,14 @@ class TestGapAccuracy:
     @settings(max_examples=300, deadline=None)
     @example(field=(0.0, 1e-300))  # the radicand's clamp printed 0
     @example(field=(1e200, 0.0))
-    @example(field=(1.0, 5e-324))  # theta0 = 0 where theta* ~ 2.1e-108 (docstring)
+    # the slope's terms underflowed where |h| was subnormal: theta0 was 0 for
+    # theta* = 2.146e-108, and 2.146e-108 for 2.704e-108
+    @example(field=(1.0, 5e-324))
     @example(field=(1.0, 1e-323))
+    @example(field=(0.5, 5e-324))
+    @example(field=(1e300, 5e-324))
+    @example(field=(2.0**960, 1e-310))  # the slope scaled by 2, not 2**64
+    @example(field=(1.0, 2.0**-1021 - 2.0**-1074))
     @example(field=(0.5179196165576492, 1e-323))  # |h|/s is subnormal
     @example(field=(3.0, 0.3500000000000001))  # theta0 2.3 doubles from theta*
     @example(field=(1.0000000000000004, 1e-323))  # theta0 near 2**-1022
@@ -385,9 +387,8 @@ class TestGapAccuracy:
             at_theta0 = _mp_gap_at(theta0, gamma, habs)
             assert abs(gap - at_theta0) <= 12 * _U * at_theta0
             exact, theta_star = _mp_exact_gap(gamma, habs)
-            if h == 0 or habs >= 2.0**-1021:
-                assert abs(theta0 - theta_star) <= 4 * math.ulp(float(theta_star))
-                assert abs(gap - exact) <= (12 + 3 * 4) * _U * exact
+            assert abs(theta0 - theta_star) <= 4 * math.ulp(float(theta_star))
+            assert abs(gap - exact) <= (12 + 3 * 4) * _U * exact
         if h == 0 and gamma <= 1.0:
             assert gap == 0.0 and math.copysign(1.0, gap) == 1.0
 
@@ -495,7 +496,7 @@ class TestOverflowVerdict:
         def refuse(*args):
             raise AssertionError("computed a point")
 
-        monkeypatch.setattr(classical, "phase_record", refuse)
+        monkeypatch.setattr(classical, "scan_rows", refuse)
         monkeypatch.setattr(classical, "_theta0", refuse)
         assert main(["phase-diagram", "--gamma", "0:1e308:1000001", "--h", "-1e300:1:3"]) == 2
         assert capsys.readouterr() == (
@@ -528,55 +529,57 @@ class TestOverflowVerdict:
         (math.nextafter(SAFE_REACH, math.inf), 0.0), (0.0, -math.nextafter(SAFE_REACH, math.inf)),
         (SAFE_REACH, 1e300), (1e308, 1e308), (sys.float_info.max, sys.float_info.max),
     ])
-    def test_past_the_bound_raises(self, gamma, h):
-        with pytest.raises(ValueError) as caught:
-            phase_record(FieldPoint(gamma, h))
-        assert str(caught.value) == (f"field gamma={gamma!r}, h={h!r} is too large: "
-                                     f"gamma + |h| exceeds {SAFE_REACH!r}")
+    def test_past_the_bound_raises(self, gamma, h, capsys):
+        # the scan does not test the rule; the CLI refuses the one-point grid
+        argv = ["phase-diagram", f"--gamma={gamma!r}:{gamma!r}:1", f"--h={h!r}:{h!r}:1"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: grid reaches gamma + |h| = {gamma + abs(h)!r}, past {SAFE_REACH!r}\n")
 
     @staticmethod
     def _assert_finite(gamma, h):
-        record = phase_record(FieldPoint(gamma, h))
+        record = PhaseRecord._make(next(scan_rows([gamma], [h])))
         assert all(math.isfinite(x) for x in record)
         # the gap is about x, at most about sqrt(2)*max(gamma, |h|) (module docstring)
         assert 0.0 <= record.gap <= 1.5 * max(gamma, abs(h)) + 1.0
 
 
+def _records(gammas, hs):
+    return map(PhaseRecord._make, scan_rows(gammas, hs))
+
+
 class TestScan:
     def test_grid_cardinality_and_order(self):
-        records = list(phase_diagram_scan([0.0, 0.5], [-0.5, 0.0, 0.5]))
+        records = list(_records([0.0, 0.5], [-0.5, 0.0, 0.5]))
         assert len(records) == 6
         assert [(r.gamma, r.h) for r in records[:3]] == [(0.0, -0.5), (0.0, 0.0), (0.0, 0.5)]
 
     def test_zero_gamma_column_matches_closed_form(self):
-        records = phase_diagram_scan([0.0], [0.0, 0.25, 0.5])
+        records = _records([0.0], [0.0, 0.25, 0.5])
         gaps = [r.gap for r in records]
         assert gaps[0] == 0.0
         assert gaps[1] == pytest.approx(math.sqrt(0.3125), abs=1e-14)
         assert gaps[2] == pytest.approx(math.sqrt(0.75), abs=1e-14)
 
     def test_zero_field_row(self):
-        records = phase_diagram_scan([0.0, 0.5, 0.99, 1.0, 1.5], [0.0])
+        records = _records([0.0, 0.5, 0.99, 1.0, 1.5], [0.0])
         for rec in records:
             expected = 0.0 if rec.gamma <= 1.0 else rec.gamma - 1.0
             assert rec.gap == pytest.approx(expected, abs=1e-12)
 
     def test_csv_shape(self):
-        lines = list(scan_csv_lines(phase_diagram_scan([0.0], [0.5])))
+        lines = "".join(scan_csv(scan_rows([0.0], [0.5]))).split("\n")
         assert lines[0] == "gamma,h,theta0,m_x,gap"
-        assert len(lines) == 2 and len(lines[1].split(",")) == 5
+        assert len(lines) == 3 and len(lines[1].split(",")) == 5 and lines[2] == ""
 
     def test_csv_rows_match_per_value_format(self):
-        # the oracle formats each value alone, after + 0.0: a -0.0 prints as 0
-        records = [
-            *phase_diagram_scan([0.0, 0.5, 0.999999, 1.0, 1.5, 2.0], [-1.0, -0.25, 0.0, 1e-10, 0.3]),
-            PhaseRecord(gamma=0.5, h=-0.0, theta0=1.0471975511965976, m_x=-0.0, gap=0.0),
-            PhaseRecord(gamma=-0.0, h=-0.0, theta0=5e-324, m_x=-1e-300, gap=1.7976931348623157e308),
-        ]
+        # each value alone as format(x, ".17g"); the kernel adds 0.0 to gamma,
+        # h and m_x, so -0.0 prints as 0: at h = -0.0, and where h < 0 has
+        # theta0 = 0.0 (m_x = -sin(0.0))
+        gammas, hs = [-0.0, 0.5, 0.999999, 1.0, 1.5, 2.0], [-1.0, -0.25, -0.0, 0.0, -5e-324, 0.3]
+        rows = list(scan_rows(gammas, hs))
         want = ["gamma,h,theta0,m_x,gap", *(
-            ",".join(format(v + 0.0, ".17g") for v in (r.gamma, r.h, r.theta0, r.m_x, r.gap))
-            for r in records
-        )]
-        lines = list(scan_csv_lines(records))
-        assert lines == want
-        assert lines[-2] == "0.5,0,1.0471975511965976,0,0"
+            ",".join(format(v + 0.0, ".17g") for v in row) for row in rows), ""]
+        assert "".join(scan_csv(rows)).split("\n") == want
+        assert all(math.copysign(1.0, v) == 1.0 for row in rows for v in row if v == 0.0)
+        assert want[-3] == "2,-4.9406564584124654e-324,0,0,1"

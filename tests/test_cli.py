@@ -12,20 +12,30 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SRC_DIR
+from conftest import (
+    SRC_DIR, parse_rational, phase_diagram_scan, phase_record, scan_csv_lines, scan_payload,
+)
 from xygap import classical
-from xygap.cli import UsageError, _write_json, main, parse_gamma, parse_grid, parse_sizes
+from xygap.cli import UsageError, main, parse_gamma, parse_grid, parse_sizes
 from xygap.errors import BitBudgetError
 from xygap.exactnum import decimal_str, format_rational, gamma_value
+from xygap.field import FieldPoint
 from xygap.gaplaw import gap_record
 from xygap.scaling import RULE_PLAIN, SizeSequence
 from xygap.sequences import SequenceKind
 from xygap.sequences import terms as sequence_terms
 
 
+# Grid ends for the scan's text: zeros of either sign, subnormal and huge
+# fields, and fields at SAFE_REACH.
+_TEXT_END = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 5e-324, 1e-300, 5e307, 1e308]),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=-300.0, max_value=308.0).map(lambda e: 10.0 ** e),
+)
 _GRID_END = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0, 1e154]),
     st.floats(min_value=-3.0, max_value=3.0),
@@ -118,11 +128,11 @@ class TestParsing:
         assert err == f"error: size range {sizes!r} selects no size\n"
 
     def test_gamma(self):
-        assert parse_gamma("1/3") == Fraction(1, 3)
-        assert parse_gamma("0.25") == Fraction(1, 4)
+        assert parse_gamma("1/3") == (1, 3)
+        assert parse_gamma("0.25") == (1, 4)
+        assert parse_gamma("-6/4") == (-3, 2)
         # past the interpreter's int<->str digit limit
-        tiny = Fraction(1, 2**65536)
-        assert parse_gamma(format_rational(tiny)) == tiny
+        assert parse_gamma(format_rational(Fraction(1, 2**65536))) == (1, 2**65536)
         with pytest.raises(UsageError):
             parse_gamma("x")
 
@@ -134,7 +144,7 @@ class TestParsing:
         (format_rational(Fraction(3, 2**65536)), 65537, Fraction(3, 2**65536)),
     ])
     def test_gamma_within_budget(self, text, budget, expected):
-        assert parse_gamma(text, budget) == expected
+        assert parse_gamma(text, budget) == (expected.numerator, expected.denominator)
 
     @pytest.mark.parametrize("text,budget", [
         ("1e-30", 64),                    # 10**30 has 100 bits
@@ -205,16 +215,32 @@ class TestPhaseDiagram:
         out = tmp_path / "pd.json"
         argv = ["phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41", "--format", "json"]
         assert main([*argv, "-o", str(out)]) == 0
-        records = list(classical.phase_diagram_scan(parse_grid("0:2:21"), parse_grid("-1:1:41")))
-        assert out.read_text() == json.dumps(classical.scan_payload(records), indent=2) + "\n"
+        records = list(phase_diagram_scan(parse_grid("0:2:21"), parse_grid("-1:1:41")))
+        assert out.read_text() == json.dumps(scan_payload(records), indent=2) + "\n"
 
-    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
-    def test_streamed_json_list_is_the_dumped_text(self, tmp_path, count):
-        # items nested at any depth, in batches of 256 and across their ends
-        items = [{"i": i, "x": [i / 3, {"y": None}, []], "s": "a\nb"} for i in range(count)]
-        out = tmp_path / "f.json"
-        _write_json(str(out), {"v": 1, "items": []}, iter(items))
-        assert out.read_text() == json.dumps({"v": 1, "items": items}, indent=2) + "\n"
+    @given(gamma=st.tuples(_TEXT_END, _TEXT_END, st.integers(1, 5)),
+           h=st.tuples(_TEXT_END, _TEXT_END, st.integers(1, 5), st.booleans(), st.booleans()))
+    @settings(max_examples=200, deadline=None)
+    @example(gamma=(0.0, 2.0, 5), h=(0.0, 0.0, 1, False, False))  # an h = 0 row
+    @example(gamma=(-0.0, 1.5, 4), h=(-0.0, 1.0, 3, False, True))  # -0.0 endpoints
+    @example(gamma=(1e308, 1e308, 1), h=(0.0, 0.0, 1, False, False))  # gamma at SAFE_REACH
+    @example(gamma=(5e307, 5e307, 1), h=(5e307, 5e307, 2, True, False))
+    @example(gamma=(1.0, 3.0, 3), h=(5e-324, 1e-300, 3, True, False))  # gamma >= 1
+    def test_text_is_the_record_route(self, gamma, h):
+        # the kernel's rows through the templates, against the records one
+        # point at a time through the per-value CSV format and json.dumps
+        try:
+            gammas = parse_grid("%r:%r:%d" % gamma)
+            hs = parse_grid("%r:%r:%d" % (h[0] * (-1) ** h[3], h[1] * (-1) ** h[4], h[2]))
+        except UsageError:
+            assume(False)
+        h_low, h_high = hs.extremes()
+        assume(gammas.extremes()[1] + max(-h_low, h_high) <= classical.SAFE_REACH)
+        records = list(phase_diagram_scan(gammas, hs))
+        csv = "".join(line + "\n" for line in scan_csv_lines(records))
+        assert "".join(classical.scan_csv(classical.scan_rows(gammas, hs))) == csv
+        text = "".join(classical.scan_json(classical.scan_rows(gammas, hs)))
+        assert text == json.dumps(scan_payload(records), indent=2) + "\n"
 
     def test_invalid_grid_is_usage_error(self, cli):
         res = cli("phase-diagram", "--gamma", "0:1", "--h", "0:1:3")
@@ -256,7 +282,7 @@ class TestPhaseDiagram:
         assert out == ("gamma,h,theta0,m_x,gap\n"
                        "1.1481996421169871,0,0,0,0.14819964211698711\n"
                        "1.1481996421169871,1e+308,1.5707963267948963,1,1e+308\n")
-        assert classical.phase_record(classical.FieldPoint(1.148199642116987, 1e308)).gap == 1e308
+        assert phase_record(FieldPoint(1.148199642116987, 1e308)).gap == 1e308
 
     def test_overflowing_grid_step_is_usage_error(self, cli):
         # the step 2e308 is infinite, so the first grid point is -1e308 + 0*inf = nan
@@ -378,7 +404,6 @@ class TestFiniteGap:
         assert lines[0] == "N,gamma,delta,branch,gap,gap_decimal,gap_numeric"
         from fractions import Fraction
 
-        from xygap.exactnum import parse_rational
 
         products = set()
         for line in lines[1:]:
@@ -396,7 +421,6 @@ class TestFiniteGap:
         assert res.returncode == 0, res.stderr
         from fractions import Fraction
 
-        from xygap.exactnum import parse_rational
 
         for size, line in enumerate(out.read_text().strip().split("\n")[1:], 1):
             cols = line.split(",")
@@ -431,7 +455,6 @@ class TestFiniteGap:
         cols = out.read_text().strip().split("\n")[1].split(",")
         from fractions import Fraction
 
-        from xygap.exactnum import parse_rational
 
         assert parse_rational(cols[4]) == Fraction(1, 65536) + Fraction(1, 2**65536)
 
@@ -669,17 +692,21 @@ class TestBoundedMemory:
         out = str(tmp_path / "pd.csv")
         assert main(["phase-diagram", "--gamma", "0:2:3", "--h", "-1:1:3", "-o", out]) == 0
 
-        def peak(gamma: str) -> int:
+        def peak(gamma: str, h: str, *fmt: str) -> int:
             tracemalloc.start()
             try:
-                assert main(["phase-diagram", "--gamma", gamma, "--h", "-1:1:100", "-o", out]) == 0
+                assert main(["phase-diagram", "--gamma", gamma, "--h", h, *fmt, "-o", out]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        small, large = peak("0:2:100"), peak("0:2:1000")
+        small, large = peak("0:2:100", "-1:1:100"), peak("0:2:1000", "-1:1:100")
         assert large < 2 * small, (small, large)
         assert (tmp_path / "pd.csv").read_text().count("\n") == 100001
+        # a long h axis, in JSON: no list of h values or texts is built
+        small, large = (peak("0.5:1.5:3", h, "--format", "json") for h in ("-1:1:1000", "-1:1:10000"))
+        assert large < 2 * small, (small, large)
+        assert (tmp_path / "pd.csv").read_text().count('"gamma"') == 30000
 
     def test_huge_grid_streams_until_the_reader_leaves(self):
         # 3*10**11 points: the grid is never built and the rows stream as

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SRC_DIR, run_cli
-from xygap import classical, exactnum, gaplaw, scaling, sector, verify
+from xygap import exactnum, gaplaw, scaling, sector, verify
 from xygap.field import FieldPoint
 from xygap.sequences import SequenceKind
 
@@ -33,11 +33,12 @@ def test_import_keeps_int_str_digit_limit():
     script = (
         "import sys\n"
         "before = sys.get_int_max_str_digits()\n"
-        "import xygap.cli, xygap.classical, xygap.sector, xygap.verify\n"
+        "import xygap.cli, xygap.classical, xygap.sector, xygap.verify, xygap.exactnum\n"
         "from fractions import Fraction\n"
         "assert sys.get_int_max_str_digits() == before, sys.get_int_max_str_digits()\n"
         "for r in (Fraction(2**65536), Fraction(-1, 2**65536), Fraction(3**40000, 2**65536 + 1)):\n"
-        "    assert xygap.exactnum.parse_rational(xygap.exactnum.format_rational(r)) == r\n"
+        "    text = xygap.exactnum.format_rational(r)\n"
+        "    assert Fraction(*xygap.literal.parse_ratio(text)) == r\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR)
@@ -71,7 +72,8 @@ def test_import_and_formatting_keep_decimal_context():
 # What each command may load.  Without a bytecode cache every module a
 # process imports is also compiled, so a CLI process imports only the layers
 # its command runs: --help needs the parser alone, phase-diagram none of the
-# exact layers, finite-gap at h != 0 neither the gap law nor the scaling layer.
+# exact layers and no json, finite-gap at h != 0 no exact layer either,
+# unless its field needs exactnum (a series, or integers past 2048 bits).
 NEVER_LOADED = {"numpy", "scipy", "mpmath", "dataclasses"}
 HELP_PACKAGE_MODULES = {"xygap", "xygap.cli", "xygap.errors", "xygap.sequences"}
 HELP_NOT_LOADED = {"fractions", "decimal", "json"}
@@ -117,11 +119,15 @@ def test_cli_import_loads_no_scipy(tmp_path):
             (["finite-gap", "--gamma-series", "double-exp", "--terms", "5", "--N", "2:64:even",
               "-o", str(tmp_path / "series.csv")], {"xygap.scaling", "json"}),
             (["finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "64,1024",
-              "-o", str(tmp_path / "sector.csv")], {"xygap.gaplaw", "xygap.scaling", "json"}),
+              "-o", str(tmp_path / "sector.csv")], EXACT_LAYERS | {"json"}),
+            (["finite-gap", "--gamma", "3/5", "--h", "-0.6", "--N", "64",
+              "-o", str(tmp_path / "ratio.csv")], EXACT_LAYERS | {"json"}),
+            (["finite-gap", "--gamma", f"1/{2**2100}", "--h", "0.5", "--N", "4",
+              "-o", str(tmp_path / "big.csv")], {"xygap.gaplaw", "xygap.scaling", "json"}),
             (["phase-diagram", "--gamma", "0:2:81", "--h", "-1:1:81",
               "-o", str(tmp_path / "pd.csv")], EXACT_LAYERS | {"xygap.sector", "json"}),
             (["phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41", "--format", "json",
-              "-o", str(tmp_path / "pd.json")], EXACT_LAYERS | {"xygap.sector"}),
+              "-o", str(tmp_path / "pd.json")], EXACT_LAYERS | {"xygap.sector", "json"}),
             (["verify", "--max-N", "8"], {"json"})):
         res = subprocess.run([sys.executable, "-c", run_as_main, *argv],
                              capture_output=True, text=True, env=env)
@@ -136,6 +142,9 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert all(row.split(",")[6] for row in (tmp_path / "cross.csv").read_text().split("\n")[1:-1])
     assert len((tmp_path / "series.csv").read_text().split("\n")) == 1 + 32 + 1
     assert len((tmp_path / "sector.csv").read_text().split("\n")) == 1 + 2 + 1
+    assert (tmp_path / "ratio.csv").read_text().split("\n")[1].startswith("64,3/5,-0.59999999999999998,")
+    # a field past 2048 bits still prints as exact p/q, through exactnum
+    assert (tmp_path / "big.csv").read_text().split("\n")[1].startswith(f"4,1/{2**2100},0.5,")
     assert len((tmp_path / "pd.csv").read_text().split("\n")) == 1 + 81 * 81 + 1
     assert len(json.loads((tmp_path / "pd.json").read_text())["records"]) == 21 * 41
 
@@ -166,6 +175,8 @@ def test_no_module_imports_dataclasses():
 @pytest.mark.parametrize("args", [
     ("finite-gap", "--gamma", "1/3", "--N", "2:40:even"),  # exact rows, numeric cross column
     ("finite-gap", "--gamma", "0.6", "--h", "0.6", "--N", "64,1024"),  # sector route
+    ("finite-gap", "--gamma", "7/5", "--h", "0.3", "--N", "64,256"),  # p/q field at h != 0
+    ("finite-gap", "--gamma", "12.5e-2", "--h", "-0.75", "--N", "33,100"),
     ("scaling", "--seq", "double-exp", "--rule", "a_n", "--K", "5"),  # 65k-bit rationals
     ("phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41"),  # continued minimizer starts
     ("phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41", "--format", "json"),
@@ -194,7 +205,7 @@ def test_overflow_verdict_unchanged_under_optimize(args, code):
 
 
 def _records():
-    """One record of each of the 9 result types, and one field name of it."""
+    """One record of each of the 8 result types, and one field name of it."""
     point = FieldPoint(0.5, 0.25)
     seq = scaling.SizeSequence(SequenceKind.DOUBLE_EXP)
     gamma = Fraction(1, 3)
@@ -205,7 +216,6 @@ def _records():
         (seq, "rule"),
         (scaling.scaling_row(seq, 1, 4), "delta"),
         (scaling.build_scaling_report(seq, 4), "rows"),
-        (classical.phase_record(point), "gap"),
         (sector.sector_matrix(4, point), "norm"),
         (verify.CheckResult("name", True, "detail"), "passed"),
     ]
@@ -213,7 +223,7 @@ def _records():
 
 def test_records_are_immutable():
     records = _records()
-    assert len({type(record) for record, _ in records}) == 9
+    assert len({type(record) for record, _ in records}) == 8
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))

@@ -285,7 +285,7 @@ class TestSerialization:
         assert row["gap"]["den_bits"] == math.factorial(720).bit_length()
 
     def test_csv_round_trip_of_gap_column(self):
-        from xygap.exactnum import parse_rational
+        from conftest import parse_rational
 
         report = build_scaling_report(DEXP_PLAIN, DEXP_K)
         lines = report_csv_lines(report)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import SectorHamiltonian, _pivot_floor_ok, build_sector_hamiltonian
 from xygap import sector
-from xygap.classical import FieldPoint
+from xygap.field import FieldPoint
 from xygap.gaplaw import gap_record
 from xygap.sector import finite_gap_numeric, lowest_eigenvalues, sector_matrix
 
@@ -507,6 +507,66 @@ class TestWindowedBisection:
             tracemalloc.stop()
         assert 0.0 < gap < 1.0
         assert peak < 4 * 2**20
+
+
+def full_count_bisection(diag, off_sq, k, lo, hi, tol, pivmin):
+    """The solver's group bisection with every count a whole sweep of the
+    window rows, as before counts ended once the step was decided: the
+    oracle for the early exit."""
+    def count_below(shift):
+        count, q = 0, 1.0
+        for d, e2 in zip(diag, off_sq):
+            q = d - shift - e2 / q
+            if q < pivmin:
+                count += 1
+                q = min(q, -pivmin)
+        return count
+
+    brackets = [(lo, hi)] * k
+    groups = [(0, k, lo, hi)]
+    while groups:
+        first, stop, lo, hi = groups.pop()
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            count = count_below(mid)
+            if count <= first:
+                lo = mid
+            elif count >= stop:
+                hi = mid
+            else:
+                groups.append((count, stop, mid, hi))
+                stop, hi = count, mid
+        brackets[first:stop] = [(lo, hi)] * (stop - first)
+    return brackets
+
+
+class TestEarlyExit:
+    """A bisection count ends once it reaches its group's stop; the brackets
+    are those of whole sweeps."""
+
+    @pytest.mark.parametrize("size", [64, 1024, 4096, 65536])
+    @pytest.mark.parametrize("gamma,h", [*WINDOW_FIELDS, *((g, 0.0) for g in H0_GAMMAS[:3])])
+    def test_brackets_equal_whole_sweeps(self, size, gamma, h):
+        # the first window's rows, start bracket, tolerance and pivmin, as
+        # lowest_eigenvalues takes them
+        matrix = sector_matrix(size, FieldPoint(gamma, h))
+        norm, centre, offmax, _, _ = summary = matrix.summary()
+        half = half_width(size)
+        first = max(min(centre - half, size - 2 * half), 0)
+        diag, coup = matrix.rows(first, min(first + 2 * half + 1, size + 1))
+        off_sq = [0.0, *[e * e for e in coup[1:-1]]]
+        lo, hi, tol = start_bracket(summary)
+        pivmin = sector._SAFMIN * max(1.0, offmax * offmax)
+        for k in (1, 2, 3):
+            want = full_count_bisection(diag, off_sq, k, lo, hi, tol, pivmin)
+            got = sector._bisect(diag, off_sq, k, lo, hi, tol, pivmin)
+            assert [tuple(map(float.hex, b)) for b in got] == [tuple(map(float.hex, b)) for b in want]
+
+    def test_count_stops_at_the_limit(self):
+        diag, off_sq = [-3.0, -2.0, -1.0, 5.0], [0.0, 0.25, 0.25, 0.25]
+        assert sector._sturm_count(diag, off_sq, 0.0, 1e-300)[0] == 3
+        assert [sector._sturm_count(diag, off_sq, 0.0, 1e-300, 1.0, limit)[0]
+                for limit in (1, 2, 3, 4)] == [1, 2, 3, 3]
 
 
 class TestConvexEdgeCertificate:
