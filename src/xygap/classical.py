@@ -67,10 +67,9 @@ point.  Up to it nothing overflows:
   curvature a*(gamma*c + |h|*s - (c - s)*(c + s)) about a*(gamma + |h| +
   1), all below DBL_MAX ~ 1.797e308.  A Newton quotient may overflow (a
   curvature near zero): the next math.sin of the infinite start raises
-  ValueError, or the range test drops it; a zero curvature raises
-  ZeroDivisionError.  Both leave the whole-range bisection, which
-  probes only doubles in [0, pi/2].  So _theta0 never raises, and no inf
-  or nan meets a comparison.
+  ValueError, a last step's +inf is clamped below pi/2 and -inf dropped; a
+  zero curvature raises ZeroDivisionError.  Every probe is a double in [0,
+  pi/2], so _theta0 never raises, and no inf or nan meets a slope's test.
 * The gap.  x = |h|/s is below 1 but where gamma < 1; there, with theta1
   the double after theta0, either theta1 = fl(pi/2), so s = 1.0 and x = |h|,
   or theta1's computed slope is not negative, and its factor fl(gamma - 1)
@@ -120,6 +119,7 @@ def _bits(x: float) -> int:
 # and a gallop whose stride doubles crosses the range in as many steps.
 _HALF_PI = math.pi / 2
 _HALF_PI_BITS = _bits(_HALF_PI)
+_BELOW_HALF_PI = math.nextafter(_HALF_PI, 0.0)  # the highest start galloped from
 _BISECTION_STEPS = _HALF_PI_BITS.bit_length()
 _START_STEPS = 4  # Newton steps in theta from a neighbour's theta0
 # The lowest start galloped from.  Where gamma < 1 and h = 0, the slope's
@@ -140,8 +140,10 @@ def _theta0(gamma: float, habs: float, near: float | None = None) -> float:
     where the slope is negative and hi at pi/2 or where it is >= 0.  In a
     scan it starts from ``near``, the previous point's theta0 moved by
     _START_STEPS Newton steps on the slope, and gallops outward to the sign
-    change.  A lone point has no start; nor has one whose Newton steps
-    overflow or divide by zero or that leaves [_START_FLOOR, pi/2).  Then
+    change.  A start at or past pi/2, +inf too, is clamped to the last
+    double below it, where the gamma = 0 column's steps land.  A lone point
+    has no start; nor has one whose Newton steps divide by zero or take an
+    overflowed step's sine, nor a NaN one or one below _START_FLOOR.  Then
     the bracket is all of [0, pi/2], the plain whole-range bisection.
     Bisection shrinks the bracket to adjacent doubles and returns lo.  The
     start only sets how many slopes are computed: theta0 is the last double
@@ -166,7 +168,8 @@ def _theta0(gamma: float, habs: float, near: float | None = None) -> float:
                          / (a * (gamma * c + habs * s - (c - s) * (c + s))))
         except (ZeroDivisionError, ValueError):  # zero curvature; sin of an overflowed step
             near = None
-    if near is not None and _START_FLOOR <= near < _HALF_PI:
+    if near is not None and _START_FLOOR <= near:
+        near = min(near, _BELOW_HALF_PI)
         start = _bits(near)
         half = sin(0.5 * near)
         if a * sin(near) * (gm1 + 2.0 * half * half) - b * cos(near) < 0.0:

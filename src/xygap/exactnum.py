@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import BitBudgetError
-from .literal import ratio_text
+from .literal import decimal_text, ratio_text
 from .sequences import DEFAULT_BIT_BUDGET, SequenceKind, doubling_holds, terms
 
 # First sequence index used by the digit-injection map.  Consecutive
@@ -49,8 +49,8 @@ _INJECTION_MIN_RATIO = 21
 # ---------------------------------------------------------------------------
 # serialization
 #
-# Integers of up to 2048 bits print with str() (xygap.literal, which also
-# parses).  Larger integers cross the text boundary through decimal.Decimal:
+# Integers of up to 2048 bits print with str() and divide in integers
+# (xygap.literal).  Larger ones cross the text boundary through Decimal:
 # denominators near 2**65536 have ~19.7k digits, past the default limit of
 # 4300.  Decimal(int) is quadratic in the digit count, so an integer of more
 # than _SPLIT_BITS bits is split in halves at a power 2**w and reassembled
@@ -124,18 +124,16 @@ def decimal_ratio_text(num: int, den: int) -> str:
     return f"{_exact_decimal(num)}/{_exact_decimal(den)}"
 
 
-def decimal_text(num: int, den: int, digits: int = 17) -> str:
+def decimal_quotient_text(num: int, den: int, digits: int = 17) -> str:
     """num/den (den > 0) in scientific notation with ``digits`` significant
-    digits, rounded half away from zero.
+    digits, rounded half away from zero, through Decimal.
 
     One correctly rounded division of the exact integers, so it works for
-    rationals far outside float range (e.g. 2**-65536).  For human
-    inspection and file output only; never used in computations.
+    rationals far outside float range (e.g. 2**-65536).  For num != 0 and
+    digits >= 1, which :func:`xygap.literal.decimal_text` checks before it
+    calls this for operands past 2048 bits; the tests keep it as that
+    function's oracle at every size.
     """
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
-    if not num:
-        return "0"
     if num.bit_length() > _SPLIT_BITS or den.bit_length() > _SPLIT_BITS:
         num, den = _exact_decimal(num), _exact_decimal(den)
     quotient = _rounding_context(digits).divide(num, den)  # ints convert exactly
@@ -151,7 +149,7 @@ def format_rational(r: Fraction) -> str:
 
 
 def decimal_str(r: Fraction, digits: int = 17) -> str:
-    """:func:`decimal_text` of a Fraction."""
+    """:func:`xygap.literal.decimal_text` of a Fraction."""
     return decimal_text(r.numerator, r.denominator, digits)
 
 

@@ -47,7 +47,6 @@ rejected.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -97,6 +96,7 @@ def gap_record(size: int, gamma) -> GapRecord:
     :func:`exact_row` in Fractions: the gap is |1 - 2*delta|/N = |q - r|/(q*N)
     from the one residue r, or gamma - 1 + 1/N on the edge branch.
     """
+    from fractions import Fraction  # here, so that the CLI's integer rows never load it
     if isinstance(gamma, int):
         gamma = Fraction(gamma)
     elif not isinstance(gamma, Fraction):

@@ -34,7 +34,8 @@ _LOG10_2_ABOVE = 0.30103  # slightly above log10(2)
 
 @functools.lru_cache(maxsize=None)
 def _pow10(width: int) -> int:
-    """10**width; the widths in use are _STR_DIGITS times powers of two."""
+    """10**width; the widths in use are _STR_DIGITS times powers of two and
+    the few scales of :func:`decimal_text`'s quotients."""
     return 10**width
 
 
@@ -124,3 +125,33 @@ def ratio_text(num: int, den: int) -> str:
     from .exactnum import decimal_ratio_text
 
     return decimal_ratio_text(num, den)
+
+
+def decimal_text(num: int, den: int, digits: int = 17) -> str:
+    """num/den (den > 0) in scientific notation with ``digits`` significant
+    digits, rounded half away from zero, as Decimal's ``e`` format prints it:
+    one correctly rounded division of the integers, scaled so that the
+    truncated quotient has ``digits`` digits.  Operands past _STR_BITS go
+    through ``exactnum``'s Decimal division, the tests' oracle for this one.
+    """
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
+    if not num:
+        return "0"
+    if num.bit_length() > _STR_BITS or den.bit_length() > _STR_BITS:
+        from .exactnum import decimal_quotient_text
+
+        return decimal_quotient_text(num, den, digits)
+    mag, low = abs(num), _pow10(digits - 1)
+    exp = math.floor((mag.bit_length() - den.bit_length()) * _LOG10_2_ABOVE)  # the decade, within 1
+    while True:
+        shift = digits - 1 - exp
+        scaled, div = (mag * _pow10(shift), den) if shift >= 0 else (mag, den * _pow10(-shift))
+        quotient, rest = divmod(scaled, div)
+        if low <= quotient < 10 * low:
+            break
+        exp += 1 if quotient >= low else -1
+    if rest + rest >= div:  # half away from zero, into the next decade at 10**digits
+        quotient, exp = (quotient + 1, exp) if quotient + 1 < 10 * low else (low, exp + 1)
+    text = str(quotient)
+    return f"{'-' if num < 0 else ''}{text[0]}{'.' if digits > 1 else ''}{text[1:]}e{exp:+03d}"

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import PhaseRecord, phase_diagram_scan, phase_record
 from xygap import classical
 from xygap.classical import SAFE_REACH, _theta0, scan_csv, scan_rows
-from xygap.cli import UsageError, main, parse_grid
+from xygap.cli import UsageError, main
+from xygap.cli_phase_diagram import parse_grid
 from xygap.field import FieldPoint
 
 
@@ -224,6 +225,28 @@ class TestContinuedScan:
     ])
     def test_benchmark_grids(self, gamma, h):
         self._assert_scan_is_lone_points(parse_grid(gamma), parse_grid(h))
+
+    @pytest.mark.parametrize("gamma,h", [
+        ("0:0:1", "-1:1:2001"),  # Newton steps from the last double below pi/2 reach pi/2
+        ("0:0.5:3", "-1e-300:1e-300:501"),
+    ])
+    def test_gamma_zero_column_gallops_from_below_half_pi(self, monkeypatch, gamma, h):
+        # a start at or past fl(pi/2) is clamped below it, not dropped for a
+        # whole-range bisection (about 133 sines a point on the first grid)
+        gammas, hs = parse_grid(gamma), parse_grid(h)
+        calls = 0
+        sin = math.sin
+
+        def counting_sin(x):
+            nonlocal calls
+            calls += 1
+            return sin(x)
+
+        monkeypatch.setattr(math, "sin", counting_sin)
+        rows = list(scan_rows(gammas, hs))
+        monkeypatch.undo()
+        assert calls <= 16 * len(rows)
+        assert [r[2] for r in rows] == [_theta0(g, abs(x)) for g in gammas for x in hs]
 
     @pytest.mark.parametrize("near", [
         0.0, 5e-324, 2.0**-1025, math.nextafter(math.pi / 2, 0.0), math.pi / 2, 4.0,

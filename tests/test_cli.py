@@ -19,7 +19,9 @@ from conftest import (
     SRC_DIR, parse_rational, phase_diagram_scan, phase_record, scan_csv_lines, scan_payload,
 )
 from xygap import classical
-from xygap.cli import UsageError, main, parse_gamma, parse_grid, parse_sizes
+from xygap.cli import UsageError, main
+from xygap.cli_finite_gap import parse_gamma, parse_sizes
+from xygap.cli_phase_diagram import parse_grid
 from xygap.errors import BitBudgetError
 from xygap.exactnum import decimal_str, format_rational, gamma_value
 from xygap.field import FieldPoint

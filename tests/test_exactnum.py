@@ -10,17 +10,16 @@ from hypothesis import strategies as st
 from conftest import parse_rational
 from xygap import exactnum, literal
 from xygap.exactnum import (
+    decimal_quotient_text,
     decimal_str,
-    decimal_text,
     format_rational,
     gamma_value,
     injection_value,
-    ratio_text,
     series_enclosure,
     series_tail_bound_after,
     tail_bound,
 )
-from xygap.literal import parse_field_literal
+from xygap.literal import decimal_text, parse_field_literal, ratio_text
 from xygap.sequences import SequenceKind
 
 DEXP = SequenceKind.DOUBLE_EXP
@@ -270,6 +269,28 @@ class TestIntegerTextHelpers:
         assert decimal_text(0, 1) == "0" and ratio_text(0, 1) == "0/1"
         with pytest.raises(ValueError):
             decimal_text(1, 3, 0)
+
+
+# Operands of up to 2048 bits, the integer route's reach, their bit lengths spread evenly.
+_OPERANDS = st.integers(1, 2048).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1))
+
+
+class TestIntegerDecimalText:
+    """literal.decimal_text divides operands of up to 2048 bits in integers;
+    exactnum's Decimal division is its oracle."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_OPERANDS, st.booleans(), _OPERANDS, st.integers(1, 17))
+    @example(6, False, 5, 17)          # an exact quotient, padded to 17 digits
+    @example(1, False, 8, 2)           # a tie: 0.125 rounds away from zero
+    @example(1, True, 8, 2)
+    @example(99999, False, 100000, 3)  # rounds up to 10**digits, the next decade
+    @example(99999, True, 100000, 3)
+    @example(2**2048 - 1, True, 1, 17)
+    @example(1, False, 2**2048 - 1, 1)
+    def test_matches_the_decimal_route(self, mag, negative, den, digits):
+        num = -mag if negative else mag
+        assert decimal_text(num, den, digits) == decimal_quotient_text(num, den, digits)
 
 
 class TestFieldLiteralAgainstFraction:
