@@ -8,6 +8,11 @@ Subcommands:
 * ``scaling``       - certified scaling report for an engineered sequence.
 * ``verify``        - cross-oracle suites; nonzero exit on any failure.
 
+The entry points are ``python -m xygap`` and the installed ``xygap``
+script.  ``python -m xygap.cli`` runs too, but compiles this core twice:
+once as ``__main__`` and once as ``xygap.cli``, whose ``UsageError`` the
+command modules raise.
+
 Exit codes: 0 success, 1 verification/runtime failure (also a standard
 output closed early, as by ``| head``, and memory exhausted, reported as
 one ``error: out of memory`` line), 2 usage error, 3 bit-budget
@@ -41,7 +46,8 @@ imported when they run, and each command imports its layers when it runs:
 template); ``finite-gap`` ``literal``, ``sector`` where it solves, and at
 h = 0 ``gaplaw``, its rows printed in integers with neither ``fractions``
 nor ``decimal``; ``exactnum`` only for ``--gamma-series`` or a field past
-2048 bits.  ``scaling`` and ``verify`` load their own modules.
+2048 bits, whose rows it builds from the field's two ``Decimal``s.
+``scaling`` and ``verify`` load their own modules.
 """
 
 from __future__ import annotations

@@ -119,7 +119,7 @@ def cmd_finite_gap(args, budget: int) -> int:
         _write_lines(args.output, numeric_rows())
         return EXIT_OK
     from . import gaplaw
-    from .literal import decimal_text
+    from .literal import STR_BITS, decimal_text
 
     if p < 0:
         raise UsageError(f"the exact h=0 route needs gamma >= 0, got {gamma_text}")
@@ -128,18 +128,25 @@ def cmd_finite_gap(args, budget: int) -> int:
     gaps = _numeric_gaps(p, q, 0.0, checked) if checked else {}
     cross = {size: format(gap, ".17g") for size, gap in gaps.items()}
 
-    exact_row, degenerate = gaplaw.exact_row, gaplaw.BRANCH_DEGENERATE
+    if p.bit_length() > STR_BITS or q.bit_length() > STR_BITS:
+        from .exactnum import field_row_cells
 
-    def exact_rows():
-        # exact_row cannot raise once gamma is >= 0, so rows are
-        # computed as they are written
-        yield FINITE_GAP_EXACT_HEADER
-        for size in sizes:
+        cells = field_row_cells(p, q)
+    else:
+        exact_row, degenerate = gaplaw.exact_row, gaplaw.BRANCH_DEGENERATE
+
+        def cells(size: int) -> str:
             branch, delta_num, delta_den, gap_num, gap_den = exact_row(size, p, q)
             gap = ("," if branch == degenerate
                    else f"{ratio_text(gap_num, gap_den)},{decimal_text(gap_num, gap_den)}")
-            delta = ratio_text(delta_num, delta_den)
-            yield f"{size},{gamma_text},{delta},{branch},{gap},{cross.get(size, '')}"
+            return f"{ratio_text(delta_num, delta_den)},{branch},{gap}"
+
+    def exact_rows():
+        # exact_row cannot raise once gamma is >= 0 (nor field_row_cells,
+        # but on a wrong coefficient), so rows are computed as they are written
+        yield FINITE_GAP_EXACT_HEADER
+        for size in sizes:
+            yield f"{size},{gamma_text},{cells(size)},{cross.get(size, '')}"
 
     _write_lines(args.output, exact_rows())
     return EXIT_OK

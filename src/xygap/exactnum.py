@@ -55,11 +55,13 @@ _INJECTION_MIN_RATIO = 21
 # 4300.  Decimal(int) is quadratic in the digit count, so an integer of more
 # than _SPLIT_BITS bits is split in halves at a power 2**w and reassembled
 # with libmpdec's subquadratic multiplication (Brent & Zimmermann, Modern
-# Computer Arithmetic, section 1.7).  The last 64 such integers stay cached,
-# so the p/q text, the rounded decimal and every later print of the same
-# value share one conversion.  The exact arithmetic goes through _EXACT; an
-# operator like -d or d + e would round to the caller's context (28 digits
-# by default) without a word.
+# Computer Arithmetic, section 1.7); a power of two is one short step from
+# the cached powers 2**w.  The last 64 such integers stay cached, so that
+# ``scaling``'s p/q texts, rounded decimals and CSV, which print the same
+# values again, share one conversion each; the h = 0 rows of a field past
+# 2048 bits convert nothing after the field (field_row_cells).  The exact
+# arithmetic goes through _EXACT; an operator like -d or d + e would round
+# to the caller's context (28 digits by default) without a word.
 
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
@@ -91,8 +93,23 @@ def _split_decimal(n: int, width: int) -> Decimal:
     )
 
 
+def _pow2_big_decimal(e: int) -> Decimal:
+    """Decimal(2**e) for e >= _SPLIT_BITS, from the nearest cached power 2**w:
+    one multiply by 2**(e - w), or exact division by 2**(w - e)."""
+    width = _SPLIT_BITS
+    while 2 * e > 3 * width:
+        width *= 2
+    shift = abs(e - width)
+    step = Decimal(1 << shift) if shift <= _SPLIT_BITS else _pow2_big_decimal(shift)
+    if e >= width:
+        return _EXACT.multiply(_pow2_decimal(width), step)
+    return _EXACT.divide_int(_pow2_decimal(width), step)  # exact: both are powers of two
+
+
 @functools.lru_cache(maxsize=64)
 def _big_decimal(n: int) -> Decimal:
+    if n & (n - 1) == 0:
+        return _pow2_big_decimal(n.bit_length() - 1)
     width = _SPLIT_BITS
     while 2 * width < n.bit_length():
         width *= 2
@@ -136,11 +153,68 @@ def decimal_quotient_text(num: int, den: int, digits: int = 17) -> str:
     """
     if num.bit_length() > _SPLIT_BITS or den.bit_length() > _SPLIT_BITS:
         num, den = _exact_decimal(num), _exact_decimal(den)
-    quotient = _rounding_context(digits).divide(num, den)  # ints convert exactly
+    return _quotient_text(num, den, digits)  # ints convert exactly
+
+
+def _quotient_text(num, den, digits: int) -> str:
+    quotient = _rounding_context(digits).divide(num, den)
     # an exact quotient keeps only its own digits (6/5 -> 1.2); the format
     # pads it to `digits` and rounds nothing, so no context setting matters
     mantissa = format(quotient, f".{digits - 1}e").partition("e")[0]
     return f"{mantissa}e{quotient.adjusted():+03d}"
+
+
+def field_row_cells(p: int, q: int):
+    """For a field p/q in lowest terms, p >= 0: the function from a size N
+    to the cells "delta,branch,gap,gap_decimal" of its exact h = 0 row, as
+    ``ratio_text`` and ``decimal_text`` print :func:`xygap.gaplaw.exact_row`'s
+    integers (the tests' oracle), converting no big integer but p and q.
+
+    Every integer of the row is (a*p + b*q)/c with small integers a, b, c.
+    With nu = N mod 2 and k = (p*N + nu*q) // (2q), the residue is r = p*N +
+    (nu - 2k)*q; delta is (r/g)/(2q/g) with g = 2q // delta_den, and the gap
+    (|q - r|/h)/(q*N/h) with h = q*N // gap_den, its numerator ((p - q)*N +
+    q)/h on the edge branch.  So each of them past _SPLIT_BITS bits is built
+    from Decimal(p) and Decimal(q), which the field's own text has converted,
+    by small multiplies, one addition and one division under _EXACT, whose
+    traps refuse any rounding: time linear in the digits, where converting
+    each integer anew costs milliseconds.  Each coefficient triple is first
+    checked in integers, a*p + b*q == n*c against ``exact_row``'s n, so a
+    wrong one raises, under ``python -O`` too, instead of printing.
+    """
+    from .gaplaw import BRANCH_DEGENERATE, BRANCH_EDGE, BRANCH_LOW, exact_row
+
+    p_dec, q_dec = _exact_decimal(p), _exact_decimal(q)
+    two_q = q + q
+
+    def as_decimal(n: int, a: int, b: int, c: int) -> Decimal:
+        if n.bit_length() <= _SPLIT_BITS:
+            return Decimal(n)
+        if a * p + b * q != n * c:
+            raise ArithmeticError(
+                f"a row integer of {n.bit_length()} bits is not ({a}*p + {b}*q)/{c}")
+        total = _EXACT.fma(_exact_decimal(a), p_dec, _EXACT.multiply(_exact_decimal(b), q_dec))
+        return _EXACT.divide_int(total, _exact_decimal(c))
+
+    def cells(size: int) -> str:
+        branch, delta_num, delta_den, gap_num, gap_den = exact_row(size, p, q)
+        nu = size & 1
+        k = (p * size + nu * q) // two_q
+        g = two_q // delta_den
+        delta = f"{as_decimal(delta_num, size, nu - 2 * k, g)}/{as_decimal(delta_den, 0, 2, g)}"
+        if branch == BRANCH_DEGENERATE:
+            return f"{delta},{branch},,"
+        if branch == BRANCH_EDGE:
+            a, b = size, 1 - size
+        elif branch == BRANCH_LOW:
+            a, b = -size, 2 * k + 1 - nu
+        else:
+            a, b = size, nu - 2 * k - 1
+        h = q * size // gap_den
+        num, den = as_decimal(gap_num, a, b, h), as_decimal(gap_den, 0, size, h)
+        return f"{delta},{branch},{num}/{den},{_quotient_text(num, den, 17)}"
+
+    return cells
 
 
 def format_rational(r: Fraction) -> str:

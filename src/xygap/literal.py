@@ -3,7 +3,7 @@
 A field value is the pair (num, den) of a rational in lowest terms, den > 0.
 Parsing and printing it need only integers, so this module imports neither
 ``fractions`` nor ``decimal``, and ``finite-gap`` at h != 0 loads neither.
-Integers of up to _STR_BITS = 2048 bits (at most 617 digits, below 640,
+Integers of up to STR_BITS = 2048 bits (at most 617 digits, below 640,
 the smallest int<->str digit limit the interpreter can be set to) print
 with str(); larger ones through ``exactnum``'s exact ``Decimal`` conversion.
 A digit string is parsed by cutting it at powers 10**w and joining its
@@ -19,7 +19,7 @@ import re
 from .errors import BitBudgetError
 from .sequences import DEFAULT_BIT_BUDGET
 
-_STR_BITS = 2048  # str(int) up to this size is within every digit limit
+STR_BITS = 2048  # str(int) up to this size is within every digit limit
 _STR_DIGITS = 600  # and so is int(text) of up to this many digits
 
 _RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
@@ -120,7 +120,7 @@ def parse_field_literal(text: str, bit_budget: int = DEFAULT_BIT_BUDGET) -> tupl
 
 def ratio_text(num: int, den: int) -> str:
     """"num/den" for the integers of a rational in lowest terms, den > 0."""
-    if num.bit_length() <= _STR_BITS and den.bit_length() <= _STR_BITS:
+    if num.bit_length() <= STR_BITS and den.bit_length() <= STR_BITS:
         return f"{num}/{den}"
     from .exactnum import decimal_ratio_text
 
@@ -131,14 +131,14 @@ def decimal_text(num: int, den: int, digits: int = 17) -> str:
     """num/den (den > 0) in scientific notation with ``digits`` significant
     digits, rounded half away from zero, as Decimal's ``e`` format prints it:
     one correctly rounded division of the integers, scaled so that the
-    truncated quotient has ``digits`` digits.  Operands past _STR_BITS go
+    truncated quotient has ``digits`` digits.  Operands past STR_BITS go
     through ``exactnum``'s Decimal division, the tests' oracle for this one.
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     if not num:
         return "0"
-    if num.bit_length() > _STR_BITS or den.bit_length() > _STR_BITS:
+    if num.bit_length() > STR_BITS or den.bit_length() > STR_BITS:
         from .exactnum import decimal_quotient_text
 
         return decimal_quotient_text(num, den, digits)

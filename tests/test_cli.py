@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import (
     SRC_DIR, parse_rational, phase_diagram_scan, phase_record, scan_csv_lines, scan_payload,
 )
-from xygap import classical
+from xygap import classical, exactnum
 from xygap.cli import UsageError, main
 from xygap.cli_finite_gap import parse_gamma, parse_sizes
 from xygap.cli_phase_diagram import parse_grid
@@ -626,6 +626,17 @@ class TestIntegerRowsAgainstFractionRoute:
         got = cli_rows("--gamma-series", kind.value, "--terms", str(terms),
                        "--N", ",".join(map(str, sizes)))
         assert got == fraction_route_rows(gamma_value(kind, terms), sizes)
+
+    def test_series_rows_convert_only_the_field(self, tmp_path):
+        # each row is built from Decimal(p) and Decimal(q), the two integers
+        # that gamma's own text converts (the per-integer route made 135)
+        exactnum._big_decimal.cache_clear()
+        argv = ["finite-gap", "--gamma-series", "double-exp", "--terms", "5", "--N", "1:64:all"]
+        assert main([*argv, "-o", str(tmp_path / "rows.csv")]) == 0
+        misses = exactnum._big_decimal.cache_info().misses
+        gamma = gamma_value(SequenceKind.DOUBLE_EXP, 5)
+        exactnum._big_decimal(gamma.numerator), exactnum._big_decimal(gamma.denominator)
+        assert misses == exactnum._big_decimal.cache_info().misses == 2
 
 
 class TestNothingWrittenOnFailure:

@@ -2,13 +2,14 @@ import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import parse_rational
-from xygap import exactnum, literal
+from xygap import exactnum, gaplaw, literal
 from xygap.exactnum import (
     decimal_quotient_text,
     decimal_str,
@@ -155,6 +156,17 @@ class TestExactDecimalConversion:
         r = Fraction(num, abs(den) + 1)
         assert format_rational(r) == f"{Decimal(r.numerator)}/{Decimal(r.denominator)}"
 
+    @pytest.mark.parametrize("e", [4096, 4097, 65534, 65535, 65536, 65537, 98304, 131073])
+    def test_powers_of_two_come_from_the_chain(self, e, monkeypatch):
+        # one multiply or exact division from the nearest cached 2**w, no split
+        def split(n, width):
+            raise AssertionError(f"2**{e} went through the split conversion")
+
+        monkeypatch.setattr(exactnum, "_split_decimal", split)
+        exactnum._big_decimal.cache_clear()
+        got = exactnum._exact_decimal(2**e)
+        assert str(got) == str(Decimal(2**e)) and got.as_tuple().exponent == 0
+
     def test_each_big_integer_converted_once_per_report(self):
         from xygap.scaling import (
             SizeSequence, build_scaling_report, report_csv_lines, report_to_json_dict,
@@ -291,6 +303,59 @@ class TestIntegerDecimalText:
     def test_matches_the_decimal_route(self, mag, negative, den, digits):
         num = -mag if negative else mag
         assert decimal_text(num, den, digits) == decimal_quotient_text(num, den, digits)
+
+
+_ROW_BIG_BITS = st.integers(2049, 12_000) | st.sampled_from([4096, 4097, 65536, 65537])
+
+
+@st.composite
+def big_fields(draw):
+    """(p, q) in lowest terms with p alone, q alone or both past 2048 bits,
+    q a power of two or not, gamma below 1 or (edge branch) at least 1."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    big = draw(st.sampled_from(["p", "q", "both"]))
+    q_bits = draw(st.integers(1, 2048) if big == "p" else _ROW_BIG_BITS)
+    q = 1 << (q_bits - 1) if draw(st.booleans()) else rng.getrandbits(q_bits) | 1 << (q_bits - 1)
+    if big == "p":
+        p = rng.getrandbits(draw(_ROW_BIG_BITS)) | 1 << 2048
+    elif big == "q":
+        p = rng.getrandbits(draw(st.integers(0, 2048)))
+    else:
+        p = rng.randrange(q) + q * draw(st.sampled_from([0, 0, 1, 3]))
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def _row_oracle(p: int, q: int, size: int) -> str:
+    branch, delta_num, delta_den, gap_num, gap_den = gaplaw.exact_row(size, p, q)
+    gap = ("," if branch == gaplaw.BRANCH_DEGENERATE
+           else f"{ratio_text(gap_num, gap_den)},{decimal_text(gap_num, gap_den)}")
+    return f"{ratio_text(delta_num, delta_den)},{branch},{gap}"
+
+
+class TestFieldRowCells:
+    """The h = 0 rows of a big field, built from Decimal(p) and Decimal(q),
+    against ratio_text and decimal_text of exact_row's integers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(big_fields(), st.lists(st.integers(1, 200) | st.integers(2**2048, 2**2100), max_size=4))
+    @example((2**65536 - 12345, 2**65536), [7])  # the double-exp series' shape
+    @example((3 * 2**4100 + 1, 2**4100 + 7), [2**2100 + 1])
+    def test_matches_the_per_integer_route(self, field, extra):
+        p, q = field
+        # N a multiple of q puts gamma*N/2 on a tie (r = 0) or a crossing (r = q)
+        sizes = [1, 2, 3, q, q + 1, 2 * q, 2 * q + 1, 3 * q, *extra]
+        cells = exactnum.field_row_cells(p, q)
+        for size in sizes:
+            assert cells(size) == _row_oracle(p, q, size), (p.bit_length(), q.bit_length(), size)
+
+    def test_wrong_coefficient_raises(self, monkeypatch):
+        # a row integer that is not (a*p + b*q)/c stops the row, under -O too
+        p, q = 1, 2**5000 + 1
+        row = gaplaw.exact_row(3, p, q)
+        monkeypatch.setattr(gaplaw, "exact_row", lambda size, p, q: (*row[:4], row[4] + 2))
+        with pytest.raises(ArithmeticError):
+            exactnum.field_row_cells(p, q)(3)
 
 
 class TestFieldLiteralAgainstFraction:

@@ -184,6 +184,8 @@ def test_no_module_imports_dataclasses():
     ("finite-gap", "--gamma", "7/5", "--h", "0.3", "--N", "64,256"),  # p/q field at h != 0
     ("finite-gap", "--gamma", "12.5e-2", "--h", "-0.75", "--N", "33,100"),
     ("scaling", "--seq", "double-exp", "--rule", "a_n", "--K", "5"),  # 65k-bit rationals
+    # rows built from Decimal(p) and Decimal(q), checked by raising, not by assert
+    ("finite-gap", "--gamma-series", "double-exp", "--terms", "5", "--N", "1:16:all"),
     ("phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41"),  # continued minimizer starts
     ("phase-diagram", "--gamma", "0:2:21", "--h", "-1:1:41", "--format", "json"),
     ("verify", "--max-N", "32"),  # every suite's checks are raised, none asserted
